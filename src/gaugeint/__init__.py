@@ -95,6 +95,7 @@ from .propagator import (
     free_kernel_semigroup_residual,
     harmonic_kernel_closed,
     perturbation_partial_sum,
+    perturbation_partial_sums,
     perturbation_term,
     psi0_closed,
     psi0_sliced,

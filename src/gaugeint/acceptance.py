@@ -42,10 +42,9 @@ from .integrate import (
 from .propagator import (
     Potential,
     PropagatorQuery,
-    SliceGrid,
     free_kernel_semigroup_residual,
     harmonic_kernel_closed,
-    perturbation_partial_sum,
+    perturbation_partial_sums,
     perturbation_term,
     psi0_closed,
     psi0_sliced,
@@ -83,14 +82,6 @@ def _result(number, title, start, failures, detail_ok):
     if failures:
         return CriterionResult(number, title, False, "; ".join(failures), elapsed)
     return CriterionResult(number, title, True, detail_ok, elapsed)
-
-
-def _grid(cfg: RunConfig) -> SliceGrid:
-    return SliceGrid(
-        extent=cfg.pathint.extent,
-        points=cfg.pathint.points,
-        damping=cfg.integrator.damping,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +167,7 @@ def criterion_3_free_propagator(cfg: RunConfig | None = None) -> CriterionResult
     """Sliced free kernels match the closed form; kernels compose."""
     cfg = cfg or RunConfig()
     start = time.perf_counter()
-    grid = _grid(cfg)
+    grid = cfg.slice_grid()
     mass = cfg.pathint.mass
     failures = []
     worst_rel = 0.0
@@ -241,8 +232,7 @@ def criterion_4_perturbation_series(
         base = psi0_closed(q, mass=mass)
         target = base * cmath.exp(-1j * c * tau)
         x = abs(c) * tau
-        for m in range(13):
-            s_m = perturbation_partial_sum(m, q, mass=mass)
+        for m, s_m in enumerate(perturbation_partial_sums(12, q, mass=mass)):
             bound = x ** (m + 1) / math.factorial(m + 1) * abs(base) + 1e-6
             gap = abs(s_m - target)
             worst_margin = max(worst_margin, gap / bound)
@@ -277,7 +267,7 @@ def criterion_5_harmonic_cross_check(
     """Sliced harmonic-oscillator kernel matches the closed kernel."""
     cfg = cfg or RunConfig()
     start = time.perf_counter()
-    grid = _grid(cfg)
+    grid = cfg.slice_grid()
     mass = cfg.pathint.mass
     omega, tau = 0.5, 0.5
     q = PropagatorQuery(
@@ -471,8 +461,7 @@ def criterion_8_coexistence_report(
     base = psi0_closed(q, mass=mass)
     target = base * cmath.exp(-1j * c * tau)
     converged = True
-    for m in range(13):
-        s_m = perturbation_partial_sum(m, q, mass=mass)
+    for m, s_m in enumerate(perturbation_partial_sums(12, q, mass=mass)):
         bound = tau ** (m + 1) / math.factorial(m + 1) * abs(base) + 1e-6
         if abs(s_m - target) > bound:
             converged = False

@@ -15,6 +15,8 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .propagator import SliceGrid
+
 __all__ = [
     "FORMAT_VERSION",
     "CONFIG_ENV_VAR",
@@ -118,6 +120,14 @@ class RunConfig:
     pathint: PathintConfig = field(default_factory=PathintConfig)
     lab: LabConfig = field(default_factory=LabConfig)
     output_dir: str = "."
+
+    def slice_grid(self) -> SliceGrid:
+        """The default slice grid: pathint extent and points, integrator damping."""
+        return SliceGrid(
+            extent=self.pathint.extent,
+            points=self.pathint.points,
+            damping=self.integrator.damping,
+        )
 
     def to_json_dict(self) -> dict:
         doc = {

@@ -35,7 +35,7 @@ from .errors import (
     ScheduleError,
 )
 from .fresnel import ROOT_MINUS_I_OVER_2PI, IncrementSchedule
-from .integrate import _neville_at_zero, hk_integrate_1d
+from .integrate import _neville_at_zero, _tensor_sum, _vectorized_nd, hk_integrate_1d
 from .oscquad import adaptive_chirp_integral, damped_chirp_filon_weights
 
 __all__ = [
@@ -315,26 +315,6 @@ def cylinder_riemann_sum(
 # ---------------------------------------------------------------------------
 
 
-def _vectorized_nd(f, n: int):
-    def fv(points: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(f(points), dtype=complex)
-        except (AssertionError, KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            raise IntegrandError(f"integrand raised {exc!r}") from exc
-        if out.shape != (points.shape[0],):
-            raise IntegrandError(
-                f"integrand must map (m, {n}) points to (m,) values, "
-                f"got shape {out.shape}"
-            )
-        if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-            raise IntegrandError("integrand returned a non-finite value")
-        return out
-
-    return fv
-
-
 def _graded_edges(eps: float, radius: float, ncells: int) -> np.ndarray:
     """Cell edges graded to the damping scale 1/sqrt(eps): uniform in
     asinh(u sqrt(eps)), so cells are narrow where the damped envelope
@@ -345,44 +325,6 @@ def _graded_edges(eps: float, radius: float, ncells: int) -> np.ndarray:
     t = math.asinh(radius * s)
     ts = np.linspace(-t, t, ncells + 1)
     return np.sinh(ts) / s
-
-
-def _tensor_filon_level(fv, nodes_list, wfold_list, origin, chunk=1 << 17):
-    """sum over the tensor grid of prod_j w_j[i_j] * f(x(increments)).
-
-    Increments u_j are the per-axis nodes; coordinates are prefix sums
-    x_m = origin + u_1 + ... + u_m.  Streamed over outer-axis chunks so
-    the point buffer stays bounded.
-    """
-    n = len(nodes_list)
-    last_nodes = nodes_list[-1]
-    last_w = wfold_list[-1]
-    ln = last_nodes.size
-    if n == 1:
-        pts = origin + last_nodes[:, None]
-        vals = fv(pts)
-        return fsum_complex(vals * last_w)
-    outer_shape = tuple(nd.size for nd in nodes_list[:-1])
-    outer_total = int(np.prod(outer_shape))
-    rows_per_chunk = max(1, chunk // ln)
-    partials: list[complex] = []
-    for start in range(0, outer_total, rows_per_chunk):
-        stop = min(start + rows_per_chunk, outer_total)
-        idx = np.arange(start, stop)
-        multi = np.unravel_index(idx, outer_shape)
-        rows = stop - start
-        incs = np.empty((rows * ln, n))
-        for axis in range(n - 1):
-            incs[:, axis] = np.repeat(nodes_list[axis][multi[axis]], ln)
-        incs[:, n - 1] = np.tile(last_nodes, rows)
-        pts = np.cumsum(incs, axis=1) + origin
-        vals = fv(pts).reshape(rows, ln)
-        row_sums = vals @ last_w
-        wout = np.ones(rows, dtype=complex)
-        for axis in range(n - 1):
-            wout *= wfold_list[axis][multi[axis]]
-        partials.append(fsum_complex(row_sums * wout))
-    return fsum_complex(partials)
 
 
 def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
@@ -422,6 +364,10 @@ def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
             core = report.value
         return norm * core
 
+    def fv_increments(incs):
+        # grid points are increments; coordinates are their prefix sums
+        return fv(np.cumsum(incs, axis=1) + sched.origin_point)
+
     prev = None
     ncells = start_cells
     for _level in range(max_level):
@@ -433,9 +379,7 @@ def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
             nodes, w = damped_chirp_filon_weights(alpha, 0.0, edges)
             nodes_list.append(nodes)
             wfold_list.append(w)
-        value = norm * _tensor_filon_level(
-            fv, nodes_list, wfold_list, sched.origin_point
-        )
+        value = norm * _tensor_sum(fv_increments, nodes_list, wfold_list, 1 << 17)
         if prev is not None:
             # the rule is fourth order: Richardson-extrapolate the pair
             ext = value + (value - prev) / 15.0
@@ -480,7 +424,7 @@ def reduce_cylinder_integral(
     n = sched.dim
     if n > dimension_cap:
         raise DimensionCapError(f"dimension {n} exceeds cap {dimension_cap}")
-    fv = _vectorized_nd(f, n)
+    fv = _vectorized_nd(f)
     eps_values = [eps0 * 0.5**k for k in range(schedule_len)]
     if len(eps_values) < 3:
         raise ValueError("damping schedule needs at least three points")

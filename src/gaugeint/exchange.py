@@ -22,7 +22,7 @@ from .cells import Cell1D, CellND
 from .errors import NoMFoundError
 from .fresnel import IncrementSchedule, incremental_density
 from .integrate import hk_integrate_1d
-from .propagator import PropagatorQuery, SliceGrid, _chi_levels, psi0_closed, psi_sliced
+from .propagator import PropagatorQuery, SliceGrid, perturbation_partial_sums, psi_sliced
 
 __all__ = [
     "GrowthTable",
@@ -354,23 +354,11 @@ def exchange_experiment(
     (its time-slicing plus quadrature error) — convergence that coexists
     with the UNBOUNDED envelope verdict from the growth probes.
     """
-    if not (isinstance(m_max, int) and m_max >= 0):
-        raise ValueError("m_max must be a nonnegative integer")
+    sums = perturbation_partial_sums(m_max, q, grid, mass=mass)
     sliced = psi_sliced(q, grid, mass=mass, rtol=rtol, sampling=sampling)
-    base = psi0_closed(q, mass=mass)
-    levels = _chi_levels(q, m_max, mass=mass, window=grid.extent)
-    u = q.xi - q.xi_prime
-    rows = []
-    total = 0.0 + 0.0j
-    for m in range(m_max + 1):
-        total += complex(np.polynomial.polynomial.polyval(u, levels[m][-1]))
-        s_m = base * total
-        rows.append(
-            ExchangeRow(
-                order=m,
-                partial_sum=complex(s_m),
-                sliced=complex(sliced),
-                difference=abs(complex(s_m) - complex(sliced)),
-            )
+    return [
+        ExchangeRow(
+            order=m, partial_sum=s_m, sliced=sliced, difference=abs(s_m - sliced)
         )
-    return rows
+        for m, s_m in enumerate(sums)
+    ]

@@ -121,6 +121,28 @@ def _vectorized(f):
     return fv
 
 
+def _vectorized_nd(f):
+    """Wrap an n-D integrand: (m, n) points to m finite complex values."""
+
+    def fv(points: np.ndarray) -> np.ndarray:
+        try:
+            out = np.asarray(f(points), dtype=complex)
+        except (AssertionError, KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:
+            raise IntegrandError(f"integrand raised {exc!r}") from exc
+        if out.shape != points.shape[:1]:
+            raise IntegrandError(
+                f"integrand must map (m, {points.shape[1]}) points to (m,) "
+                f"values, got shape {out.shape}"
+            )
+        if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+            raise IntegrandError("integrand returned a non-finite value")
+        return out
+
+    return fv
+
+
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(a.size + b.size, dtype=a.dtype)
     out[0::2] = a
@@ -369,20 +391,7 @@ def hk_integrate_nd(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    def feval(points: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(f(points), dtype=complex)
-        except (AssertionError, KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            raise IntegrandError(f"integrand raised {exc!r}") from exc
-        if out.shape != points.shape[:1]:
-            raise IntegrandError(
-                f"integrand returned shape {out.shape} for {points.shape[0]} points"
-            )
-        if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-            raise IntegrandError("integrand returned a non-finite value")
-        return out
+    feval = _vectorized_nd(f)
 
     rows: list[list[complex]] = []
     prev_extrap = None
@@ -412,39 +421,44 @@ def hk_integrate_nd(
 
 
 def _tensor_trapezoid(feval, box, pts_per_axis: int, chunk: int) -> complex:
-    n = len(box)
-    axes = [np.linspace(lo, hi, pts_per_axis) for lo, hi in box]
-    wts = []
+    nodes_list, weights_list = [], []
     for lo, hi in box:
         w = np.full(pts_per_axis, (hi - lo) / (pts_per_axis - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        wts.append(w)
-    last_pts, last_w = axes[-1], wts[-1]
-    ln = pts_per_axis
+        nodes_list.append(np.linspace(lo, hi, pts_per_axis))
+        weights_list.append(w)
+    return _tensor_sum(feval, nodes_list, weights_list, chunk)
+
+
+def _tensor_sum(fv, nodes_list, weights_list, chunk: int) -> complex:
+    """sum over the tensor grid of prod_j w_j[i_j] * fv(x_{i_1}, ..., x_{i_n}).
+
+    fv maps an (m, n) array of grid points to m values.  Streamed over
+    chunks of the outer axes so the point buffer holds about chunk rows;
+    the partial sums are added exactly, in a fixed order.
+    """
+    n = len(nodes_list)
+    last_nodes, last_w = nodes_list[-1], weights_list[-1]
+    ln = last_nodes.size
     if n == 1:
-        vals = feval(last_pts[:, None])
-        return fsum_complex(vals * last_w)
-    outer_total = pts_per_axis ** (n - 1)
+        return fsum_complex(fv(last_nodes[:, None]) * last_w)
+    outer_shape = tuple(nd.size for nd in nodes_list[:-1])
+    outer_total = math.prod(outer_shape)
     rows_per_chunk = max(1, chunk // ln)
     partials: list[complex] = []
-    points = None
     for start in range(0, outer_total, rows_per_chunk):
         stop = min(start + rows_per_chunk, outer_total)
-        idx = np.arange(start, stop)
-        multi = np.unravel_index(idx, (pts_per_axis,) * (n - 1))
+        multi = np.unravel_index(np.arange(start, stop), outer_shape)
         rows = stop - start
-        if points is None or points.shape[0] != rows * ln:
-            points = np.empty((rows * ln, n))
+        points = np.empty((rows * ln, n))
         for axis in range(n - 1):
-            col = axes[axis][multi[axis]]
-            points[:, axis] = np.repeat(col, ln)
-        points[:, n - 1] = np.tile(last_pts, rows)
-        vals = feval(points).reshape(rows, ln)
-        row_sums = vals @ last_w
-        wout = np.ones(rows)
-        for axis in range(n - 1):
-            wout *= wts[axis][multi[axis]]
+            points[:, axis] = np.repeat(nodes_list[axis][multi[axis]], ln)
+        points[:, n - 1] = np.tile(last_nodes, rows)
+        row_sums = fv(points).reshape(rows, ln) @ last_w
+        wout = weights_list[0][multi[0]]
+        for axis in range(1, n - 1):
+            wout = wout * weights_list[axis][multi[axis]]
         partials.append(fsum_complex(row_sums * wout))
     return fsum_complex(partials)
 

@@ -133,20 +133,49 @@ _FAR_WIDTH = 1.0  # maximum u-width of a far cell (plane-wave branch)
 _PW_TERMS = 12  # j terms in exp(i w^2/2) expansion, width <= 1
 
 
+def _centred_moments(raw, um):
+    """Binomial shift of raw moments Int w^k K dw to Int (w - um)^k K dw.
+
+    raw has shape (4, ...) for k = 0..3.  The shift cancels terms of size
+    |um|^k against a centred moment of size hw^k, so its relative round-off
+    grows like (|um|/hw)^3; callers keep that ratio modest.
+    """
+    return np.stack([
+        raw[0],
+        raw[1] - um * raw[0],
+        raw[2] - 2.0 * um * raw[1] + um * um * raw[0],
+        raw[3] - 3.0 * um * raw[2] + 3.0 * um**2 * raw[1] - um**3 * raw[0],
+    ])
+
+
+def _fold_weights(mu, hw):
+    """Node weights of the piecewise-cubic Filon rule from centred moments.
+
+    mu has shape (4, ..., ncell) and hw (..., ncell): each cell's moments
+    are scaled to xi = w / hw, mapped through the inverse Vandermonde to
+    its 4 equally spaced nodes, and neighbouring cells add at their shared
+    edge node.  Returns (..., 3 ncell + 1) complex weights.
+    """
+    hwp = np.stack([np.ones_like(hw), hw, hw * hw, hw**3])
+    cellw = np.einsum("k...,kj->j...", mu / hwp, _FILON_VINV)
+    ncell = hw.shape[-1]
+    weights = np.zeros(hw.shape[:-1] + (3 * ncell + 1,), dtype=complex)
+    weights[..., 0:-1:3] += cellw[0]
+    weights[..., 1::3] += cellw[1]
+    weights[..., 2::3] += cellw[2]
+    weights[..., 3::3] += cellw[3]
+    return weights
+
+
 def _moments_near(ua, ub):
     """Centered moments mu_k = Int (u-um)^k exp(iu^2/2) du on [ua, ub]."""
     Fa, Fb = fresnel_integral(ua), fresnel_integral(ub)
     Ea, Eb = phase_exp(ua), phase_exp(ub)
-    um = 0.5 * (ua + ub)
     m0 = Fb - Fa
     m1 = -1j * (Eb - Ea)
     m2 = -1j * (ub * Eb - ua * Ea) + 1j * m0
     m3 = -1j * (ub * ub * Eb - ua * ua * Ea) + 2.0 * (Eb - Ea)
-    mu0 = m0
-    mu1 = m1 - um * m0
-    mu2 = m2 - 2.0 * um * m1 + um * um * m0
-    mu3 = m3 - 3.0 * um * m2 + 3.0 * um * um * m1 - um**3 * m0
-    return np.stack([mu0, mu1, mu2, mu3])
+    return _centred_moments(np.stack([m0, m1, m2, m3]), 0.5 * (ua + ub))
 
 
 def _moments_far(ua, ub):
@@ -224,26 +253,8 @@ def chirp_filon_weights(beta: float, center: float, edges):
     if far.any():
         mu[:, far] = _moments_far(ua[far], ub[far])
 
-    # scale centered moments to xi = w / hw: mu_k -> mu_k / hw^k, then map
-    # through the inverse Vandermonde to per-sample weights.
-    hwp = np.stack([np.ones_like(hw), hw, hw * hw, hw**3])
-    cellw = np.einsum("kc,kj->jc", mu / hwp, _FILON_VINV) / s  # (4 nodes, cells)
-
-    ncell = ua.size
-    nodes_u = um[None, :] + hw[None, :] * _FILON_XI[:, None]  # (4, cells)
-    nodes = center + nodes_u / s
-    # shared edge nodes: node grid has 3*ncell+1 distinct points
-    flat_nodes = np.empty(3 * ncell + 1)
-    weights = np.zeros(3 * ncell + 1, dtype=complex)
-    flat_nodes[0::3] = np.append(nodes[0, :], nodes[3, -1])
-    flat_nodes[1::3] = nodes[1, :]
-    flat_nodes[2::3] = nodes[2, :]
-    idx = np.arange(ncell) * 3
-    np.add.at(weights, idx, cellw[0])
-    np.add.at(weights, idx + 1, cellw[1])
-    np.add.at(weights, idx + 2, cellw[2])
-    np.add.at(weights, idx + 3, cellw[3])
-    return flat_nodes, weights
+    nodes = center + (um[None, :] + hw[None, :] * _FILON_XI[:, None]) / s
+    return np.append(nodes[:3].T.ravel(), nodes[3, -1]), _fold_weights(mu, hw) / s
 
 
 _DAMPED_NEAR_PHASE = 10.0  # |alpha| max(w^2) below which the Maclaurin branch runs
@@ -321,32 +332,9 @@ def damped_chirp_filon_weights(alpha: complex, center: float, edges):
     wb = edges[1:] - center
     um = 0.5 * (wa + wb)
     hw = 0.5 * (wb - wa)
-
-    raw = _damped_raw_moments(alpha, wa, wb)
-    # centered moments by binomial shift (digit loss ~ (|um|/hw)^k, modest
-    # for graded meshes)
-    mu = np.empty_like(raw)
-    mu[0] = raw[0]
-    mu[1] = raw[1] - um * raw[0]
-    mu[2] = raw[2] - 2.0 * um * raw[1] + um * um * raw[0]
-    mu[3] = raw[3] - 3.0 * um * raw[2] + 3.0 * um * um * raw[1] - um**3 * raw[0]
-
-    hwp = np.stack([np.ones_like(hw), hw, hw * hw, hw**3])
-    cellw = np.einsum("kc,kj->jc", mu / hwp, _FILON_VINV)  # (4 nodes, cells)
-
-    ncell = wa.size
+    mu = _centred_moments(_damped_raw_moments(alpha, wa, wb), um)
     nodes = center + um[None, :] + hw[None, :] * _FILON_XI[:, None]
-    flat_nodes = np.empty(3 * ncell + 1)
-    weights = np.zeros(3 * ncell + 1, dtype=complex)
-    flat_nodes[0::3] = np.append(nodes[0, :], nodes[3, -1])
-    flat_nodes[1::3] = nodes[1, :]
-    flat_nodes[2::3] = nodes[2, :]
-    idx = np.arange(ncell) * 3
-    np.add.at(weights, idx, cellw[0])
-    np.add.at(weights, idx + 1, cellw[1])
-    np.add.at(weights, idx + 2, cellw[2])
-    np.add.at(weights, idx + 3, cellw[3])
-    return flat_nodes, weights
+    return np.append(nodes[:3].T.ravel(), nodes[3, -1]), _fold_weights(mu, hw)
 
 
 def chirp_tail_constant(beta: float, center: float, edge: float, side: int):

@@ -2,7 +2,8 @@
 
 Closed-form free and harmonic kernels, time-sliced kernels with a
 potential (iterated one-step damped Fresnel convolutions on a spatial
-grid, Toeplitz structure contracted by FFT), the perturbation expansion
+grid, each slice a dense bridge-weight matrix applied to the envelope),
+the perturbation expansion
 in interaction vertices (an exact complex-Gaussian bridge recursion on
 polynomial envelopes), and an independent Crank-Nicolson reference
 solver.  Units hbar = 1; the particle mass enters every kernel and
@@ -12,6 +13,7 @@ defaults to 1.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -26,6 +28,7 @@ from .errors import (
     NoConvergenceError,
 )
 from .integrate import _neville_at_zero
+from .oscquad import _centred_moments, _damped_raw_moments, _fold_weights
 
 __all__ = [
     "Potential",
@@ -39,6 +42,7 @@ __all__ = [
     "psi_sliced",
     "perturbation_term",
     "perturbation_partial_sum",
+    "perturbation_partial_sums",
     "free_kernel_semigroup_residual",
     "schrodinger_reference",
     "reference_grid",
@@ -48,6 +52,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
+
+
+def _require_count(name: str, value, minimum: int) -> int:
+    """value as an int; any integer type but bool, and at least minimum."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -135,8 +150,7 @@ class PropagatorQuery:
                 raise ValueError(f"{name} must be finite")
         if not self.tau > self.tau_prime:
             raise ValueError("tau must exceed tau_prime")
-        if not (isinstance(self.slices, int) and self.slices >= 1):
-            raise ValueError("slices must be an integer >= 1")
+        object.__setattr__(self, "slices", _require_count("slices", self.slices, 1))
 
     @property
     def duration(self) -> float:
@@ -160,8 +174,7 @@ class SliceGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.extent) and self.extent > 0.0):
             raise ValueError("extent must be a positive real")
-        if not (isinstance(self.points, int) and self.points >= 8):
-            raise ValueError("points must be an integer >= 8")
+        object.__setattr__(self, "points", _require_count("points", self.points, 8))
         if self.points % 2:
             raise ValueError("points must be even")
         if not (math.isfinite(self.damping) and self.damping > 0.0):
@@ -256,44 +269,31 @@ _ROW_CHUNK = 256  # output rows per moment block (bounds peak memory)
 def _bridge_rows(alpha: complex, centers: np.ndarray, edges: np.ndarray):
     """Filon weight rows for Int e^{alpha (z - c_q)^2} g(z) dz, one row per c_q.
 
-    Same cubic-through-4-nodes construction as damped_chirp_filon_weights,
-    vectorized over many kernel centers against one shared cell mesh.
-    The integral over the two unbounded tails beyond the mesh is added in
-    closed form (complex erfc) with the envelope continued as a constant,
-    folded into the extreme nodes.  Returns (rows, nodes): rows[q] @
-    g(nodes) approximates the full-line integral for center centers[q].
+    Each row is the cubic-through-4-nodes rule on the shared cell mesh,
+    with exact damped-chirp moments about its own center.  The integral
+    over the two unbounded tails beyond the mesh is added in closed form
+    (complex erfc) with the envelope continued as a constant, folded into
+    the extreme nodes.  rows[q] @ g(nodes) approximates the full-line
+    integral for center centers[q], where nodes are the 3 ncell + 1
+    equally spaced points from edges[0] to edges[-1].
     """
     from scipy.special import erfc as _cerfc
 
-    from .oscquad import _FILON_VINV, _damped_raw_moments
-
-    ncell = edges.size - 1
-    nnode = 3 * ncell + 1
-    nodes = np.linspace(edges[0], edges[-1], nnode)
     s = np.sqrt(-alpha)  # principal branch, Re s >= 0
     tail_pref = math.sqrt(math.pi) / (2.0 * s)
-    rows = np.empty((centers.size, nnode), dtype=complex)
+    rows = np.empty((centers.size, 3 * (edges.size - 1) + 1), dtype=complex)
     for start in range(0, centers.size, _ROW_CHUNK):
         cs = centers[start : start + _ROW_CHUNK, None]
         wa = edges[None, :-1] - cs
         wb = edges[None, 1:] - cs
-        um = 0.5 * (wa + wb)
-        hw = 0.5 * (wb - wa)
         raw = _damped_raw_moments(alpha, wa, wb)
-        mu0 = raw[0]
-        mu1 = raw[1] - um * raw[0]
-        mu2 = raw[2] - 2.0 * um * raw[1] + um * um * raw[0]
-        mu3 = raw[3] - 3.0 * um * raw[2] + 3.0 * um**2 * raw[1] - um**3 * raw[0]
-        mu = np.stack([mu0, mu1 / hw, mu2 / (hw * hw), mu3 / hw**3])
-        cellw = np.einsum("kqc,kj->jqc", mu, _FILON_VINV)
-        block = np.zeros((cs.size, nnode), dtype=complex)
-        idx = np.arange(ncell) * 3
-        for j in range(4):
-            np.add.at(block, (slice(None), idx + j), cellw[j])
+        block = _fold_weights(
+            _centred_moments(raw, 0.5 * (wa + wb)), 0.5 * (wb - wa)
+        )
         block[:, 0] += tail_pref * _cerfc(s * (cs[:, 0] - edges[0]))
         block[:, -1] += tail_pref * _cerfc(s * (edges[-1] - cs[:, 0]))
         rows[start : start + _ROW_CHUNK] = block
-    return rows, nodes
+    return rows
 
 
 def _sliced_member(
@@ -303,7 +303,6 @@ def _sliced_member(
     eps: float,
     mass: float,
     sampling: str,
-    mode: str,
 ) -> complex:
     """One damped sliced-kernel evaluation.
 
@@ -332,34 +331,6 @@ def _sliced_member(
     c = 0.5 * (q.xi + q.xi_prime)
     times = q.tau_prime + dt * np.arange(n)
 
-    if mode == "raw":
-        if n != 2:
-            raise ValueError("raw mode is limited to slices <= 2")
-        # the definitional Riemann sum over the single intermediate point,
-        # on a window wide enough that the damped tails are negligible and
-        # a division fine enough to resolve the fastest oscillation
-        ext_raw = max(extent, math.sqrt(4.5 / max(eps, 1e-12)))
-        slope = 2.0 * mass * ext_raw * (1.0 / dt + 1.0 / dt)
-        m_raw = max(points, int(math.ceil(16.0 * ext_raw * slope)))
-        m_raw = min(m_raw, 1 << 23)
-        h = 2.0 * ext_raw / m_raw
-        x = c - ext_raw + h * (np.arange(m_raw) + 0.5)
-        pref = complex(np.sqrt(mass / (2j * math.pi * dt)))
-        alpha = complex(-eps, 0.5 * mass / dt)
-        if sampling == "left":
-            v0 = pot.values(np.array([q.xi_prime]), times[0])[0]
-            v1 = pot.values(x, times[1])
-        else:
-            v0 = pot.values(0.5 * (q.xi_prime + x), times[0])
-            v1 = pot.values(0.5 * (x + q.xi), times[1])
-        g = (
-            pref * np.exp(alpha * np.square(x - q.xi_prime))
-            * np.exp(-1j * v0 * dt)
-            * pref * np.exp(alpha * np.square(q.xi - x))
-            * np.exp(-1j * v1 * dt)
-        )
-        return complex(h * np.sum(g))
-
     ncell = max(4, (points - 1) // 3)
     edges = np.linspace(c - extent, c + extent, ncell + 1)
     nodes = np.linspace(c - extent, c + extent, 3 * ncell + 1)
@@ -379,7 +350,7 @@ def _sliced_member(
         alpha = complex(-eps, 0.5 * mass * big_a)
         pref_b = complex(np.sqrt(mass * big_a / (2j * math.pi)))
         centers = lam * nodes + (1.0 - lam) * q.xi_prime
-        rows, _ = _bridge_rows(alpha, centers, edges)
+        rows = _bridge_rows(alpha, centers, edges)
         if sampling == "left":
             g = np.exp(-1j * pot.values(nodes, times[j]) * dt) * chi
             chi = pref_b * (rows @ g)
@@ -397,8 +368,7 @@ def _sliced_member(
     alpha = complex(-eps, 0.5 * mass * big_a)
     pref_b = complex(np.sqrt(mass * big_a / (2j * math.pi)))
     center = lam * q.xi + (1.0 - lam) * q.xi_prime
-    rows, _ = _bridge_rows(alpha, np.array([center]), edges)
-    wrow = rows[0]
+    wrow = _bridge_rows(alpha, np.array([center]), edges)[0]
     if sampling == "left":
         g = np.exp(-1j * pot.values(nodes, times[n - 1]) * dt) * chi
     else:
@@ -415,7 +385,6 @@ def psi_sliced(
     mass: float = 1.0,
     rtol: float = 1e-3,
     sampling: str = "left",
-    mode: str = "convolution",
 ) -> complex:
     """Time-sliced propagator with the query's potential.
 
@@ -428,18 +397,14 @@ def psi_sliced(
     the mesh, and under shrinking the window to three quarters (else
     GridTooCoarseError) — three independent failure probes.
     """
-    if mode not in ("convolution", "raw"):
-        raise ValueError("mode must be 'convolution' or 'raw'")
     if not rtol > 0.0:
         raise ValueError("rtol must be positive")
     if q.slices == 1:
-        return _sliced_member(
-            q, grid.extent, grid.points, 0.0, mass, sampling, mode
-        )
+        return _sliced_member(q, grid.extent, grid.points, 0.0, mass, sampling)
 
     eps_members = [grid.damping, 2.0 * grid.damping, 4.0 * grid.damping]
     vals = [
-        _sliced_member(q, grid.extent, grid.points, eps, mass, sampling, mode)
+        _sliced_member(q, grid.extent, grid.points, eps, mass, sampling)
         for eps in eps_members
     ]
     extrap = _neville_at_zero(eps_members, vals)
@@ -453,9 +418,9 @@ def psi_sliced(
         )
     # resolution probe: halve the mesh for the most weakly damped member
     half_points = (grid.points // 2) & ~1
-    if mode == "convolution" and half_points >= 8:
+    if half_points >= 8:
         v_half = _sliced_member(
-            q, grid.extent, half_points, eps_members[0], mass, sampling, mode
+            q, grid.extent, half_points, eps_members[0], mass, sampling
         )
         if abs(v_half - vals[0]) > 2.0 * rtol * scale:
             raise GridTooCoarseError(
@@ -466,8 +431,7 @@ def psi_sliced(
     # truncation probe: shrink the window to 3/4 at similar resolution
     small_points = max(8, (3 * grid.points // 4) & ~1)
     v_small = _sliced_member(
-        q, 0.75 * grid.extent, small_points, eps_members[0], mass,
-        sampling, mode,
+        q, 0.75 * grid.extent, small_points, eps_members[0], mass, sampling
     )
     if abs(v_small - vals[0]) > 2.0 * rtol * scale:
         raise GridTooCoarseError(
@@ -484,7 +448,6 @@ def psi0_sliced(
     *,
     mass: float = 1.0,
     rtol: float = 1e-3,
-    mode: str = "convolution",
 ) -> complex:
     """Time-sliced FREE propagator (the query's potential is ignored)."""
     free_q = PropagatorQuery(
@@ -495,7 +458,7 @@ def psi0_sliced(
         slices=q.slices,
         potential=Potential.zero(),
     )
-    return psi_sliced(free_q, grid, mass=mass, rtol=rtol, mode=mode)
+    return psi_sliced(free_q, grid, mass=mass, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +661,7 @@ def perturbation_term(
     potentials; custom potentials are fitted on a window whose half-width
     comes from the grid extent (default 8).
     """
-    if not (isinstance(r, int) and r >= 0):
-        raise ValueError("r must be a nonnegative integer")
+    r = _require_count("r", r, 0)
     base = psi0_closed(q, mass=mass)
     if r == 0:
         return base
@@ -719,16 +681,32 @@ def perturbation_partial_sum(
     mass: float = 1.0,
 ) -> complex:
     """Sum of the expansion terms through order m."""
-    if not (isinstance(m, int) and m >= 0):
-        raise ValueError("m must be a nonnegative integer")
+    return perturbation_partial_sums(m, q, grid, mass=mass)[-1]
+
+
+def perturbation_partial_sums(
+    m: int,
+    q: PropagatorQuery,
+    grid: SliceGrid | None = None,
+    *,
+    mass: float = 1.0,
+) -> list[complex]:
+    """The partial sums S_0, ..., S_m from one build of the expansion terms.
+
+    S_k is the sum of the terms of order <= k, as perturbation_partial_sum
+    returns it, bit for bit.
+    """
+    m = _require_count("m", m, 0)
     base = psi0_closed(q, mass=mass)
     window = grid.extent if grid is not None else 8.0
     levels = _chi_levels(q, m, mass=mass, window=window)
     u = q.xi - q.xi_prime
+    sums = []
     total = 0.0 + 0.0j
-    for r in range(m + 1):
-        total += complex(_poly.polyval(u, levels[r][-1]))
-    return base * total
+    for level in levels:
+        total += complex(_poly.polyval(u, level[-1]))
+        sums.append(base * total)
+    return sums
 
 
 # ---------------------------------------------------------------------------

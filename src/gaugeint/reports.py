@@ -27,9 +27,8 @@ from .integrate import OscillatoryTailSpec, fresnel_line_integral, oscillatory_i
 from .propagator import (
     Potential,
     PropagatorQuery,
-    SliceGrid,
     harmonic_kernel_closed,
-    perturbation_partial_sum,
+    perturbation_partial_sums,
     psi0_closed,
     psi_sliced,
 )
@@ -174,17 +173,9 @@ def fresnel_table(c: complex | None = None, tol: float = 1e-8) -> str:
 # kernel and perturbation tables
 
 
-def _grid_from_config(cfg: RunConfig) -> SliceGrid:
-    return SliceGrid(
-        extent=cfg.pathint.extent,
-        points=cfg.pathint.points,
-        damping=cfg.integrator.damping,
-    )
-
-
 def kernel_table(q: PropagatorQuery, cfg: RunConfig) -> str:
     """CSV with the closed form, the sliced value and their distance."""
-    grid = _grid_from_config(cfg)
+    grid = cfg.slice_grid()
     mass = cfg.pathint.mass
     lines = ["quantity,value,abs_diff_vs_closed"]
     tag = q.potential.analytic_tag
@@ -213,7 +204,7 @@ def kernel_table(q: PropagatorQuery, cfg: RunConfig) -> str:
 def perturb_table(q: PropagatorQuery, m_max: int, cfg: RunConfig) -> str:
     """CSV of partial sums S_m, with the closed target for constant V."""
     mass = cfg.pathint.mass
-    grid = _grid_from_config(cfg)
+    grid = cfg.slice_grid()
     target = None
     if q.potential.analytic_tag == "zero":
         target = psi0_closed(q, mass=mass)
@@ -225,8 +216,7 @@ def perturb_table(q: PropagatorQuery, m_max: int, cfg: RunConfig) -> str:
     if target is not None:
         header += ",abs_diff_vs_closed"
     lines = [header]
-    for m in range(m_max + 1):
-        s_m = perturbation_partial_sum(m, q, grid, mass=mass)
+    for m, s_m in enumerate(perturbation_partial_sums(m_max, q, grid, mass=mass)):
         cells = [str(m), sig_complex(s_m)]
         if target is not None:
             cells.append(sig(abs(s_m - target)))
@@ -251,7 +241,7 @@ def exchange_documents(
     order of the constant-potential partial sums (other potentials
     report the envelope probe with m_found = -1, meaning not searched).
     """
-    grid = _grid_from_config(cfg)
+    grid = cfg.slice_grid()
     mass = cfg.pathint.mass
     lab = cfg.lab
 

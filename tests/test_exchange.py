@@ -323,3 +323,5 @@ class TestExchangeExperiment:
         q = PropagatorQuery(xi_prime=0.0, tau_prime=0.0, xi=0.0, tau=1.0)
         with pytest.raises(ValueError):
             exchange_experiment(q, -1, GRID)
+        with pytest.raises(ValueError):
+            exchange_experiment(q, True, GRID)

@@ -1,11 +1,12 @@
-"""Golden outputs of the report commands, recorded before the quadrature
-kernels were merged.
+"""Golden outputs of the report commands on cheap inputs.
 
-Each case runs the CLI in-process on cheap inputs and compares stdout (and
-the documents `exchange` writes) byte for byte with the recorded text.  A
-refactor of the numerical core that moves any printed digit fails here; a
-deliberate change of the numbers re-records the text and says why in
-CHANGES.md.
+Each case runs the CLI in-process and compares stdout (and the documents
+`exchange` writes) byte for byte with the recorded text.  A refactor of
+the numerical core that moves any printed digit fails here; a deliberate
+change of the numbers re-records the text and says why in CHANGES.md.
+The abs_diff column of the fresnel tables prints an error of ~1e-11 to
+12 digits, so a round-off change of the value (~1e-15) already moves it:
+those rows pin the exact arithmetic of the Filon weights.
 """
 
 import contextlib
@@ -51,15 +52,15 @@ GOLDEN = {
     'fresnel': (
         'format_version,1\n'
         'quantity,numeric,reference,abs_diff\n'
-        'full_line_exp_ix2_over_2,1.77245385089+1.77245385089j,1.77245385091+1.77245385091j,2.80537183203e-11\n'
-        'full_line_exp_iy2,1.25331413733+1.25331413732j,1.25331413732+1.25331413732j,1.39846988084e-11\n'
-        'halfline_cos_u2,0.626657068663+0j,0.626657068658+0j,5.61029001034e-12\n'
-        'halfline_sin_u2,0.626657068662+0j,0.626657068658+0j,4.17355039417e-12\n'
+        'full_line_exp_ix2_over_2,1.77245385089+1.77245385089j,1.77245385091+1.77245385091j,2.80502357414e-11\n'
+        'full_line_exp_iy2,1.25331413733+1.25331413732j,1.25331413732+1.25331413732j,1.39861154029e-11\n'
+        'halfline_cos_u2,0.626657068663+0j,0.626657068658+0j,5.61051205494e-12\n'
+        'halfline_sin_u2,0.626657068662+0j,0.626657068658+0j,4.17443857259e-12\n'
     ),
     'fresnel_c': (
         'format_version,1\n'
         'quantity,numeric,reference,abs_diff\n'
-        'full_line_exp_half_c_x2,1.25331413733+1.25331413732j,1.25331413732+1.25331413732j,1.39846988084e-11\n'
+        'full_line_exp_half_c_x2,1.25331413733+1.25331413732j,1.25331413732+1.25331413732j,1.39861154029e-11\n'
     ),
     'perturb_const': (
         'format_version,1\n'

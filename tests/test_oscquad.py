@@ -24,6 +24,15 @@ from gaugeint.oscquad import (
     gauss_tail,
     phase_exp,
 )
+from gaugeint.oscquad import (
+    _FILON_VINV,
+    _FILON_XI,
+    _NEAR_LIMIT,
+    _damped_raw_moments,
+    _moments_far,
+    _split_far_edges,
+)
+from gaugeint.propagator import _bridge_rows
 
 
 def oracle_F(u: float) -> complex:
@@ -273,3 +282,164 @@ def test_damped_weights_validation():
         damped_chirp_filon_weights(0j, 0.0, [0.0, 1.0])
     with pytest.raises(ValueError):
         damped_chirp_filon_weights(1j, 0.0, [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the shared moment -> weight fold against the per-function construction it
+# replaced: binomial shift, einsum through the inverse Vandermonde, and
+# np.add.at onto the shared edge nodes, written out once per weight function
+
+
+def _reference_scatter(cellw):
+    """Per-cell node weights (4, ..., ncell) added onto shared edge nodes."""
+    ncell = cellw.shape[-1]
+    weights = np.zeros(cellw.shape[1:-1] + (3 * ncell + 1,), dtype=complex)
+    idx = np.arange(ncell) * 3
+    for j in range(4):
+        np.add.at(weights, (Ellipsis, idx + j), cellw[j])
+    return weights
+
+
+def _reference_bridge_rows(alpha, centers, edges):
+    from scipy.special import erfc
+
+    cs = centers[:, None]
+    wa = edges[None, :-1] - cs
+    wb = edges[None, 1:] - cs
+    um = 0.5 * (wa + wb)
+    hw = 0.5 * (wb - wa)
+    raw = _damped_raw_moments(alpha, wa, wb)
+    mu = np.stack([
+        raw[0],
+        raw[1] - um * raw[0],
+        raw[2] - 2.0 * um * raw[1] + um * um * raw[0],
+        raw[3] - 3.0 * um * raw[2] + 3.0 * um**2 * raw[1] - um**3 * raw[0],
+    ])
+    mu = np.stack([mu[0], mu[1] / hw, mu[2] / (hw * hw), mu[3] / hw**3])
+    rows = _reference_scatter(np.einsum("kqc,kj->jqc", mu, _FILON_VINV))
+    s = np.sqrt(-alpha)
+    pref = math.sqrt(math.pi) / (2.0 * s)
+    rows[:, 0] += pref * erfc(s * (centers - edges[0]))
+    rows[:, -1] += pref * erfc(s * (edges[-1] - centers))
+    return rows
+
+
+def _reference_damped(alpha, center, edges):
+    """(nodes, weights, shift round-off bound) as damped_chirp_filon_weights
+    built them before the fold was shared."""
+    wa = edges[:-1] - center
+    wb = edges[1:] - center
+    um = 0.5 * (wa + wb)
+    hw = 0.5 * (wb - wa)
+    raw = _damped_raw_moments(alpha, wa, wb)
+    mu = np.stack([
+        raw[0],
+        raw[1] - um * raw[0],
+        raw[2] - 2.0 * um * raw[1] + um * um * raw[0],
+        raw[3] - 3.0 * um * raw[2] + 3.0 * um * um * raw[1] - um**3 * raw[0],
+    ])
+    nodes = center + um[None, :] + hw[None, :] * _FILON_XI[:, None]
+    flat = np.append(nodes[:3].T.ravel(), nodes[3, -1])
+    hwp = np.stack([np.ones_like(hw), hw, hw * hw, hw**3])
+    cellw = np.einsum("kc,kj->jc", mu / hwp, _FILON_VINV)
+    return flat, _reference_scatter(cellw), _shift_bound(um, hw)
+
+
+def _reference_chirp(beta, center, edges):
+    """(nodes, weights, shift round-off bound) as chirp_filon_weights built
+    them before the fold was shared."""
+    s = math.sqrt(2.0 * beta)
+    ue = _split_far_edges((edges - center) * s)
+    ua, ub = ue[:-1], ue[1:]
+    um = 0.5 * (ua + ub)
+    hw = 0.5 * (ub - ua)
+    mu = np.empty((4, ua.size), dtype=complex)
+    near = np.abs(um) <= _NEAR_LIMIT
+    a, b, m = ua[near], ub[near], um[near]
+    Fa, Fb = fresnel_integral(a), fresnel_integral(b)
+    Ea, Eb = phase_exp(a), phase_exp(b)
+    m0 = Fb - Fa
+    m1 = -1j * (Eb - Ea)
+    m2 = -1j * (b * Eb - a * Ea) + 1j * m0
+    m3 = -1j * (b * b * Eb - a * a * Ea) + 2.0 * (Eb - Ea)
+    mu[:, near] = np.stack([
+        m0,
+        m1 - m * m0,
+        m2 - 2.0 * m * m1 + m * m * m0,
+        m3 - 3.0 * m * m2 + 3.0 * m * m * m1 - m**3 * m0,
+    ])
+    mu[:, ~near] = _moments_far(ua[~near], ub[~near])
+    nodes = center + (um[None, :] + hw[None, :] * _FILON_XI[:, None]) / s
+    flat = np.append(nodes[:3].T.ravel(), nodes[3, -1])
+    hwp = np.stack([np.ones_like(hw), hw, hw * hw, hw**3])
+    cellw = np.einsum("kc,kj->jc", mu / hwp, _FILON_VINV) / s
+    return flat, _reference_scatter(cellw), _shift_bound(um, hw, 1.0 / s)
+
+
+def _shift_bound(um, hw, scale=1.0):
+    """Largest weight change from re-associating 3 um^2 raw_1 in mu_3.
+
+    |K| <= 1, so |raw_1| <= (|um| + hw) 2 hw.  The product and the partial
+    sum it feeds each round once (2 ulps of 3 um^2 |raw_1|); mu_3 / hw^3
+    enters a node weight with a cubic Lagrange coefficient of at most
+    27/16, and an edge node sums two cells.  scale maps cell widths to x.
+    """
+    per_cell = (np.abs(um) + hw) ** 3 / hw**2 * 2.0
+    return 2 * 3 * (27 / 16) * 2 * 2.0**-52 * float(np.max(per_cell)) * scale
+
+
+def _assert_within(got, want, bound):
+    dev = float(np.max(np.abs(got - want)))
+    assert dev <= bound, (dev, bound)
+
+
+@pytest.mark.parametrize(
+    "alpha, lam, xi_prime, ncell",
+    [
+        (complex(-1e-3, 0.5 * (1.0 / 0.25 + 1.0 / 0.25)), 0.5, 0.0, 255),
+        (complex(-2e-3, 0.5 * (1.0 / 0.125 + 1.0 / 0.375)), 0.75, 0.3, 255),
+        (complex(-4e-3, 0.5 * (1.0 / 0.5 + 1.0 / 0.5)), 0.5, -0.7, 127),
+        (complex(-1e-3, 0.5 * (1.0 / 0.1 + 1.0 / 0.8)), 8.0 / 9.0, 1.0, 40),
+    ],
+)
+def test_bridge_rows_fold_is_bitwise_unchanged(alpha, lam, xi_prime, ncell):
+    c = 0.3
+    edges = np.linspace(c - 16.0, c + 16.0, ncell + 1)
+    nodes = np.linspace(c - 16.0, c + 16.0, 3 * ncell + 1)
+    centers = lam * nodes + (1.0 - lam) * xi_prime
+    got = _bridge_rows(alpha, centers, edges)
+    want = _reference_bridge_rows(alpha, centers, edges)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "alpha, center, edges",
+    [
+        (complex(-1e-3, 2.0), 0.3, np.linspace(-16.0, 16.0, 256)),
+        (complex(-1e-3, 0.5), 0.3, np.linspace(-16.0, 16.0, 256)),
+        (complex(-0.5, 1.0), -1.2, np.linspace(-3.0, 5.0, 41)),
+        (complex(-5e-2, 0.5), 0.0, np.sinh(np.linspace(-3.3, 3.3, 97)) / 0.2236),
+        (complex(-1e-2, 4.0), 2.0, np.linspace(-40.0, 40.0, 129)),
+    ],
+)
+def test_damped_weights_fold_within_shift_roundoff(alpha, center, edges):
+    nodes, w = damped_chirp_filon_weights(alpha, center, edges)
+    ref_nodes, ref_w, bound = _reference_damped(alpha, center, edges)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    _assert_within(w, ref_w, bound)
+
+
+@pytest.mark.parametrize(
+    "beta, center, edges",
+    [
+        (0.5, 0.0, np.linspace(-4.0, 4.0, 33)),
+        (3.0, 0.7, np.linspace(-2.0, 6.0, 65)),
+        (0.5, -20.0, np.linspace(-6.0, 6.0, 25)),
+        (40.0, 0.1, np.linspace(-1.0, 1.0, 200)),
+    ],
+)
+def test_chirp_weights_fold_within_shift_roundoff(beta, center, edges):
+    nodes, w = chirp_filon_weights(beta, center, edges)
+    ref_nodes, ref_w, bound = _reference_chirp(beta, center, edges)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    _assert_within(w, ref_w, bound)

@@ -18,6 +18,7 @@ from gaugeint.errors import (
     GridTooCoarseError,
     IntegrandError,
 )
+from gaugeint.integrate import _neville_at_zero
 from gaugeint.propagator import (
     Potential,
     PropagatorQuery,
@@ -27,6 +28,7 @@ from gaugeint.propagator import (
     free_kernel_semigroup_residual,
     harmonic_kernel_closed,
     perturbation_partial_sum,
+    perturbation_partial_sums,
     perturbation_term,
     psi0_closed,
     psi0_sliced,
@@ -36,6 +38,34 @@ from gaugeint.propagator import (
 )
 
 GRID = SliceGrid(extent=16.0, points=768, damping=1e-3)
+
+
+def _riemann_two_slice(q, grid, eps, mass=1.0):
+    """The definitional Riemann sum of a damped 2-slice kernel.
+
+    Left-point potential, a midpoint sum over the single intermediate
+    point on a window wide enough that the damped tails are negligible
+    and a division fine enough to resolve the fastest oscillation (up to
+    2^23 points).
+    """
+    dt = q.duration / 2
+    c = 0.5 * (q.xi + q.xi_prime)
+    ext = max(grid.extent, math.sqrt(4.5 / max(eps, 1e-12)))
+    slope = 2.0 * mass * ext * (1.0 / dt + 1.0 / dt)
+    m = min(max(grid.points, int(math.ceil(16.0 * ext * slope))), 1 << 23)
+    h = 2.0 * ext / m
+    x = c - ext + h * (np.arange(m) + 0.5)
+    pref = complex(np.sqrt(mass / (2j * math.pi * dt)))
+    alpha = complex(-eps, 0.5 * mass / dt)
+    v0 = q.potential.values(np.array([q.xi_prime]), q.tau_prime)[0]
+    v1 = q.potential.values(x, q.tau_prime + dt)
+    g = (
+        pref * np.exp(alpha * np.square(x - q.xi_prime))
+        * np.exp(-1j * v0 * dt)
+        * pref * np.exp(alpha * np.square(q.xi - x))
+        * np.exp(-1j * v1 * dt)
+    )
+    return complex(h * np.sum(g))
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +103,25 @@ class TestDomainTypes:
             PropagatorQuery(0.0, 0.0, 1.0, 1.0, slices=0)
         with pytest.raises(ValueError):
             PropagatorQuery(math.inf, 0.0, 1.0, 1.0)
+
+    def test_integer_counts_accept_numpy_and_reject_bool(self):
+        q = PropagatorQuery(0.0, 0.0, 1.0, 1.0, slices=np.int64(4))
+        assert q.slices == 4 and type(q.slices) is int
+        grid = SliceGrid(extent=1.0, points=np.int64(64), damping=1e-3)
+        assert grid.points == 64 and type(grid.points) is int
+        with pytest.raises(ValueError):
+            PropagatorQuery(0.0, 0.0, 1.0, 1.0, slices=True)
+        with pytest.raises(ValueError):
+            PropagatorQuery(0.0, 0.0, 1.0, 1.0, slices=2.0)
+        assert perturbation_term(np.int64(1), q) == perturbation_term(1, q)
+        assert perturbation_partial_sum(np.int64(1), q) == perturbation_partial_sum(1, q)
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError):
+                perturbation_term(bad, q)
+            with pytest.raises(ValueError):
+                perturbation_partial_sum(bad, q)
+            with pytest.raises(ValueError):
+                perturbation_partial_sums(bad, q)
 
     def test_slice_grid_validation(self):
         with pytest.raises(ValueError):
@@ -244,17 +293,15 @@ class TestSlicedPotentials:
             assert abs(v - mehler) / abs(mehler) < 1e-2
 
     def test_raw_mode_crosschecks_convolution(self):
+        # the raw Riemann sum over the same damping ladder, extrapolated
+        # to zero damping like psi_sliced's members
         q = PropagatorQuery(
             0.0, 0.0, 1.0, 1.0, slices=2, potential=Potential.harmonic(0.5)
         )
-        vr = psi_sliced(q, GRID, mode="raw")
-        vc = psi_sliced(q, GRID, mode="convolution")
+        eps = [GRID.damping, 2.0 * GRID.damping, 4.0 * GRID.damping]
+        vr = _neville_at_zero(eps, [_riemann_two_slice(q, GRID, e) for e in eps])
+        vc = psi_sliced(q, GRID)
         assert abs(vr - vc) / abs(vc) < 2e-3
-
-    def test_raw_mode_rejects_many_slices(self):
-        q = PropagatorQuery(0.0, 0.0, 1.0, 1.0, slices=3)
-        with pytest.raises(ValueError):
-            psi_sliced(q, GRID, mode="raw")
 
     def test_midpoint_sampling_flag(self):
         grid = SliceGrid(extent=12.0, points=240, damping=1e-3)
@@ -373,6 +420,13 @@ class TestPerturbation:
         oracle = complex(chi1) * psi0_closed(q)
         got = perturbation_term(1, q)
         assert abs(got - oracle) / abs(oracle) < 1e-8
+
+    def test_partial_sums_match_one_order_at_a_time(self):
+        grid = SliceGrid(extent=8.0, points=64, damping=1e-3)
+        for pot in (Potential.constant_potential(0.7), Potential.harmonic(0.5)):
+            q = PropagatorQuery(0.1, 0.0, 0.6, 0.8, slices=2, potential=pot)
+            sums = perturbation_partial_sums(5, q, grid)
+            assert sums == [perturbation_partial_sum(m, q, grid) for m in range(6)]
 
     def test_argument_validation(self):
         q = PropagatorQuery(0.0, 0.0, 1.0, 1.0)
