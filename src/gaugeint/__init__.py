@@ -97,6 +97,7 @@ from .propagator import (
     perturbation_partial_sum,
     perturbation_partial_sums,
     perturbation_term,
+    perturbation_terms,
     psi0_closed,
     psi0_sliced,
     psi_sliced,

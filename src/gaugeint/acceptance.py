@@ -45,7 +45,7 @@ from .propagator import (
     free_kernel_semigroup_residual,
     harmonic_kernel_closed,
     perturbation_partial_sums,
-    perturbation_term,
+    perturbation_terms,
     psi0_closed,
     psi0_sliced,
     psi_sliced,
@@ -241,9 +241,8 @@ def criterion_4_perturbation_series(
                     f"c={c}, m={m}: |S_m - target| {gap:.3e} > bound {bound:.3e}"
                 )
 
-        prev = perturbation_term(0, q, mass=mass)
-        for r in range(1, 7):
-            term = perturbation_term(r, q, mass=mass)
+        terms = perturbation_terms(6, q, mass=mass)
+        for r, (prev, term) in enumerate(zip(terms, terms[1:]), start=1):
             got = term / prev
             want = (-1j * c * tau) / r
             rel = abs(got - want) / abs(want)
@@ -252,7 +251,6 @@ def criterion_4_perturbation_series(
                 failures.append(
                     f"c={c}, ratio r={r}: rel err {rel:.3e} > 1e-5"
                 )
-            prev = term
 
     return _result(
         4, "perturbation series", start, failures,

@@ -148,18 +148,25 @@ def _centred_moments(raw, um):
     ])
 
 
-def _fold_weights(mu, hw):
-    """Node weights of the piecewise-cubic Filon rule from centred moments.
+def _cell_weights(mu, hw):
+    """Per-cell node weights of the piecewise-cubic Filon rule.
 
-    mu has shape (4, ..., ncell) and hw (..., ncell): each cell's moments
-    are scaled to xi = w / hw, mapped through the inverse Vandermonde to
-    its 4 equally spaced nodes, and neighbouring cells add at their shared
-    edge node.  Returns (..., 3 ncell + 1) complex weights.
+    mu has shape (4, ..., ncell) and hw (..., ncell): each cell's centred
+    moments are scaled to xi = w / hw and mapped through the inverse
+    Vandermonde to its 4 equally spaced nodes.  Returns (4, ..., ncell).
     """
     hwp = np.stack([np.ones_like(hw), hw, hw * hw, hw**3])
-    cellw = np.einsum("k...,kj->j...", mu / hwp, _FILON_VINV)
-    ncell = hw.shape[-1]
-    weights = np.zeros(hw.shape[:-1] + (3 * ncell + 1,), dtype=complex)
+    return np.einsum("k...,kj->j...", mu / hwp, _FILON_VINV)
+
+
+def _scatter_cells(cellw):
+    """Node weights on the 3 ncell + 1 nodes from per-cell weights.
+
+    cellw has shape (4, ..., ncell); neighbouring cells add at their
+    shared edge node.  Returns (..., 3 ncell + 1) complex weights.
+    """
+    ncell = cellw.shape[-1]
+    weights = np.zeros(cellw.shape[1:-1] + (3 * ncell + 1,), dtype=complex)
     weights[..., 0:-1:3] += cellw[0]
     weights[..., 1::3] += cellw[1]
     weights[..., 2::3] += cellw[2]
@@ -254,7 +261,8 @@ def chirp_filon_weights(beta: float, center: float, edges):
         mu[:, far] = _moments_far(ua[far], ub[far])
 
     nodes = center + (um[None, :] + hw[None, :] * _FILON_XI[:, None]) / s
-    return np.append(nodes[:3].T.ravel(), nodes[3, -1]), _fold_weights(mu, hw) / s
+    weights = _scatter_cells(_cell_weights(mu, hw)) / s
+    return np.append(nodes[:3].T.ravel(), nodes[3, -1]), weights
 
 
 _DAMPED_NEAR_PHASE = 10.0  # |alpha| max(w^2) below which the Maclaurin branch runs
@@ -278,24 +286,24 @@ def _damped_raw_moments(alpha: complex, wa, wb):
     if near.any():
         a, b = wa[near], wb[near]
         acc = np.zeros((4,) + a.shape, dtype=complex)
-        pa = {0: a.astype(complex), 1: a * a + 0j, 2: a**3 + 0j, 3: a**4 + 0j}
-        pb = {0: b.astype(complex), 1: b * b + 0j, 2: b**3 + 0j, 3: b**4 + 0j}
+        # row k holds w^(k + 2j + 1) at term j, for all four k at once
+        pa = np.stack([a, a * a, a**3, a**4]).astype(complex)
+        pb = np.stack([b, b * b, b**3, b**4]).astype(complex)
+        k1 = np.arange(1, 5).reshape((4,) + (1,) * a.ndim)  # k + 1
         coef = 1.0 + 0j  # alpha^j / j!
         top = np.zeros(a.shape)
         for j in range(_DAMPED_SERIES_CAP):
             if j > 0:
                 coef = coef * alpha / j
-            done = True
-            for k in range(4):
-                p = k + 2 * j + 1
-                term = coef * (pb[k] - pa[k]) / p
-                acc[k] += term
-                mag = np.abs(term)
-                top = np.maximum(top, np.abs(acc[k]))
-                if np.any(mag > 1e-18 * np.maximum(top, 1e-300)):
-                    done = False
-                pa[k] = pa[k] * (a * a)
-                pb[k] = pb[k] * (b * b)
+            term = coef * (pb - pa) / (k1 + 2 * j)
+            acc += term
+            # term k is judged against the largest partial sum seen so far,
+            # including this term's rows 0..k
+            tops = np.maximum(top, np.maximum.accumulate(np.abs(acc), axis=0))
+            done = not np.any(np.abs(term) > 1e-18 * np.maximum(tops, 1e-300))
+            top = tops[-1]
+            pa = pa * (a * a)
+            pb = pb * (b * b)
             if done and j > 2:
                 break
         m[:, near] = acc
@@ -310,6 +318,16 @@ def _damped_raw_moments(alpha: complex, wa, wb):
         m3 = (b * b * eb - a * a * ea) / (2.0 * alpha) - m1 / alpha
         m[0, far], m[1, far], m[2, far], m[3, far] = m0, m1, m2, m3
     return m
+
+
+def _damped_cell_weights(alpha: complex, wa, wb):
+    """Per-cell node weights (4, ...) for Int e^{alpha w^2} g(w) dw on [wa, wb].
+
+    Exact damped-chirp moments, centred on each cell's midpoint and mapped
+    to the cell's 4 equally spaced nodes (_cell_weights).
+    """
+    mu = _centred_moments(_damped_raw_moments(alpha, wa, wb), 0.5 * (wa + wb))
+    return _cell_weights(mu, 0.5 * (wb - wa))
 
 
 def damped_chirp_filon_weights(alpha: complex, center: float, edges):
@@ -332,9 +350,9 @@ def damped_chirp_filon_weights(alpha: complex, center: float, edges):
     wb = edges[1:] - center
     um = 0.5 * (wa + wb)
     hw = 0.5 * (wb - wa)
-    mu = _centred_moments(_damped_raw_moments(alpha, wa, wb), um)
     nodes = center + um[None, :] + hw[None, :] * _FILON_XI[:, None]
-    return np.append(nodes[:3].T.ravel(), nodes[3, -1]), _fold_weights(mu, hw)
+    weights = _scatter_cells(_damped_cell_weights(alpha, wa, wb))
+    return np.append(nodes[:3].T.ravel(), nodes[3, -1]), weights
 
 
 def chirp_tail_constant(beta: float, center: float, edge: float, side: int):

@@ -8,6 +8,12 @@ in interaction vertices (an exact complex-Gaussian bridge recursion on
 polynomial envelopes), and an independent Crank-Nicolson reference
 solver.  Units hbar = 1; the particle mass enters every kernel and
 defaults to 1.
+
+The bridge-weight matrix of a slice is built on an offset lattice: with
+uniform slices the bridge centres are the nodes scaled by j / (j + 1)
+about the start point, so every (centre, cell) offset is a multiple of
+h / (j + 1) from one origin, and the exact cell moments are computed once
+per lattice offset (O(j N) of them) and gathered into the N rows.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 from scipy.linalg import solve_banded
@@ -28,7 +35,7 @@ from .errors import (
     NoConvergenceError,
 )
 from .integrate import _neville_at_zero
-from .oscquad import _centred_moments, _damped_raw_moments, _fold_weights
+from .oscquad import _damped_cell_weights, _scatter_cells
 
 __all__ = [
     "Potential",
@@ -41,6 +48,7 @@ __all__ = [
     "psi0_sliced",
     "psi_sliced",
     "perturbation_term",
+    "perturbation_terms",
     "perturbation_partial_sum",
     "perturbation_partial_sums",
     "free_kernel_semigroup_residual",
@@ -263,36 +271,74 @@ def dispersive_gaussian(
 # ---------------------------------------------------------------------------
 
 
-_ROW_CHUNK = 256  # output rows per moment block (bounds peak memory)
+_LATTICE_CHUNK = 1 << 14  # lattice entries per moment block (bounds peak memory)
 
 
-def _bridge_rows(alpha: complex, centers: np.ndarray, edges: np.ndarray):
-    """Filon weight rows for Int e^{alpha (z - c_q)^2} g(z) dz, one row per c_q.
+def _bridge_tails(alpha: complex, lo, hi):
+    """Int e^{alpha w^2} dw over w < lo and over w > hi, in closed form.
 
-    Each row is the cubic-through-4-nodes rule on the shared cell mesh,
-    with exact damped-chirp moments about its own center.  The integral
-    over the two unbounded tails beyond the mesh is added in closed form
-    (complex erfc) with the envelope continued as a constant, folded into
-    the extreme nodes.  rows[q] @ g(nodes) approximates the full-line
-    integral for center centers[q], where nodes are the 3 ncell + 1
-    equally spaced points from edges[0] to edges[-1].
+    The constant continuation of the envelope beyond the mesh: lo and hi
+    are the offsets of the first and last cell edge from the bridge
+    centre, and the two values fold into the extreme nodes.
     """
     from scipy.special import erfc as _cerfc
 
     s = np.sqrt(-alpha)  # principal branch, Re s >= 0
-    tail_pref = math.sqrt(math.pi) / (2.0 * s)
-    rows = np.empty((centers.size, 3 * (edges.size - 1) + 1), dtype=complex)
-    for start in range(0, centers.size, _ROW_CHUNK):
-        cs = centers[start : start + _ROW_CHUNK, None]
-        wa = edges[None, :-1] - cs
-        wb = edges[None, 1:] - cs
-        raw = _damped_raw_moments(alpha, wa, wb)
-        block = _fold_weights(
-            _centred_moments(raw, 0.5 * (wa + wb)), 0.5 * (wb - wa)
-        )
-        block[:, 0] += tail_pref * _cerfc(s * (cs[:, 0] - edges[0]))
-        block[:, -1] += tail_pref * _cerfc(s * (edges[-1] - cs[:, 0]))
-        rows[start : start + _ROW_CHUNK] = block
+    pref = math.sqrt(math.pi) / (2.0 * s)
+    return pref * _cerfc(-s * lo), pref * _cerfc(s * hi)
+
+
+def _bridge_row(alpha: complex, center: float, edges: np.ndarray):
+    """Filon weights for the full-line Int e^{alpha (z - center)^2} g(z) dz.
+
+    The cubic-through-4-nodes rule on the cell mesh edges, with exact
+    damped-chirp moments about center, plus the constant-continuation
+    tails; w @ g(nodes) approximates the integral, where nodes are the
+    3 ncell + 1 equally spaced points from edges[0] to edges[-1].
+    """
+    wa = edges[:-1] - center
+    wb = edges[1:] - center
+    row = _scatter_cells(_damped_cell_weights(alpha, wa, wb))
+    lo, hi = _bridge_tails(alpha, wa[0], wb[-1])
+    row[0] += lo
+    row[-1] += hi
+    return row
+
+
+def _bridge_rows(alpha: complex, j: int, xi_prime: float, edges: np.ndarray):
+    """_bridge_row for every centre c_q = (j x_q + xi') / (j + 1) at once.
+
+    x_q = edges[0] + h q are the 3 ncell + 1 nodes, h the node spacing.
+    The offset of edge e_i from centre c_q is w0 + delta L with
+    w0 = (edges[0] - xi') / (j + 1), delta = h / (j + 1) and the integer
+    L = 3 (j + 1) i - j q, so every cell of every row is one cell of a
+    single 1-D lattice of offsets.  Its Filon cell weights are computed
+    once per lattice entry, about 6 j ncell of them (in bounded chunks),
+    not once per (centre, cell) pair, and each row reads its cells off
+    the lattice as a strided view.
+    """
+    ncell = edges.size - 1
+    npts = 3 * ncell + 1
+    step = 3 * (j + 1)  # lattice entries per cell width
+    delta = (edges[-1] - edges[0]) / (npts - 1) / (j + 1)
+    w0 = (edges[0] - xi_prime) / (j + 1)
+    # L runs from -j (npts - 1) (first edge, last centre) to step ncell
+    offsets = w0 + delta * np.arange(-j * (npts - 1), step * ncell + 1)
+    wa, wb = offsets[:-step], offsets[step:]
+    lattice = np.empty((4, wa.size), dtype=complex)
+    for start in range(0, wa.size, _LATTICE_CHUNK):
+        part = slice(start, start + _LATTICE_CHUNK)
+        lattice[:, part] = _damped_cell_weights(alpha, wa[part], wb[part])
+
+    def by_row(a):
+        # cell i of row q is lattice entry step i + j (npts - 1 - q)
+        window = sliding_window_view(a, step * (ncell - 1) + 1, axis=-1)
+        return window[..., ::-j, ::step]
+
+    rows = _scatter_cells(by_row(lattice))
+    lo, hi = _bridge_tails(alpha, by_row(wa)[:, 0], by_row(wb)[:, -1])
+    rows[:, 0] += lo
+    rows[:, -1] += hi
     return rows
 
 
@@ -304,20 +350,20 @@ def _sliced_member(
     mass: float,
     sampling: str,
 ) -> complex:
-    """One damped sliced-kernel evaluation.
+    """One damped sliced-kernel evaluation (arguments checked by psi_sliced).
 
     The wavefront is carried as a slow envelope against the exact free
     kernel from the start point (bridge factoring): each intermediate
     integration is a complex-Gaussian bridge contracted with exact
     damped-chirp cell moments plus analytic constant-continuation tails,
-    so no grid oscillation is ever sampled pointwise.
+    so no grid oscillation is ever sampled pointwise.  The rows of an
+    intermediate step come from one offset lattice (_bridge_rows), O(j
+    ncell) moments for slice j, and both samplings contract them; the
+    final step to the end point is a single row (_bridge_row).
     """
     n = q.slices
     dt = q.duration / n
     pot = q.potential
-
-    if sampling not in ("left", "midpoint"):
-        raise ValueError("sampling must be 'left' or 'midpoint'")
 
     if n == 1:
         # single increment: no intermediate integration, no damping needed
@@ -346,11 +392,9 @@ def _sliced_member(
     for j in range(1, n - 1):
         a = times[j] - q.tau_prime
         big_a = 1.0 / dt + 1.0 / a
-        lam = a / (a + dt)
         alpha = complex(-eps, 0.5 * mass * big_a)
         pref_b = complex(np.sqrt(mass * big_a / (2j * math.pi)))
-        centers = lam * nodes + (1.0 - lam) * q.xi_prime
-        rows = _bridge_rows(alpha, centers, edges)
+        rows = _bridge_rows(alpha, j, q.xi_prime, edges)
         if sampling == "left":
             g = np.exp(-1j * pot.values(nodes, times[j]) * dt) * chi
             chi = pref_b * (rows @ g)
@@ -368,7 +412,7 @@ def _sliced_member(
     alpha = complex(-eps, 0.5 * mass * big_a)
     pref_b = complex(np.sqrt(mass * big_a / (2j * math.pi)))
     center = lam * q.xi + (1.0 - lam) * q.xi_prime
-    wrow = _bridge_rows(alpha, np.array([center]), edges)[0]
+    wrow = _bridge_row(alpha, center, edges)
     if sampling == "left":
         g = np.exp(-1j * pot.values(nodes, times[n - 1]) * dt) * chi
     else:
@@ -399,6 +443,10 @@ def psi_sliced(
     """
     if not rtol > 0.0:
         raise ValueError("rtol must be positive")
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise ValueError("mass must be a positive real")
+    if sampling not in ("left", "midpoint"):
+        raise ValueError("sampling must be 'left' or 'midpoint'")
     if q.slices == 1:
         return _sliced_member(q, grid.extent, grid.points, 0.0, mass, sampling)
 
@@ -646,6 +694,17 @@ def _chi_levels(
     return levels
 
 
+def _end_envelopes(
+    m: int, q: PropagatorQuery, grid: SliceGrid | None, mass: float
+) -> list[complex]:
+    """chi_0, ..., chi_m at the query's end point, from one level build."""
+    window = grid.extent if grid is not None else 8.0
+    levels = _chi_levels(q, m, mass=mass, window=window)
+    u = q.xi - q.xi_prime
+    # the last time node is exactly tau
+    return [complex(_poly.polyval(u, level[-1])) for level in levels]
+
+
 def perturbation_term(
     r: int,
     q: PropagatorQuery,
@@ -665,12 +724,24 @@ def perturbation_term(
     base = psi0_closed(q, mass=mass)
     if r == 0:
         return base
-    window = grid.extent if grid is not None else 8.0
-    levels = _chi_levels(q, r, mass=mass, window=window)
-    u = q.xi - q.xi_prime
-    coef = levels[r][-1]  # last time node is exactly tau
-    chi = complex(_poly.polyval(u, coef))
-    return base * chi
+    return base * _end_envelopes(r, q, grid, mass)[r]
+
+
+def perturbation_terms(
+    m: int,
+    q: PropagatorQuery,
+    grid: SliceGrid | None = None,
+    *,
+    mass: float = 1.0,
+) -> list[complex]:
+    """The terms T_0, ..., T_m from one build of the expansion levels.
+
+    T_r is perturbation_term(r) bit for bit.
+    """
+    m = _require_count("m", m, 0)
+    base = psi0_closed(q, mass=mass)
+    chis = _end_envelopes(m, q, grid, mass)
+    return [base] + [base * chi for chi in chis[1:]]
 
 
 def perturbation_partial_sum(
@@ -698,13 +769,10 @@ def perturbation_partial_sums(
     """
     m = _require_count("m", m, 0)
     base = psi0_closed(q, mass=mass)
-    window = grid.extent if grid is not None else 8.0
-    levels = _chi_levels(q, m, mass=mass, window=window)
-    u = q.xi - q.xi_prime
     sums = []
     total = 0.0 + 0.0j
-    for level in levels:
-        total += complex(_poly.polyval(u, level[-1]))
+    for chi in _end_envelopes(m, q, grid, mass):
+        total += chi
         sums.append(base * total)
     return sums
 

@@ -393,23 +393,62 @@ def _assert_within(got, want, bound):
     assert dev <= bound, (dev, bound)
 
 
-@pytest.mark.parametrize(
-    "alpha, lam, xi_prime, ncell",
-    [
-        (complex(-1e-3, 0.5 * (1.0 / 0.25 + 1.0 / 0.25)), 0.5, 0.0, 255),
-        (complex(-2e-3, 0.5 * (1.0 / 0.125 + 1.0 / 0.375)), 0.75, 0.3, 255),
-        (complex(-4e-3, 0.5 * (1.0 / 0.5 + 1.0 / 0.5)), 0.5, -0.7, 127),
-        (complex(-1e-3, 0.5 * (1.0 / 0.1 + 1.0 / 0.8)), 8.0 / 9.0, 1.0, 40),
-    ],
-)
-def test_bridge_rows_fold_is_bitwise_unchanged(alpha, lam, xi_prime, ncell):
-    c = 0.3
-    edges = np.linspace(c - 16.0, c + 16.0, ncell + 1)
-    nodes = np.linspace(c - 16.0, c + 16.0, 3 * ncell + 1)
-    centers = lam * nodes + (1.0 - lam) * xi_prime
-    got = _bridge_rows(alpha, centers, edges)
+# The dense bridge step builds its rows on the offset lattice; the per-centre
+# construction above is its oracle.  Single weights are not compared: the
+# binomial shift of far cells (|u_m| / hw ~ 500) leaves round-off up to
+# ~1e-5 max|w| in both constructions, which the contraction with a smooth
+# envelope averages out.
+
+
+def _sliced_geometry(j, xi_prime, c, ncell=255, extent=16.0, dt=0.125, eps=1e-3):
+    edges = np.linspace(c - extent, c + extent, ncell + 1)
+    nodes = np.linspace(c - extent, c + extent, 3 * ncell + 1)
+    alpha = complex(-eps, 0.5 * (1.0 / dt + 1.0 / (j * dt)))
+    centers = (j * nodes + xi_prime) / (j + 1)
+    return alpha, edges, nodes, centers
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 8])
+def test_lattice_bridge_rows_match_per_centre_oracle(j):
+    dt, omega = 0.125, 0.7
+    alpha, edges, nodes, centers = _sliced_geometry(j, 0.37, -0.41, dt=dt)
+    got = _bridge_rows(alpha, j, 0.37, edges)
     want = _reference_bridge_rows(alpha, centers, edges)
-    assert got.tobytes() == want.tobytes()
+
+    def harmonic_phase(x):
+        return np.exp(-0.5j * omega**2 * np.square(x) * dt)
+
+    vmid = harmonic_phase(0.5 * (nodes[None, :] + nodes[:, None]))
+    for g in (
+        np.ones(nodes.size, dtype=complex),
+        np.exp(-0.02 * np.square(nodes - 1.0)) * (1.0 + 0.3j * np.sin(nodes)),
+        harmonic_phase(nodes),
+    ):
+        for contract in (
+            lambda rows: rows @ g,
+            lambda rows: np.einsum("qn,qn->q", rows, vmid * g[None, :]),
+        ):
+            a, b = contract(got), contract(want)
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("j", [1, 2, 8])
+def test_lattice_bridge_step_moment_count(j, monkeypatch):
+    import gaugeint.oscquad as oscquad
+
+    counted = []
+    kernel = oscquad._damped_raw_moments
+
+    def counting(alpha, wa, wb):
+        counted.append(np.size(wa))
+        return kernel(alpha, wa, wb)
+
+    monkeypatch.setattr(oscquad, "_damped_raw_moments", counting)
+    ncell = 255
+    alpha, edges, _, _ = _sliced_geometry(j, 0.2, 0.1, ncell=ncell)
+    _bridge_rows(alpha, j, 0.2, edges)
+    # one cell moment per lattice offset, not one per (centre, cell) pair
+    assert sum(counted) <= 3 * (j + 1) * ncell + j * (3 * ncell + 1)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ under test.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +31,7 @@ from gaugeint.propagator import (
     perturbation_partial_sum,
     perturbation_partial_sums,
     perturbation_term,
+    perturbation_terms,
     psi0_closed,
     psi0_sliced,
     psi_sliced,
@@ -38,6 +40,7 @@ from gaugeint.propagator import (
 )
 
 GRID = SliceGrid(extent=16.0, points=768, damping=1e-3)
+SMALL_GRID = SliceGrid(extent=12.0, points=240, damping=1e-3)
 
 
 def _riemann_two_slice(q, grid, eps, mass=1.0):
@@ -122,6 +125,8 @@ class TestDomainTypes:
                 perturbation_partial_sum(bad, q)
             with pytest.raises(ValueError):
                 perturbation_partial_sums(bad, q)
+            with pytest.raises(ValueError):
+                perturbation_terms(bad, q)
 
     def test_slice_grid_validation(self):
         with pytest.raises(ValueError):
@@ -329,6 +334,74 @@ class TestSlicedPotentials:
         with pytest.raises(GridTooCoarseError):
             psi_sliced(q, SliceGrid(extent=10.0, points=60, damping=1e-3))
 
+    def test_arguments_are_checked_before_any_member(self):
+        calls = []
+
+        def counted(x, _t):
+            calls.append(np.size(x))
+            return np.zeros_like(x)
+
+        q = PropagatorQuery(
+            0.0, 0.0, 1.0, 1.0, slices=3, potential=Potential.custom(counted)
+        )
+        for kwargs in (
+            {"mass": 0.0}, {"mass": -1.0}, {"mass": math.nan},
+            {"mass": math.inf}, {"sampling": "right"},
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError):
+                    psi_sliced(q, SMALL_GRID, **kwargs)
+        assert calls == []
+
+
+class TestSlicedProperties:
+    """Exact symmetries of the sliced kernel, which it keeps to round-off."""
+
+    @given(
+        xi_prime=st.floats(-1.0, 1.0),
+        xi=st.floats(-1.0, 1.0),
+        shift=st.floats(-3.0, 3.0),
+        tau=st.floats(0.5, 1.5),
+        slices=st.integers(3, 6),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_translation_with_constant_potential(self, xi_prime, xi, shift, tau, slices):
+        pot = Potential.constant_potential(0.8)
+        v = psi_sliced(PropagatorQuery(xi_prime, 0.0, xi, tau, slices, pot), SMALL_GRID)
+        moved = PropagatorQuery(xi_prime + shift, 0.0, xi + shift, tau, slices, pot)
+        assert abs(psi_sliced(moved, SMALL_GRID) - v) <= 1e-9 * abs(v)
+
+    @given(
+        xi_prime=st.floats(-1.0, 1.0),
+        xi=st.floats(-1.0, 1.0),
+        tau_prime=st.floats(-2.0, 2.0),
+        shift=st.floats(-3.0, 3.0),
+        slices=st.integers(3, 6),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_time_shift_with_harmonic_potential(self, xi_prime, xi, tau_prime, shift, slices):
+        pot = Potential.harmonic(0.5)
+        q = PropagatorQuery(xi_prime, tau_prime, xi, tau_prime + 0.8, slices, pot)
+        moved = PropagatorQuery(
+            xi_prime, tau_prime + shift, xi, tau_prime + shift + 0.8, slices, pot
+        )
+        v = psi_sliced(q, SMALL_GRID)
+        assert abs(psi_sliced(moved, SMALL_GRID) - v) <= 1e-9 * abs(v)
+
+    @given(
+        xi_prime=st.floats(-1.0, 1.0),
+        xi=st.floats(-1.0, 1.0),
+        tau=st.floats(0.3, 1.0),
+        slices=st.integers(3, 6),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_harmonic_reflection(self, xi_prime, xi, tau, slices):
+        pot = Potential.harmonic(0.5)
+        v = psi_sliced(PropagatorQuery(xi_prime, 0.0, xi, tau, slices, pot), SMALL_GRID)
+        mirrored = PropagatorQuery(-xi_prime, 0.0, -xi, tau, slices, pot)
+        assert abs(psi_sliced(mirrored, SMALL_GRID) - v) <= 1e-9 * abs(v)
+
 
 class TestSemigroup:
     def test_chapman_kolmogorov_randomized(self):
@@ -427,6 +500,25 @@ class TestPerturbation:
             q = PropagatorQuery(0.1, 0.0, 0.6, 0.8, slices=2, potential=pot)
             sums = perturbation_partial_sums(5, q, grid)
             assert sums == [perturbation_partial_sum(m, q, grid) for m in range(6)]
+
+    def test_terms_match_one_order_at_a_time(self, monkeypatch):
+        import gaugeint.propagator as propagator
+
+        builds = []
+        chi_levels = propagator._chi_levels
+
+        def counted(*args, **kwargs):
+            builds.append(args[1])
+            return chi_levels(*args, **kwargs)
+
+        grid = SliceGrid(extent=8.0, points=64, damping=1e-3)
+        for pot in (Potential.constant_potential(0.7), Potential.harmonic(0.5)):
+            q = PropagatorQuery(0.1, 0.0, 0.6, 0.8, slices=2, potential=pot)
+            want = [perturbation_term(r, q, grid) for r in range(5)]
+            monkeypatch.setattr(propagator, "_chi_levels", counted)
+            assert perturbation_terms(4, q, grid) == want
+            monkeypatch.undo()
+        assert builds == [4, 4]
 
     def test_argument_validation(self):
         q = PropagatorQuery(0.0, 0.0, 1.0, 1.0)
