@@ -42,22 +42,16 @@ def _require_positive(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances, damping schedule base and refinement caps."""
+    """Integration tolerance and the base of the damping schedule."""
 
     tol: float = 1e-8
     damping: float = 1e-3
-    max_levels: int = 42
-    max_cells: int = 4_000_000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tol", _require_positive("tol", self.tol))
         object.__setattr__(
             self, "damping", _require_positive("damping", self.damping)
         )
-        if not (isinstance(self.max_levels, int) and self.max_levels >= 1):
-            raise ValueError("max_levels must be a positive integer")
-        if not (isinstance(self.max_cells, int) and self.max_cells >= 1):
-            raise ValueError("max_cells must be a positive integer")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .errors import (
     IntegrandError,
     NoConvergenceError,
 )
-from .integrate import _neville_at_zero
+from .integrate import _neville_at_zero, _vectorized
 from .oscquad import _damped_cell_weights, _scatter_cells
 
 __all__ = [
@@ -123,20 +123,14 @@ class Potential:
         return Potential(func, analytic_tag="custom")
 
     def values(self, x: np.ndarray, t: float) -> np.ndarray:
-        xa = np.asarray(x, dtype=float)
-        try:
-            out = np.asarray(self.evaluate(xa, float(t)), dtype=float)
-        except (AssertionError, KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            out = np.array(
-                [float(self.evaluate(float(v), float(t))) for v in xa.ravel()]
-            ).reshape(xa.shape)
-        if out.shape != xa.shape:
-            out = np.broadcast_to(out, xa.shape).astype(float)
-        if not np.all(np.isfinite(out)):
-            raise IntegrandError("potential returned a non-finite value")
-        return out
+        """V(x, t), shaped like x; IntegrandError unless finite and real."""
+        t = float(t)
+        out = _vectorized(lambda xa: self.evaluate(xa, t))(
+            np.asarray(x, dtype=float)
+        )
+        if np.any(out.imag):
+            raise IntegrandError("potential returned a complex value")
+        return out.real.copy()
 
 
 @dataclass(frozen=True)
@@ -569,63 +563,10 @@ _TIME_NODES = 33
 _GL_NODES = 33
 _CUSTOM_FIT_DEGREE = 24
 
-_DOUBLE_FACTORIAL = [1.0]
-for _k in range(1, 90):
-    _DOUBLE_FACTORIAL.append(_DOUBLE_FACTORIAL[-1] * (2 * _k - 1))
-
-
-def _bridge_expectation(pv: np.ndarray, lam: float, v: complex) -> np.ndarray:
-    """E[(lam*u + W)^j] coefficients: poly in z - xi' -> poly in u = y - xi'.
-
-    W is the centered complex Gaussian with second moment v (the bridge
-    fluctuation); odd moments vanish, E[W^{2m}] = v^m (2m-1)!!.
-    """
-    L = pv.size
-    out = np.zeros(L, dtype=complex)
-    for j in range(L):
-        cj = pv[j]
-        if cj == 0.0:
-            continue
-        for q in range(j % 2, j + 1, 2) if v == 0.0 else range(j + 1):
-            m2 = j - q
-            if m2 % 2:
-                continue
-            m = m2 // 2
-            out[q] += (
-                cj
-                * math.comb(j, q)
-                * (lam ** q)
-                * (v ** m)
-                * _DOUBLE_FACTORIAL[m]
-            )
-    return out
-
-
-def _potential_coefficients(
-    pot: Potential,
-    s: float,
-    xi_prime: float,
-    window: float,
-) -> np.ndarray:
-    """V(., s) as power-series coefficients in u = z - xi_prime."""
-    tag = pot.analytic_tag
-    if tag == "zero":
-        return np.zeros(1)
-    if tag == "constant":
-        return np.array([pot.constant], dtype=float)
-    if tag == "harmonic":
-        w2 = 0.5 * pot.omega * pot.omega
-        return np.array(
-            [w2 * xi_prime * xi_prime, 2.0 * w2 * xi_prime, w2], dtype=float
-        )
-    lo, hi = xi_prime - window, xi_prime + window
-    zs = np.cos(np.linspace(0.0, math.pi, 4 * _CUSTOM_FIT_DEGREE + 1))
-    zs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * zs
-    vals = pot.values(zs, s)
-    ch = _cheb.Chebyshev.fit(zs, vals, _CUSTOM_FIT_DEGREE, domain=[lo, hi])
-    p = ch.convert(kind=_poly.Polynomial)
-    shifted = p(_poly.Polynomial([xi_prime, 1.0]))
-    return np.asarray(shifted.coef, dtype=float)
+# column k: the power-series coefficients of the Chebyshev polynomial T_k
+_CHEB2POLY = np.zeros((_CUSTOM_FIT_DEGREE + 1, _CUSTOM_FIT_DEGREE + 1))
+for _k in range(_CUSTOM_FIT_DEGREE + 1):
+    _CHEB2POLY[: _k + 1, _k] = _cheb.cheb2poly(np.eye(_k + 1)[_k])
 
 
 def _chi_levels(
@@ -638,7 +579,10 @@ def _chi_levels(
     """chi_r coefficient tables on the Chebyshev-Lobatto time grid.
 
     Entry r is an (nt, r*degV + 1) array: chi_r(u, t_i) = sum_k
-    coeffs[i, k] u^k with u the displacement from the start point.
+    coeffs[i, k] u^k with u the displacement from the start point.  A
+    level is four array steps over every (time node t_i, Gauss node s)
+    pair: interpolate the previous level at s, multiply by V(., s), take
+    the bridge moments, and sum over s.
     """
     nt = _TIME_NODES
     t0, t1 = q.tau_prime, q.tau
@@ -649,47 +593,64 @@ def _chi_levels(
     bary[-1] *= 0.5
 
     glx, glw = np.polynomial.legendre.leggauss(_GL_NODES)
+    ti = tnodes[1:, None]  # chi_r(., tau') = 0 for r >= 1
+    span = ti - t0
+    s = t0 + 0.5 * span * (glx + 1.0)
+    sweights = 0.5 * span * glw
+    lam = (s - t0) / span
+    var = 1j * (ti - s) * (s - t0) / (span * mass)
 
+    # barycentric interpolation from the time nodes to every s, as one matrix
+    diffs = s[..., None] - tnodes
+    exact = np.abs(diffs) < 1e-14 * np.maximum(1.0, np.abs(s))[..., None]
+    with np.errstate(divide="ignore"):
+        interp = bary / diffs
+    hit = exact.any(axis=-1)
+    interp[hit] = np.eye(nt)[exact[hit].argmax(axis=-1)]  # s on a node
+    norm = interp.sum(axis=-1)[..., None]
+    interp = interp.reshape(-1, nt)
+
+    # V(xi' + u, s) as power-series coefficients in u
     pot = q.potential
-    time_dependent = pot.analytic_tag == "custom"
-    vcoef_cache: dict[float, np.ndarray] = {}
-
-    def vcoef(s: float) -> np.ndarray:
-        key = float(s) if time_dependent else 0.0
-        if key not in vcoef_cache:
-            vcoef_cache[key] = _potential_coefficients(
-                pot, s if time_dependent else t0, q.xi_prime, window
-            )
-        return vcoef_cache[key]
+    if pot.analytic_tag == "zero":
+        vcoef = np.zeros(1)
+    elif pot.analytic_tag == "constant":
+        vcoef = np.array([pot.constant])
+    elif pot.analytic_tag == "harmonic":
+        w2, xp = 0.5 * pot.omega * pot.omega, q.xi_prime
+        vcoef = np.array([w2 * xp * xp, 2.0 * w2 * xp, w2])
+    else:  # one Chebyshev fit in u / window with every s as a column
+        deg = _CUSTOM_FIT_DEGREE
+        t = np.cos(np.linspace(0.0, math.pi, 4 * deg + 1))
+        vals = [pot.values(q.xi_prime + window * t, si) for si in s.ravel()]
+        mono = _CHEB2POLY @ _cheb.chebfit(t, np.transpose(vals), deg)
+        vcoef = (mono.T / window ** np.arange(deg + 1)).reshape(s.shape + (-1,))
+    degv = vcoef.shape[-1] - 1
 
     levels = [np.ones((nt, 1), dtype=complex)]
-    for r in range(1, rmax + 1):
+    for _ in range(rmax):
         prev = levels[-1]
-        degv = max(vcoef(t0).size - 1, 0)
-        width = prev.shape[1] + degv
+        nprev = prev.shape[1]
+        width = nprev + degv
+        at_s = (interp @ prev).reshape(s.shape + (nprev,)) / norm
+        pv = np.zeros(s.shape + (width,), dtype=complex)
+        for k in range(degv + 1):
+            pv[..., k : k + nprev] += vcoef[..., k, None] * at_s
+        # E[(lam u + W)^j] in powers u^p: lam^p sum_m C(p + 2m, p) E[W^2m]
+        # pv[p + 2m], for the bridge fluctuation W with E[W^2m] = var^m (2m-1)!!
+        moments = pv.copy()
+        w_moment = np.ones_like(var)
+        for m in range(1, (width + 1) // 2):
+            w_moment = w_moment * ((2 * m - 1) * var)
+            n = width - 2 * m
+            comb = np.array([math.comb(p + 2 * m, p) for p in range(n)], dtype=float)
+            moments[..., :n] += comb * w_moment[..., None] * pv[..., 2 * m :]
+        moments *= lam[..., None] ** np.arange(width)
+        acc = np.zeros((nt - 1, width), dtype=complex)
+        for g in range(_GL_NODES):
+            acc += sweights[:, g, None] * moments[:, g]
         cur = np.zeros((nt, width), dtype=complex)
-        for i in range(nt):
-            ti = tnodes[i]
-            span = ti - t0
-            if span <= 0.0:
-                continue  # chi_r(., tau') = 0 for r >= 1
-            snodes = t0 + 0.5 * span * (glx + 1.0)
-            sweights = 0.5 * span * glw
-            acc = np.zeros(width, dtype=complex)
-            for s, wgt in zip(snodes, sweights):
-                # barycentric interpolation of the previous level at s
-                diffs = s - tnodes
-                exact = np.nonzero(np.abs(diffs) < 1e-14 * max(1.0, abs(s)))[0]
-                if exact.size:
-                    prev_coef = prev[exact[0]]
-                else:
-                    wts = bary / diffs
-                    prev_coef = (wts @ prev) / np.sum(wts)
-                pv = np.convolve(vcoef(s), prev_coef)
-                lam = (s - t0) / span
-                var = 1j * (ti - s) * (s - t0) / (span * mass)
-                acc += wgt * _bridge_expectation(pv, lam, var)[:width]
-            cur[i] = -1j * acc
+        cur[1:] = -1j * acc
         levels.append(cur)
     return levels
 

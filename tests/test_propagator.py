@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as _cheb
+from numpy.polynomial import polynomial as _poly
 
 from gaugeint.errors import (
     GridTooCoarseError,
@@ -24,6 +26,7 @@ from gaugeint.propagator import (
     Potential,
     PropagatorQuery,
     SliceGrid,
+    _chi_levels,
     dispersive_gaussian,
     free_kernel,
     free_kernel_semigroup_residual,
@@ -41,6 +44,135 @@ from gaugeint.propagator import (
 
 GRID = SliceGrid(extent=16.0, points=768, damping=1e-3)
 SMALL_GRID = SliceGrid(extent=12.0, points=240, damping=1e-3)
+
+_TIME_NODES = 33
+_GL_NODES = 33
+_CUSTOM_FIT_DEGREE = 24
+
+_DOUBLE_FACTORIAL = [1.0]
+for _k in range(1, 90):
+    _DOUBLE_FACTORIAL.append(_DOUBLE_FACTORIAL[-1] * (2 * _k - 1))
+
+
+def _bridge_expectation(pv: np.ndarray, lam: float, v: complex) -> np.ndarray:
+    """E[(lam*u + W)^j] coefficients: poly in z - xi' -> poly in u = y - xi'.
+
+    W is the centered complex Gaussian with second moment v (the bridge
+    fluctuation); odd moments vanish, E[W^{2m}] = v^m (2m-1)!!.
+    """
+    L = pv.size
+    out = np.zeros(L, dtype=complex)
+    for j in range(L):
+        cj = pv[j]
+        if cj == 0.0:
+            continue
+        for q in range(j % 2, j + 1, 2) if v == 0.0 else range(j + 1):
+            m2 = j - q
+            if m2 % 2:
+                continue
+            m = m2 // 2
+            out[q] += (
+                cj
+                * math.comb(j, q)
+                * (lam ** q)
+                * (v ** m)
+                * _DOUBLE_FACTORIAL[m]
+            )
+    return out
+
+
+def _potential_coefficients(
+    pot: Potential,
+    s: float,
+    xi_prime: float,
+    window: float,
+) -> np.ndarray:
+    """V(., s) as power-series coefficients in u = z - xi_prime."""
+    tag = pot.analytic_tag
+    if tag == "zero":
+        return np.zeros(1)
+    if tag == "constant":
+        return np.array([pot.constant], dtype=float)
+    if tag == "harmonic":
+        w2 = 0.5 * pot.omega * pot.omega
+        return np.array(
+            [w2 * xi_prime * xi_prime, 2.0 * w2 * xi_prime, w2], dtype=float
+        )
+    lo, hi = xi_prime - window, xi_prime + window
+    zs = np.cos(np.linspace(0.0, math.pi, 4 * _CUSTOM_FIT_DEGREE + 1))
+    zs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * zs
+    vals = pot.values(zs, s)
+    ch = _cheb.Chebyshev.fit(zs, vals, _CUSTOM_FIT_DEGREE, domain=[lo, hi])
+    p = ch.convert(kind=_poly.Polynomial)
+    shifted = p(_poly.Polynomial([xi_prime, 1.0]))
+    return np.asarray(shifted.coef, dtype=float)
+
+
+def _reference_chi_levels(
+    q: PropagatorQuery,
+    rmax: int,
+    *,
+    mass: float,
+    window: float,
+) -> list[np.ndarray]:
+    """The level build one (time node, Gauss node) pair at a time.
+
+    The scalar form of propagator._chi_levels, kept as its oracle: a
+    Polynomial fit per Gauss time for custom potentials and a scalar
+    double loop for the bridge moments.
+    """
+    nt = _TIME_NODES
+    t0, t1 = q.tau_prime, q.tau
+    theta = np.linspace(0.0, math.pi, nt)
+    tnodes = t0 + 0.5 * (t1 - t0) * (1.0 - np.cos(theta))
+    bary = np.where(np.arange(nt) % 2 == 0, 1.0, -1.0)
+    bary[0] *= 0.5
+    bary[-1] *= 0.5
+
+    glx, glw = np.polynomial.legendre.leggauss(_GL_NODES)
+
+    pot = q.potential
+    time_dependent = pot.analytic_tag == "custom"
+    vcoef_cache: dict[float, np.ndarray] = {}
+
+    def vcoef(s: float) -> np.ndarray:
+        key = float(s) if time_dependent else 0.0
+        if key not in vcoef_cache:
+            vcoef_cache[key] = _potential_coefficients(
+                pot, s if time_dependent else t0, q.xi_prime, window
+            )
+        return vcoef_cache[key]
+
+    levels = [np.ones((nt, 1), dtype=complex)]
+    for r in range(1, rmax + 1):
+        prev = levels[-1]
+        degv = max(vcoef(t0).size - 1, 0)
+        width = prev.shape[1] + degv
+        cur = np.zeros((nt, width), dtype=complex)
+        for i in range(nt):
+            ti = tnodes[i]
+            span = ti - t0
+            if span <= 0.0:
+                continue  # chi_r(., tau') = 0 for r >= 1
+            snodes = t0 + 0.5 * span * (glx + 1.0)
+            sweights = 0.5 * span * glw
+            acc = np.zeros(width, dtype=complex)
+            for s, wgt in zip(snodes, sweights):
+                # barycentric interpolation of the previous level at s
+                diffs = s - tnodes
+                exact = np.nonzero(np.abs(diffs) < 1e-14 * max(1.0, abs(s)))[0]
+                if exact.size:
+                    prev_coef = prev[exact[0]]
+                else:
+                    wts = bary / diffs
+                    prev_coef = (wts @ prev) / np.sum(wts)
+                pv = np.convolve(vcoef(s), prev_coef)
+                lam = (s - t0) / span
+                var = 1j * (ti - s) * (s - t0) / (span * mass)
+                acc += wgt * _bridge_expectation(pv, lam, var)[:width]
+            cur[i] = -1j * acc
+        levels.append(cur)
+    return levels
 
 
 def _riemann_two_slice(q, grid, eps, mass=1.0):
@@ -96,6 +228,30 @@ class TestDomainTypes:
         pot = Potential.custom(lambda x, t: np.where(x > 0, np.inf, 0.0))
         with pytest.raises(IntegrandError):
             pot.values(np.array([1.0]), 0.0)
+
+    def test_complex_potential_rejected(self):
+        # the imaginary part used to be dropped with a ComplexWarning
+        pot = Potential.custom(lambda x, t: np.exp(1j * x))
+        q = PropagatorQuery(0.0, 0.0, 0.5, 1.0, slices=2, potential=pot)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrandError):
+                psi_sliced(q, SliceGrid(extent=8.0, points=64, damping=1e-3))
+            with pytest.raises(IntegrandError):
+                perturbation_term(1, q)
+
+    def test_potential_failure_is_wrapped(self):
+        def broken(x, t):
+            raise RuntimeError("no potential here")
+
+        pot = Potential.custom(broken)
+        with pytest.raises(IntegrandError) as info:
+            pot.values(np.array([0.0, 1.0]), 0.0)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        q = PropagatorQuery(0.0, 0.0, 0.5, 1.0, slices=2, potential=pot)
+        with pytest.raises(IntegrandError) as info:
+            perturbation_term(1, q)
+        assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -473,26 +629,53 @@ class TestPerturbation:
         assert abs(s3 - mehler) / abs(mehler) < 1e-4
 
     def test_custom_potential_first_order_oracle(self):
-        # independent bridge-expectation oracle: for V = cos between
-        # (0,0) and (xi,tau), the first-order envelope is
-        # -i Int_0^tau cos(xi s / tau) e^{-i sigma^2(s)/2} ds with
+        # independent bridge-expectation oracle: for V = cos(x) f(t)
+        # between (0,0) and (xi,tau), the first-order envelope is
+        # -i Int_0^tau f(s) cos(xi s / tau) e^{-i sigma^2(s)/2} ds with
         # sigma^2(s) = s (tau - s)/tau  (complex-Gaussian characteristic
-        # function), evaluated by mpmath quadrature.
+        # function), evaluated by mpmath quadrature; f = 1 + t takes the
+        # time-dependent fit
         mp.mp.dps = 25
         xi, tau = 0.5, 0.8
+        for f in (lambda t: 1.0, lambda t: 1.0 + t):
 
-        def integrand(s):
-            sig2 = s * (tau - s) / tau
-            return mp.cos(xi * s / tau) * mp.e ** (-0.5j * sig2)
+            def integrand(s):
+                sig2 = s * (tau - s) / tau
+                return f(s) * mp.cos(xi * s / tau) * mp.e ** (-0.5j * sig2)
 
-        chi1 = -1j * mp.quad(integrand, [0, tau])
-        q = PropagatorQuery(
-            0.0, 0.0, xi, tau,
-            potential=Potential.custom(lambda x, t: np.cos(x)),
-        )
-        oracle = complex(chi1) * psi0_closed(q)
-        got = perturbation_term(1, q)
-        assert abs(got - oracle) / abs(oracle) < 1e-8
+            chi1 = -1j * mp.quad(integrand, [0, tau])
+            q = PropagatorQuery(
+                0.0, 0.0, xi, tau,
+                potential=Potential.custom(lambda x, t: np.cos(x) * f(t)),
+            )
+            oracle = complex(chi1) * psi0_closed(q)
+            got = perturbation_term(1, q)
+            assert abs(got - oracle) / abs(oracle) < 1e-9
+
+    @pytest.mark.parametrize(
+        "xi_prime, xi, tau, pot, m, window",
+        [
+            (0.2, 1.0, 1.3, Potential.constant_potential(1.3), 12, 8.0),
+            (0.3, -0.4, 0.5, Potential.harmonic(0.7), 10, 8.0),
+            (0.1, 0.5, 0.8, Potential.custom(lambda x, t: np.cos(x)), 3, 8.0),
+            (-0.2, 0.6, 0.9, Potential.custom(lambda x, t: np.sin(x)), 1, 16.0),
+            (
+                0.0, 0.7, 0.9,
+                Potential.custom(lambda x, t: np.cos(x) * (1.0 + t)), 2, 8.0,
+            ),
+        ],
+        ids=["constant", "harmonic", "custom_cos", "custom_sin", "time_dependent"],
+    )
+    def test_levels_match_scalar_build(self, xi_prime, xi, tau, pot, m, window):
+        q = PropagatorQuery(xi_prime, 0.1, xi, 0.1 + tau, potential=pot)
+        u = xi - xi_prime
+        got = _chi_levels(q, m, mass=1.0, window=window)
+        want = _reference_chi_levels(q, m, mass=1.0, window=window)
+        assert [level.shape for level in got] == [level.shape for level in want]
+        for a, b in zip(got, want):
+            chi_a = _poly.polyval(u, a[-1])
+            chi_b = _poly.polyval(u, b[-1])
+            assert abs(chi_a - chi_b) <= 1e-11 * abs(chi_b)
 
     def test_partial_sums_match_one_order_at_a_time(self):
         grid = SliceGrid(extent=8.0, points=64, damping=1e-3)
