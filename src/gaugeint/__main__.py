@@ -1,5 +1,7 @@
 """Module entry point: python -m gaugeint ..."""
 
+import sys
+
 from .cli import main
 
-raise SystemExit(main())
+sys.exit(main())

@@ -27,6 +27,7 @@ from .cells import (
 )
 from .config import RunConfig
 from .exchange import (
+    _DEFAULT_PROBE_RADII,
     abs_g0_growth,
     envelope_growth_table,
     gaussian_envelope,
@@ -208,6 +209,30 @@ def criterion_3_free_propagator(cfg: RunConfig | None = None) -> CriterionResult
     )
 
 
+def _remainder_checks(c: float, tau: float, mass: float):
+    """The constant-potential query and (m, gap, bound) for m <= 12.
+
+    gap is |S_m - psi0 e^{-i c tau}| at xi = 0.3 and bound the factorial
+    remainder (|c| tau)^(m+1) / (m+1)! |psi0| plus 1e-6.
+    """
+    q = PropagatorQuery(
+        xi_prime=0.0,
+        tau_prime=0.0,
+        xi=0.3,
+        tau=tau,
+        slices=1,
+        potential=Potential.constant_potential(c),
+    )
+    base = psi0_closed(q, mass=mass)
+    target = base * cmath.exp(-1j * c * tau)
+    x = abs(c) * tau
+    checks = []
+    for m, s_m in enumerate(perturbation_partial_sums(12, q, mass=mass)):
+        bound = x ** (m + 1) / math.factorial(m + 1) * abs(base) + 1e-6
+        checks.append((m, abs(s_m - target), bound))
+    return q, checks
+
+
 def criterion_4_perturbation_series(
     cfg: RunConfig | None = None,
 ) -> CriterionResult:
@@ -221,20 +246,8 @@ def criterion_4_perturbation_series(
 
     for c in (1.0, 2.0):
         tau = 1.0  # |c| * tau = 1 and 2
-        q = PropagatorQuery(
-            xi_prime=0.0,
-            tau_prime=0.0,
-            xi=0.3,
-            tau=tau,
-            slices=1,
-            potential=Potential.constant_potential(c),
-        )
-        base = psi0_closed(q, mass=mass)
-        target = base * cmath.exp(-1j * c * tau)
-        x = abs(c) * tau
-        for m, s_m in enumerate(perturbation_partial_sums(12, q, mass=mass)):
-            bound = x ** (m + 1) / math.factorial(m + 1) * abs(base) + 1e-6
-            gap = abs(s_m - target)
+        q, checks = _remainder_checks(c, tau, mass)
+        for m, gap, bound in checks:
             worst_margin = max(worst_margin, gap / bound)
             if gap > bound:
                 failures.append(
@@ -291,7 +304,7 @@ def criterion_6_growth_witness(cfg: RunConfig | None = None) -> CriterionResult:
     cfg = cfg or RunConfig()
     start = time.perf_counter()
     failures = []
-    radii = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    radii = _DEFAULT_PROBE_RADII
 
     dt = 1.0
     table = abs_g0_growth(IncrementSchedule((dt,)), radii)
@@ -447,25 +460,13 @@ def criterion_8_coexistence_report(
     mass = cfg.pathint.mass
     failures = []
 
-    c, tau = 1.0, 1.0
-    q = PropagatorQuery(
-        xi_prime=0.0,
-        tau_prime=0.0,
-        xi=0.3,
-        tau=tau,
-        slices=1,
-        potential=Potential.constant_potential(c),
-    )
-    base = psi0_closed(q, mass=mass)
-    target = base * cmath.exp(-1j * c * tau)
-    converged = True
-    for m, s_m in enumerate(perturbation_partial_sums(12, q, mass=mass)):
-        bound = tau ** (m + 1) / math.factorial(m + 1) * abs(base) + 1e-6
-        if abs(s_m - target) > bound:
-            converged = False
+    tau = 1.0
+    _, checks = _remainder_checks(1.0, tau, mass)
+    for m, gap, bound in checks:
+        if gap > bound:
             failures.append(f"partial sum m={m} misses its remainder bound")
 
-    table = abs_g0_growth(IncrementSchedule((tau,)), (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
+    table = abs_g0_growth(IncrementSchedule((tau,)), _DEFAULT_PROBE_RADII)
     verdict = growth_verdict(table)
     if verdict != "UNBOUNDED":
         failures.append(f"|g0| growth verdict {verdict}, expected UNBOUNDED")

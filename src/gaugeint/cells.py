@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import fsum, inf, isfinite, isnan
 from typing import Callable, Iterable, Sequence
 
-from .errors import AssociationError, IntegrandError, ResourceLimitError
+from .errors import AssociationError, ResourceLimitError, guarded_values
 
 __all__ = [
     "Cell1D",
@@ -385,18 +385,12 @@ def riemann_sum(
     h: Callable[[float, Cell1D], complex], division: Division1D
 ) -> complex:
     """Compensated sum of h(tag, cell) over the division, in item order."""
-    terms: list[complex] = []
-    for i, it in enumerate(division):
-        try:
-            val = complex(h(it.tag, it.cell))
-        except AssociationError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - reported as integrand failure
-            raise IntegrandError(f"integrand failed on item {i}: {exc}") from exc
-        if isnan(val.real) or isnan(val.imag):
-            raise IntegrandError(f"integrand returned NaN on item {i}")
-        terms.append(val)
-    return fsum_complex(terms)
+    return fsum_complex(
+        guarded_values(
+            lambda: complex(h(it.tag, it.cell)), what=f"integrand on item {i}"
+        )
+        for i, it in enumerate(division)
+    )
 
 
 # ---------------------------------------------------------------------------

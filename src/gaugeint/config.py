@@ -15,6 +15,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .exchange import _DEFAULT_PROBE_RADII
 from .propagator import SliceGrid
 
 __all__ = [
@@ -83,7 +84,7 @@ class LabConfig:
     """Seed, probe radii and sampling counts for the exchange lab."""
 
     seed: int = 20260818
-    radii: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    radii: tuple[float, ...] = _DEFAULT_PROBE_RADII
     samples: int = 40
     eps: float = 1e-3
     m_max: int = 64

@@ -30,12 +30,18 @@ from .cells import (
 from .errors import (
     AssociationError,
     DimensionCapError,
-    IntegrandError,
     NoConvergenceError,
     ScheduleError,
+    guarded_values,
 )
 from .fresnel import ROOT_MINUS_I_OVER_2PI, IncrementSchedule
-from .integrate import _neville_at_zero, _tensor_sum, _vectorized_nd, hk_integrate_1d
+from .integrate import (
+    _DIMENSION_CAP,
+    _damped_extrapolation,
+    _tensor_sum,
+    _vectorized_nd,
+    hk_integrate_1d,
+)
 from .oscquad import adaptive_chirp_integral, damped_chirp_filon_weights
 
 __all__ = [
@@ -296,18 +302,10 @@ def cylinder_riemann_sum(
     problems = validate_cylinder_division(d)
     if problems:
         raise ValueError("invalid division: " + "; ".join(problems))
-    vals = []
-    for x, cell in d.items:
-        try:
-            v = complex(h(x, cell.times, cell))
-        except (AssertionError, KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            raise IntegrandError(f"summand raised {exc!r}") from exc
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise IntegrandError("summand returned a non-finite value")
-        vals.append(v)
-    return fsum_complex(vals)
+    return fsum_complex(
+        guarded_values(lambda: complex(h(x, cell.times, cell)), what="summand")
+        for x, cell in d.items
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +325,11 @@ def _graded_edges(eps: float, radius: float, ncells: int) -> np.ndarray:
     return np.sinh(ts) / s
 
 
+_MAX_LEVEL = 9  # cell doublings of one damped tensor reduction
+
+
 def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
-                      max_level: int, start_cells: int = 24) -> complex:
+                      start_cells: int = 24) -> complex:
     """One damped member: integral of f times the damped incremental
     kernel, all oscillation and damping carried by exact per-cell moments.
     """
@@ -370,7 +371,7 @@ def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
 
     prev = None
     ncells = start_cells
-    for _level in range(max_level):
+    for _level in range(_MAX_LEVEL):
         nodes_list = []
         wfold_list = []
         for dt in dts:
@@ -389,7 +390,7 @@ def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
         ncells *= 2
     raise NoConvergenceError(
         f"tensor reduction did not stabilize to {tol:.3e} within "
-        f"{max_level} refinement levels"
+        f"{_MAX_LEVEL} refinement levels"
     )
 
 
@@ -400,9 +401,6 @@ def reduce_cylinder_integral(
     tol: float = 1e-6,
     *,
     eps0: float = 5e-2,
-    schedule_len: int = 6,
-    dimension_cap: int = 4,
-    max_level: int = 9,
 ) -> complex:
     """Path-space integral of f (depending on finitely many coordinates)
     against the free incremental kernel, reduced to finite dimension.
@@ -410,42 +408,27 @@ def reduce_cylinder_integral(
     f maps an (m, n) array of coordinate points (values at the sample
     times, in order) to m complex values.  The unbounded oscillatory
     n-dimensional integral is damped by exp(-eps |increments|^2) over a
-    geometric schedule in eps and extrapolated polynomially to eps = 0;
-    the extrapolant must move less than tol between the last two schedule
-    points.  Discontinuous f is supported for n = 1 (the adaptive path);
-    for n >= 2 the tensor rule assumes f smooth.
+    geometric schedule in eps and extrapolated polynomially to eps = 0
+    (integrate._damped_extrapolation).  Discontinuous f is supported for
+    n = 1 (the adaptive path); for n >= 2 the tensor rule assumes f smooth.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     if tuple(times.times) != tuple(sched.times):
         raise ScheduleError(
             "the time set must equal the schedule's sample times"
         )
     n = sched.dim
-    if n > dimension_cap:
-        raise DimensionCapError(f"dimension {n} exceeds cap {dimension_cap}")
+    if n > _DIMENSION_CAP:
+        raise DimensionCapError(f"dimension {n} exceeds cap {_DIMENSION_CAP}")
     fv = _vectorized_nd(f)
-    eps_values = [eps0 * 0.5**k for k in range(schedule_len)]
-    if len(eps_values) < 3:
-        raise ValueError("damping schedule needs at least three points")
-    inner_tol = max(tol * 1e-2, 1e-11)
     # the damping radius grows like 1/sqrt(eps), so later schedule members
     # need proportionally more cells to resolve the envelope; start them
     # deeper in the ladder rather than re-climbing the coarse levels
-    vals = [
-        _damped_reduction(fv, sched, eps, inner_tol, max_level,
-                          start_cells=24 * 2 ** (k // 2))
-        for k, eps in enumerate(eps_values)
-    ]
-    prev_extrap = _neville_at_zero(eps_values[:-1], vals[:-1])
-    extrap = _neville_at_zero(eps_values, vals)
-    if abs(extrap - prev_extrap) > tol:
-        raise NoConvergenceError(
-            f"damping extrapolation unstable: moved "
-            f"{abs(extrap - prev_extrap):.3e} between the last two schedule "
-            f"points (tol {tol:.3e})"
-        )
-    return complex(extrap)
+    return _damped_extrapolation(
+        lambda k, eps, inner_tol: _damped_reduction(
+            fv, sched, eps, inner_tol, start_cells=24 * 2 ** (k // 2)
+        ),
+        eps0, 6, tol,
+    )
 
 
 # ---------------------------------------------------------------------------

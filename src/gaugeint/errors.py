@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package and the guard for user callbacks."""
+
+import numpy as np
 
 
 class GaugeIntError(Exception):
@@ -35,3 +37,22 @@ class GridTooCoarseError(GaugeIntError):
 
 class NoMFoundError(GaugeIntError):
     """No partial-sum index within the cap met the uniform closeness test."""
+
+
+def guarded_values(callback, *args, what: str = "integrand") -> np.ndarray:
+    """callback(*args) as a complex array, or IntegrandError.
+
+    Every user callback goes through here.  GaugeIntError and
+    AssertionError propagate unchanged; any other exception is wrapped in
+    IntegrandError with the original as __cause__; a non-finite value
+    raises IntegrandError.  what names the callback in the messages.
+    """
+    try:
+        out = np.asarray(callback(*args), dtype=complex)
+    except (GaugeIntError, AssertionError):
+        raise
+    except Exception as exc:
+        raise IntegrandError(f"{what} raised {exc!r}") from exc
+    if not np.isfinite(out).all():
+        raise IntegrandError(f"{what} returned a non-finite value")
+    return out

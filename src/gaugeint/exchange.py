@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import Cell1D, CellND
-from .errors import NoMFoundError
+from .errors import NoMFoundError, guarded_values
 from .fresnel import IncrementSchedule, incremental_density
 from .integrate import hk_integrate_1d
 from .propagator import PropagatorQuery, SliceGrid, perturbation_partial_sums, psi_sliced
@@ -211,7 +211,8 @@ def bounded_convergence_diagnostic(
     limiting values there — the unbounded-cell branch of a full-line
     division).  The envelope is probed separately: positivity at the
     sampled tags, and window-integral growth over the probe radii.
-    Raises NoMFoundError when no m below the cap works.
+    Raises NoMFoundError when no m below the cap works, and
+    IntegrandError when a callable raises or returns a non-finite value.
     """
     if not (isinstance(samples, int) and samples >= 1):
         raise ValueError("samples must be a positive integer")
@@ -221,14 +222,14 @@ def bounded_convergence_diagnostic(
     finite = rng.uniform(-window, window, size=samples)
     points = np.concatenate([finite, [-np.inf, np.inf]])
 
-    beta_vals = np.abs(np.asarray(beta(points), dtype=complex)).real
+    beta_vals = np.abs(guarded_values(beta, points, what="beta")).real
     beta_positive = bool(np.all(beta_vals > 0.0))
-    h_vals = np.asarray(limit(points), dtype=complex)
+    h_vals = guarded_values(limit, points, what="limit")
 
     m_found = -1
     max_ratio = math.inf
     for m in range(m_max + 1):
-        h_m = np.asarray(family(m, points), dtype=complex)
+        h_m = guarded_values(family, m, points, what="family")
         gaps = np.abs(h_m - h_vals)
         if np.all(gaps <= eps * beta_vals):
             m_found = m

@@ -30,6 +30,7 @@ from .errors import (
     DimensionCapError,
     IntegrandError,
     NoConvergenceError,
+    guarded_values,
 )
 from .oscquad import adaptive_chirp_integral, gauss_tail
 
@@ -42,6 +43,8 @@ __all__ = [
     "fresnel_line_integral",
     "alexiewicz_seminorm",
 ]
+
+_DIMENSION_CAP = 4  # largest box dimension of the direct n-D reductions
 
 
 @dataclass(frozen=True)
@@ -96,27 +99,24 @@ class OscillatoryTailSpec:
 
 
 def _vectorized(f):
-    """Wrap an evaluator so it maps float arrays to complex arrays."""
+    """Wrap an evaluator so it maps float arrays to finite complex arrays.
+
+    An array call that raises (other than a GaugeIntError) or returns the
+    wrong shape marks a scalar-only evaluator, which is looped point by
+    point; a non-finite array result raises at once.
+    """
 
     def fv(x: np.ndarray) -> np.ndarray:
         try:
-            out = np.asarray(f(x), dtype=complex)
-            if out.shape != x.shape:
-                raise TypeError("scalar-only evaluator")
-        except (AssertionError, KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            # scalar-only evaluator (or a genuine failure): let the
-            # point-by-point loop settle which
-            try:
-                out = np.array(
-                    [complex(f(float(v))) for v in x.ravel()]
-                ).reshape(x.shape)
-            except Exception as exc:
-                raise IntegrandError(f"integrand raised {exc!r}") from exc
-        if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-            raise IntegrandError("integrand returned a non-finite value")
-        return out
+            out = guarded_values(f, x)
+            if out.shape == x.shape:
+                return out
+        except IntegrandError as exc:
+            if exc.__cause__ is None:  # non-finite, or the evaluator's own error
+                raise
+        return guarded_values(
+            lambda: [complex(f(float(v))) for v in x.ravel()]
+        ).reshape(x.shape)
 
     return fv
 
@@ -125,19 +125,12 @@ def _vectorized_nd(f):
     """Wrap an n-D integrand: (m, n) points to m finite complex values."""
 
     def fv(points: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(f(points), dtype=complex)
-        except (AssertionError, KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            raise IntegrandError(f"integrand raised {exc!r}") from exc
+        out = guarded_values(f, points)
         if out.shape != points.shape[:1]:
             raise IntegrandError(
                 f"integrand must map (m, {points.shape[1]}) points to (m,) "
                 f"values, got shape {out.shape}"
             )
-        if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-            raise IntegrandError("integrand returned a non-finite value")
         return out
 
     return fv
@@ -367,7 +360,6 @@ def hk_integrate_nd(
     window,
     tol: float = 1e-6,
     *,
-    dimension_cap: int = 4,
     max_levels: int = 11,
     min_pts: int = 9,
     max_points: int = 80_000_000,
@@ -383,8 +375,8 @@ def hk_integrate_nd(
     n = len(box)
     if n < 1:
         raise ValueError("window must have at least one axis")
-    if n > dimension_cap:
-        raise DimensionCapError(f"dimension {n} exceeds cap {dimension_cap}")
+    if n > _DIMENSION_CAP:
+        raise DimensionCapError(f"dimension {n} exceeds cap {_DIMENSION_CAP}")
     for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("each axis needs finite lower < upper")
@@ -492,29 +484,38 @@ def oscillatory_improper(
     tol: float = 1e-8,
     *,
     eps0: float = 1e-2,
-    schedule_len: int = 9,
 ) -> complex:
     """Regularized integral of exp(c x^2/2) over one unbounded tail.
 
     Gaussian damping exp(-eps x^2) is applied over the geometric schedule
     eps0, eps0/2, ..., each damped value split into a finite quadrature
     window plus an analytic by-parts continuation, and the sequence is
-    extrapolated polynomially to eps = 0.  The extrapolant must move by
-    less than tol between the last two schedule points.
+    extrapolated polynomially to eps = 0 (_damped_extrapolation).
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     c = spec.phase_quadratic_coefficient
     lower = spec.lower_limit
     if spec.direction < 0:
         # mirror x -> -x maps the (-inf, L) tail onto (-L, inf)
         lower = -lower
-    eps_values = [eps0 * 0.5**k for k in range(schedule_len)]
-    if len(eps_values) < 3:
-        raise ValueError("schedule needs at least three points")
-    inner_tol = max(tol * 1e-2, 1e-11)  # floor: the windowed chirp core bottoms out
-    vals = [_damped_tail_value(c, lower, eps, inner_tol) for eps in eps_values]
+    return _damped_extrapolation(
+        lambda _k, eps, inner_tol: _damped_tail_value(c, lower, eps, inner_tol),
+        eps0, 9, tol,
+    )
 
+
+def _damped_extrapolation(member, eps0: float, members: int, tol: float) -> complex:
+    """Extrapolate damped values to zero damping.
+
+    member(k, eps, inner_tol) is evaluated on the schedule eps = eps0 2^-k,
+    k < members, with inner_tol = max(tol 1e-2, 1e-11), and the values are
+    extrapolated polynomially to eps = 0.  The extrapolant must move by
+    less than tol when the last member is added, else NoConvergenceError.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    eps_values = [eps0 * 0.5**k for k in range(members)]
+    inner_tol = max(tol * 1e-2, 1e-11)  # floor: the windowed chirp core bottoms out
+    vals = [member(k, eps, inner_tol) for k, eps in enumerate(eps_values)]
     prev_extrap = _neville_at_zero(eps_values[:-1], vals[:-1])
     extrap = _neville_at_zero(eps_values, vals)
     if abs(extrap - prev_extrap) > tol:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import NoConvergenceError, guarded_values
 
 __all__ = [
     "FRESNEL_LIMIT",
@@ -426,7 +426,8 @@ def adaptive_chirp_integral(
 ):
     """Adaptive Filon evaluation of Int e^{i beta (x-c)^2} g(x) dx on window.
 
-    g must accept numpy arrays.  Cells are refined globally (doubling) until
+    g must accept numpy arrays (a raising or non-finite g raises
+    IntegrandError).  Cells are refined globally (doubling) until
     two successive levels agree within tol.  tails="const" adds analytic
     continuation of g by its window-edge values to +-inf; "none" integrates
     the window alone.  Returns (value, error_estimate).
@@ -448,10 +449,10 @@ def adaptive_chirp_integral(
     for _ in range(max_levels):
         edges = np.linspace(lo, hi, ncell + 1)
         nodes, wts = chirp_filon_weights(beta, center, edges)
-        val = complex(np.dot(wts, np.asarray(g(nodes), dtype=complex)))
+        val = complex(np.dot(wts, guarded_values(g, nodes, what="envelope")))
         if tails == "const":
-            g_lo = complex(np.asarray(g(np.array([lo])), dtype=complex)[0])
-            g_hi = complex(np.asarray(g(np.array([hi])), dtype=complex)[0])
+            g_lo = complex(guarded_values(g, np.array([lo]), what="envelope")[0])
+            g_hi = complex(guarded_values(g, np.array([hi]), what="envelope")[0])
             val += g_hi * chirp_tail_constant(beta, center, hi, +1)
             val += g_lo * chirp_tail_constant(beta, center, lo, -1)
         if prev is not None:

@@ -33,6 +33,7 @@ from .errors import (
     GridTooCoarseError,
     IntegrandError,
     NoConvergenceError,
+    ResourceLimitError,
 )
 from .integrate import _neville_at_zero, _vectorized
 from .oscquad import _damped_cell_weights, _scatter_cells
@@ -266,6 +267,29 @@ def dispersive_gaussian(
 
 
 _LATTICE_CHUNK = 1 << 14  # lattice entries per moment block (bounds peak memory)
+# lattice moments plus bridge-row entries one psi_sliced call may compute;
+# criterion 5 (16 slices, 768 points, five members) needs about 3.2e7
+_WORK_CAP = 10**10
+
+
+def _cell_count(points: int) -> int:
+    """Filon cells of a member's mesh; its 3 ncell + 1 nodes are near points."""
+    return max(4, (points - 1) // 3)
+
+
+def _member_work(slices: int, points: int) -> int:
+    """Lattice moments plus bridge-row entries one _sliced_member computes.
+
+    Slice j = 1 .. slices - 2 builds a lattice of j (npts - 1) +
+    3 (j + 1) (ncell - 1) + 1 cells (_bridge_rows) and npts^2 row entries;
+    the final step builds one row (ncell cells, npts entries).
+    """
+    ncell = _cell_count(points)
+    npts = 3 * ncell + 1
+    inner = max(0, slices - 2)
+    jsum = inner * (inner + 1) // 2
+    lattice = jsum * (npts - 1) + 3 * (jsum + inner) * (ncell - 1) + inner
+    return lattice + inner * npts * npts + ncell + npts
 
 
 def _bridge_tails(alpha: complex, lo, hi):
@@ -371,7 +395,7 @@ def _sliced_member(
     c = 0.5 * (q.xi + q.xi_prime)
     times = q.tau_prime + dt * np.arange(n)
 
-    ncell = max(4, (points - 1) // 3)
+    ncell = _cell_count(points)
     edges = np.linspace(c - extent, c + extent, ncell + 1)
     nodes = np.linspace(c - extent, c + extent, 3 * ncell + 1)
 
@@ -444,6 +468,25 @@ def psi_sliced(
     if q.slices == 1:
         return _sliced_member(q, grid.extent, grid.points, 0.0, mass, sampling)
 
+    # probes of the weakest member: half the mesh (when that keeps >= 8
+    # points) and the window shrunk to 3/4 at similar resolution
+    half_points = (grid.points // 2) & ~1
+    probes = [
+        (grid.extent, half_points, "halving the mesh", "increase points per slice"),
+        (0.75 * grid.extent, max(8, (3 * grid.points // 4) & ~1),
+         "shrinking the window to three quarters", "increase the spatial extent"),
+    ]
+    if half_points < 8:
+        del probes[0]
+    member_points = [grid.points] * 3 + [points for _, points, _, _ in probes]
+    work = sum(_member_work(q.slices, points) for points in member_points)
+    if work > _WORK_CAP:
+        raise ResourceLimitError(
+            f"{q.slices} slices at {grid.points} points need about {work:.3e} "
+            f"lattice moments and bridge-row entries, over the budget "
+            f"{_WORK_CAP:.3e}; use fewer slices or points"
+        )
+
     eps_members = [grid.damping, 2.0 * grid.damping, 4.0 * grid.damping]
     vals = [
         _sliced_member(q, grid.extent, grid.points, eps, mass, sampling)
@@ -458,29 +501,13 @@ def psi_sliced(
             f"(relative {abs(extrap - partial) / scale:.3e}) when adding "
             f"the third member; tighten the grid or damping"
         )
-    # resolution probe: halve the mesh for the most weakly damped member
-    half_points = (grid.points // 2) & ~1
-    if half_points >= 8:
-        v_half = _sliced_member(
-            q, grid.extent, half_points, eps_members[0], mass, sampling
-        )
-        if abs(v_half - vals[0]) > 2.0 * rtol * scale:
+    for extent, points, change, remedy in probes:
+        v = _sliced_member(q, extent, points, eps_members[0], mass, sampling)
+        if abs(v - vals[0]) > 2.0 * rtol * scale:
             raise GridTooCoarseError(
-                f"halving the mesh moved the weakest member by "
-                f"{abs(v_half - vals[0]) / scale:.3e} relative; "
-                f"increase points per slice"
+                f"{change} moved the weakest member by "
+                f"{abs(v - vals[0]) / scale:.3e} relative; {remedy}"
             )
-    # truncation probe: shrink the window to 3/4 at similar resolution
-    small_points = max(8, (3 * grid.points // 4) & ~1)
-    v_small = _sliced_member(
-        q, 0.75 * grid.extent, small_points, eps_members[0], mass, sampling
-    )
-    if abs(v_small - vals[0]) > 2.0 * rtol * scale:
-        raise GridTooCoarseError(
-            f"shrinking the window to three quarters moved the weakest "
-            f"member by {abs(v_small - vals[0]) / scale:.3e} relative; "
-            f"increase the spatial extent"
-        )
     return complex(extrap)
 
 

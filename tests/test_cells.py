@@ -241,6 +241,12 @@ def test_riemann_sum_integrand_error():
         riemann_sum(lambda t, c: float("nan"), d)
 
 
+def test_riemann_sum_rejects_infinite_summand():
+    d = Division1D((TaggedCell1D(-inf, Cell1D.full_line()),))
+    with pytest.raises(IntegrandError, match="item 0"):
+        riemann_sum(lambda t, c: math.inf, d)
+
+
 def test_fsum_complex():
     vals = [1e16 + 1e16j, 1.0 + 1.0j, -1e16 - 1e16j]
     assert fsum_complex(vals) == 1.0 + 1.0j

@@ -385,6 +385,14 @@ def test_riemann_sum_integrand_errors():
         cylinder_riemann_sum(lambda x, n, c: complex(math.inf, 0.0), d)
 
 
+def test_riemann_sum_keeps_summand_gaugeint_errors():
+    def refuses(_x, _n, _c):
+        raise AssociationError("summand checks its own tags")
+
+    with pytest.raises(AssociationError):
+        cylinder_riemann_sum(refuses, full_line_division())
+
+
 # ---------------------------------------------------------------------------
 # reduction to finite dimension
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from gaugeint.errors import NoMFoundError
+from gaugeint.errors import IntegrandError, NoMFoundError
 from gaugeint.exchange import (
     ConvergenceWitness,
     GrowthTable,
@@ -197,6 +197,17 @@ class TestDiagnostic:
         with pytest.raises(NoMFoundError):
             bounded_convergence_diagnostic(
                 stuck, limit, g0, samples=5, eps=1e-3, m_max=8
+            )
+
+    def test_nan_family_is_an_integrand_error(self):
+        _, limit, beta = partial_sum_family(1.0, 1.0)
+
+        def nan_family(m, x):
+            return np.full(np.shape(x), np.nan)
+
+        with pytest.raises(IntegrandError, match="family"):
+            bounded_convergence_diagnostic(
+                nan_family, limit, beta, samples=5, eps=1e-3, m_max=8
             )
 
     def test_seeded_samples_are_deterministic(self):

@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from gaugeint.errors import IntegrandError
 from gaugeint.oscquad import (
     FRESNEL_LIMIT,
     FRESNEL_SWITCH,
@@ -187,6 +188,20 @@ def test_adaptive_chirp_integral_converges():
     want = oracle_chirp(lambda x: math.exp(-0.5 * x * x), beta, center, -10.0, 10.0)
     assert abs(val - want) < 5e-9
     assert err < 1e-9
+
+
+def test_adaptive_chirp_integral_rejects_bad_envelopes():
+    with pytest.raises(IntegrandError, match="non-finite"):
+        adaptive_chirp_integral(
+            lambda x: np.full(np.shape(x), np.nan), 0.5, 0.0, (-1.0, 1.0), 1e-8
+        )
+
+    def raising(x):
+        return 1.0 / 0.0
+
+    with pytest.raises(IntegrandError) as info:
+        adaptive_chirp_integral(raising, 0.5, 0.0, (-1.0, 1.0), 1e-8)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_phase_exp():

@@ -20,6 +20,7 @@ from numpy.polynomial import polynomial as _poly
 from gaugeint.errors import (
     GridTooCoarseError,
     IntegrandError,
+    ResourceLimitError,
 )
 from gaugeint.integrate import _neville_at_zero
 from gaugeint.propagator import (
@@ -509,6 +510,16 @@ class TestSlicedPotentials:
                 with pytest.raises(ValueError):
                     psi_sliced(q, SMALL_GRID, **kwargs)
         assert calls == []
+
+    def test_work_cap_refuses_before_any_member(self):
+        def broken(x, t):
+            raise RuntimeError("the potential must not be called")
+
+        q = PropagatorQuery(
+            0.0, 0.0, 1.0, 1.0, slices=100_000, potential=Potential.custom(broken)
+        )
+        with pytest.raises(ResourceLimitError, match="over the budget"):
+            psi_sliced(q, GRID)
 
 
 class TestSlicedProperties:
