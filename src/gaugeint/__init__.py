@@ -11,7 +11,7 @@ The package is organized bottom-up:
     cylinder    time sets, cylinder cells over path space, reduction of
                 cylinder integrals to finite dimension
     propagator  closed-form and time-sliced propagators, perturbation
-                series terms, a Crank-Nicolson reference solver
+                series terms
     exchange    growth tables, bounded-convergence diagnostics and the
                 series/integral exchange experiment
     config      run configuration (JSON file, env var, flag overrides)
@@ -90,7 +90,6 @@ from .propagator import (
     Potential,
     PropagatorQuery,
     SliceGrid,
-    dispersive_gaussian,
     free_kernel,
     free_kernel_semigroup_residual,
     harmonic_kernel_closed,
@@ -101,8 +100,6 @@ from .propagator import (
     psi0_closed,
     psi0_sliced,
     psi_sliced,
-    reference_grid,
-    schrodinger_reference,
 )
 from .exchange import (
     ConvergenceWitness,

@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 from math import fsum, inf, isfinite, isnan
 from typing import Callable, Iterable, Sequence
 
-from .errors import AssociationError, ResourceLimitError, guarded_values
+from .errors import (
+    AssociationError,
+    IntegrandError,
+    ResourceLimitError,
+    guarded_values,
+)
 
 __all__ = [
     "Cell1D",
@@ -173,10 +178,18 @@ class Gauge1D:
     delta: Callable[[float], float]
 
     def __call__(self, x: float) -> float:
-        d = float(self.delta(x))
-        if not d > 0.0 or isnan(d):
+        d = _gauge_value(self.delta, x)
+        if not d > 0.0:
             raise ValueError(f"gauge must be strictly positive, got {d} at {x}")
         return d
+
+
+def _gauge_value(delta: Callable, *args) -> float:
+    """delta(*args) as a float; IntegrandError unless it is finite and real."""
+    out = guarded_values(delta, *args, what="gauge")
+    if out.imag.any():
+        raise IntegrandError("gauge returned a complex value")
+    return float(out.real)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .exchange import _DEFAULT_PROBE_RADII
-from .propagator import SliceGrid
+from .propagator import SliceGrid, _require_count
 
 __all__ = [
     "FORMAT_VERSION",
@@ -69,14 +69,10 @@ class PathintConfig:
         object.__setattr__(
             self, "extent", _require_positive("extent", self.extent)
         )
-        if not (
-            isinstance(self.points, int)
-            and self.points >= 8
-            and self.points % 2 == 0
-        ):
-            raise ValueError("points must be an even integer >= 8")
-        if not (isinstance(self.slices, int) and self.slices >= 1):
-            raise ValueError("slices must be a positive integer")
+        object.__setattr__(self, "points", _require_count("points", self.points, 8))
+        object.__setattr__(self, "slices", _require_count("slices", self.slices, 1))
+        if self.points % 2:
+            raise ValueError("points must be even")
 
 
 @dataclass(frozen=True)
@@ -100,11 +96,9 @@ class LabConfig:
             raise ValueError("radii must be positive reals")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
-        if not (isinstance(self.samples, int) and self.samples >= 1):
-            raise ValueError("samples must be a positive integer")
+        object.__setattr__(self, "samples", _require_count("samples", self.samples, 1))
         object.__setattr__(self, "eps", _require_positive("eps", self.eps))
-        if not (isinstance(self.m_max, int) and self.m_max >= 0):
-            raise ValueError("m_max must be a nonnegative integer")
+        object.__setattr__(self, "m_max", _require_count("m_max", self.m_max, 0))
 
 
 @dataclass(frozen=True)

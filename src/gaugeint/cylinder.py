@@ -23,6 +23,7 @@ from .cells import (
     CellND,
     Gauge1D,
     TaggedCell1D,
+    _gauge_value,
     fsum_complex,
     is_delta_fine,
     tag_is_associated,
@@ -32,6 +33,7 @@ from .errors import (
     DimensionCapError,
     NoConvergenceError,
     ScheduleError,
+    guarded_call,
     guarded_values,
 )
 from .fresnel import ROOT_MINUS_I_OVER_2PI, IncrementSchedule
@@ -178,13 +180,14 @@ def is_gamma_fine(x: PathSample, cell: CylinderCell, gauge: GaugeRT) -> bool:
     The gauge is evaluated once for the item: first the time-set clause
     (the required times must lie inside the cell's time set), then one
     width bound applied to every factor.  Raises AssociationError when the
-    sample does not tag the cell.
+    sample does not tag the cell, and IntegrandError when a gauge callback
+    raises or the width is not a finite real.
     """
     _check_sample_matches_cell(x, cell)
-    required = gauge.required_times(x)
+    required = guarded_call(gauge.required_times, x, what="gauge")
     if not required.issubset(cell.times):
         return False
-    d = float(gauge.delta(x, cell.times))
+    d = _gauge_value(gauge.delta, x, cell.times)
     if not d > 0.0:
         raise ValueError(f"gauge width must be strictly positive, got {d}")
     width_gauge = Gauge1D(lambda _x, _d=d: _d)
@@ -326,6 +329,7 @@ def _graded_edges(eps: float, radius: float, ncells: int) -> np.ndarray:
 
 
 _MAX_LEVEL = 9  # cell doublings of one damped tensor reduction
+_EPS0 = 5e-2  # widest damping of the reduction's schedule
 
 
 def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
@@ -399,8 +403,6 @@ def reduce_cylinder_integral(
     times: TimeSet,
     sched: IncrementSchedule,
     tol: float = 1e-6,
-    *,
-    eps0: float = 5e-2,
 ) -> complex:
     """Path-space integral of f (depending on finitely many coordinates)
     against the free incremental kernel, reduced to finite dimension.
@@ -427,7 +429,7 @@ def reduce_cylinder_integral(
         lambda k, eps, inner_tol: _damped_reduction(
             fv, sched, eps, inner_tol, start_cells=24 * 2 ** (k // 2)
         ),
-        eps0, 6, tol,
+        _EPS0, 6, tol,
     )
 
 

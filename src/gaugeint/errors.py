@@ -39,20 +39,29 @@ class NoMFoundError(GaugeIntError):
     """No partial-sum index within the cap met the uniform closeness test."""
 
 
-def guarded_values(callback, *args, what: str = "integrand") -> np.ndarray:
-    """callback(*args) as a complex array, or IntegrandError.
-
-    Every user callback goes through here.  GaugeIntError and
-    AssertionError propagate unchanged; any other exception is wrapped in
-    IntegrandError with the original as __cause__; a non-finite value
-    raises IntegrandError.  what names the callback in the messages.
-    """
+def guarded_call(callback, *args, what: str = "integrand"):
+    """callback(*args), with its errors wrapped as guarded_values wraps them."""
     try:
-        out = np.asarray(callback(*args), dtype=complex)
+        return callback(*args)
     except (GaugeIntError, AssertionError):
         raise
     except Exception as exc:
         raise IntegrandError(f"{what} raised {exc!r}") from exc
+
+
+def guarded_values(callback, *args, what: str = "integrand") -> np.ndarray:
+    """callback(*args) as a complex array, or IntegrandError.
+
+    Every user callback goes through here (a callback whose result is not
+    a number, such as a gauge's time-set requirement, through
+    guarded_call).  GaugeIntError and AssertionError propagate unchanged;
+    any other exception is wrapped in IntegrandError with the original as
+    __cause__; a non-finite value raises IntegrandError.  what names the
+    callback in the messages.
+    """
+    out = guarded_call(
+        lambda: np.asarray(callback(*args), dtype=complex), what=what
+    )
     if not np.isfinite(out).all():
         raise IntegrandError(f"{what} returned a non-finite value")
     return out

@@ -22,7 +22,13 @@ from .cells import Cell1D, CellND
 from .errors import NoMFoundError, guarded_values
 from .fresnel import IncrementSchedule, incremental_density
 from .integrate import hk_integrate_1d
-from .propagator import PropagatorQuery, SliceGrid, perturbation_partial_sums, psi_sliced
+from .propagator import (
+    PropagatorQuery,
+    SliceGrid,
+    _require_count,
+    perturbation_partial_sums,
+    psi_sliced,
+)
 
 __all__ = [
     "GrowthTable",
@@ -39,6 +45,8 @@ __all__ = [
 ]
 
 _DEFAULT_PROBE_RADII = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+_SAMPLE_WINDOW = 8.0  # finite tags of the diagnostic lie in [-8, 8]
+_PROBE_TOL = 1e-9  # tolerance of the diagnostic's envelope growth table
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +82,9 @@ class GrowthTable:
             raise ValueError("radii must be positive reals")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
-        if not (isinstance(self.dimension, int) and self.dimension >= 1):
-            raise ValueError("dimension must be a positive integer")
+        object.__setattr__(
+            self, "dimension", _require_count("dimension", self.dimension, 1)
+        )
 
 
 def abs_g0_growth(
@@ -95,8 +104,7 @@ def abs_g0_growth(
     n = sched.dim
     if n > 4:
         raise ValueError("growth tables are limited to dimension <= 4")
-    if not (isinstance(cells_per_axis, int) and cells_per_axis >= 1):
-        raise ValueError("cells_per_axis must be a positive integer")
+    cells_per_axis = _require_count("cells_per_axis", cells_per_axis, 1)
     values = []
     for raw_r in radii:
         r = float(raw_r)
@@ -200,13 +208,11 @@ def bounded_convergence_diagnostic(
     *,
     m_max: int = 512,
     seed: int = 20260818,
-    window: float = 8.0,
     probe_radii: Sequence[float] = _DEFAULT_PROBE_RADII,
-    probe_tol: float = 1e-9,
 ) -> ConvergenceWitness:
     """Smallest m with |h_m - h| <= eps * beta at every sampled tag.
 
-    Tags are drawn uniformly from [-window, window] plus the two
+    Tags are drawn uniformly from [-8, 8] plus the two
     infinite tags (the callables must accept +-inf and return their
     limiting values there — the unbounded-cell branch of a full-line
     division).  The envelope is probed separately: positivity at the
@@ -214,12 +220,11 @@ def bounded_convergence_diagnostic(
     Raises NoMFoundError when no m below the cap works, and
     IntegrandError when a callable raises or returns a non-finite value.
     """
-    if not (isinstance(samples, int) and samples >= 1):
-        raise ValueError("samples must be a positive integer")
+    samples = _require_count("samples", samples, 1)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
-    finite = rng.uniform(-window, window, size=samples)
+    finite = rng.uniform(-_SAMPLE_WINDOW, _SAMPLE_WINDOW, size=samples)
     points = np.concatenate([finite, [-np.inf, np.inf]])
 
     beta_vals = np.abs(guarded_values(beta, points, what="beta")).real
@@ -243,7 +248,7 @@ def bounded_convergence_diagnostic(
             f"at all {points.size} sampled tags"
         )
 
-    table = envelope_growth_table(beta, probe_radii, tol=probe_tol)
+    table = envelope_growth_table(beta, probe_radii, tol=_PROBE_TOL)
     return ConvergenceWitness(
         m_found=m_found,
         eps=float(eps),
@@ -345,7 +350,6 @@ def exchange_experiment(
     *,
     mass: float = 1.0,
     rtol: float = 1e-3,
-    sampling: str = "left",
 ) -> list[ExchangeRow]:
     """Partial sums S_m against the sliced propagator, m = 0..m_max.
 
@@ -356,7 +360,7 @@ def exchange_experiment(
     with the UNBOUNDED envelope verdict from the growth probes.
     """
     sums = perturbation_partial_sums(m_max, q, grid, mass=mass)
-    sliced = psi_sliced(q, grid, mass=mass, rtol=rtol, sampling=sampling)
+    sliced = psi_sliced(q, grid, mass=mass, rtol=rtol)
     return [
         ExchangeRow(
             order=m, partial_sum=s_m, sliced=sliced, difference=abs(s_m - sliced)

@@ -46,6 +46,19 @@ __all__ = [
 
 _DIMENSION_CAP = 4  # largest box dimension of the direct n-D reductions
 
+# caps of hk_integrate_1d: bisection levels and live cells of one adaptive
+# run, and geometric annuli peeled off one window endpoint
+_MAX_LEVELS = 42
+_MAX_CELLS = 4_000_000
+_MAX_PEELS = 48
+
+# hk_integrate_nd: axis doublings, points per axis at level 0, the point
+# budget of one level, and the points evaluated per integrand call
+_ND_MAX_LEVELS = 11
+_ND_MIN_PTS = 9
+_ND_MAX_POINTS = 80_000_000
+_ND_CHUNK = 1 << 18
+
 
 @dataclass(frozen=True)
 class IntegrationReport:
@@ -143,7 +156,7 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adaptive_core(fv, a, b, tol, max_levels, max_cells, min_cells=16):
+def _adaptive_core(fv, a, b, tol, min_cells=16):
     """Local-bisection Simpson with per-cell Richardson control.
 
     Each cell carries values at its endpoints and midpoint; quarter-point
@@ -166,7 +179,7 @@ def _adaptive_core(fv, a, b, tol, max_levels, max_cells, min_cells=16):
     acc_est: list[np.ndarray] = []
     levels = 0
     converged = False
-    for levels in range(1, max_levels + 1):
+    for levels in range(1, _MAX_LEVELS + 1):
         w = hi - lo
         m = 0.5 * (lo + hi)
         q1 = 0.5 * (lo + m)
@@ -187,7 +200,7 @@ def _adaptive_core(fv, a, b, tol, max_levels, max_cells, min_cells=16):
             converged = True
             lo = hi = flo = fm = fhi = np.empty(0)
             break
-        if 2 * int(keep.sum()) > max_cells:
+        if 2 * int(keep.sum()) > _MAX_CELLS:
             lo, hi = lo[keep], hi[keep]
             flo, fm, fhi = flo[keep], fm[keep], fhi[keep]
             break
@@ -215,7 +228,7 @@ def _adaptive_core(fv, a, b, tol, max_levels, max_cells, min_cells=16):
     return value, est, levels, converged, lo, hi
 
 
-def _adaptive_verified(fv, a, b, tol, max_levels, max_cells):
+def _adaptive_verified(fv, a, b, tol):
     """Cross-mesh validation of the adaptive core.
 
     A single adaptive run can alias (accept confidently wrong values) when
@@ -230,9 +243,7 @@ def _adaptive_verified(fv, a, b, tol, max_levels, max_cells):
     total_levels = 0
     mc = 16
     while True:
-        v, e, lv, ok, flo, fhi = _adaptive_core(
-            fv, a, b, tol, max_levels, max_cells, min_cells=mc
-        )
+        v, e, lv, ok, flo, fhi = _adaptive_core(fv, a, b, tol, min_cells=mc)
         total_levels += lv
         if not ok and e > tol:
             # the cap stopped refinement with real mass unsettled; report
@@ -248,7 +259,7 @@ def _adaptive_verified(fv, a, b, tol, max_levels, max_cells):
             if drift <= max(0.5 * tol, 2.0 * (max(e1, e2) + e3)):
                 return v3, max(e3, drift), total_levels, True, flo, fhi
         mc = 2 * mc + 7
-        if mc > max(64, max_cells // 4):
+        if mc > max(64, _MAX_CELLS // 4):
             return v, e, total_levels, False, np.empty(0), np.empty(0)
 
 
@@ -256,10 +267,6 @@ def hk_integrate_1d(
     f,
     window: tuple[float, float],
     tol: float = 1e-8,
-    *,
-    max_levels: int = 42,
-    max_cells: int = 4_000_000,
-    max_peels: int = 48,
 ) -> IntegrationReport:
     """Adaptively integrate f over a finite open window.
 
@@ -278,9 +285,7 @@ def hk_integrate_1d(
         raise ValueError("tol must be positive")
     fv = _vectorized(f)
 
-    value, est, levels, converged, fail_lo, fail_hi = _adaptive_verified(
-        fv, a, b, tol, max_levels, max_cells
-    )
+    value, est, levels, converged, fail_lo, fail_hi = _adaptive_verified(fv, a, b, tol)
     if converged:
         return IntegrationReport(value, est, levels, est <= tol)
 
@@ -301,14 +306,14 @@ def hk_integrate_1d(
     h0 = width / 8.0
     core_lo = a + h0 if peel_left else a
     core_hi = b - h0 if peel_right else b
-    v, e, lv, ok, *_ = _adaptive_verified(fv, core_lo, core_hi, tol / 4, max_levels, max_cells)
+    v, e, lv, ok, *_ = _adaptive_verified(fv, core_lo, core_hi, tol / 4)
     total_levels += lv
     if not ok:
         raise NoConvergenceError("interior window failed to converge")
     pieces.append(v)
     ests.append(e)
 
-    peel_ratio = 2.0 ** (1.0 / 3.0)  # thin annuli keep each run under max_cells
+    peel_ratio = 2.0 ** (1.0 / 3.0)  # thin annuli keep each run under _MAX_CELLS
     for endpoint, sign, active in ((a, +1, peel_left), (b, -1, peel_right)):
         if not active:
             continue
@@ -316,13 +321,11 @@ def hk_integrate_1d(
         h_prev = h0
         settled = False
         recent_steps: list[float] = []
-        for _ in range(max_peels):
+        for _ in range(_MAX_PEELS):
             h = h_prev / peel_ratio
             ann_lo = endpoint + h if sign > 0 else endpoint - h_prev
             ann_hi = endpoint + h_prev if sign > 0 else endpoint - h
-            v, e, lv, ok, *_ = _adaptive_verified(
-                fv, ann_lo, ann_hi, tol / 20, max_levels, max_cells
-            )
+            v, e, lv, ok, *_ = _adaptive_verified(fv, ann_lo, ann_hi, tol / 20)
             total_levels += lv
             if not ok:
                 raise NoConvergenceError(
@@ -359,11 +362,6 @@ def hk_integrate_nd(
     f,
     window,
     tol: float = 1e-6,
-    *,
-    max_levels: int = 11,
-    min_pts: int = 9,
-    max_points: int = 80_000_000,
-    chunk: int = 1 << 18,
 ) -> IntegrationReport:
     """Tensor-trapezoid integration with Richardson acceleration on a box.
 
@@ -386,33 +384,27 @@ def hk_integrate_nd(
     feval = _vectorized_nd(f)
 
     rows: list[list[complex]] = []
-    prev_extrap = None
-    for level in range(max_levels + 1):
-        pts_per_axis = (min_pts - 1) * (1 << level) + 1
-        if pts_per_axis**n > max_points:
+    for level in range(_ND_MAX_LEVELS + 1):
+        pts_per_axis = (_ND_MIN_PTS - 1) * (1 << level) + 1
+        if pts_per_axis**n > _ND_MAX_POINTS:
             break
-        t = _tensor_trapezoid(feval, box, pts_per_axis, chunk)
-        row = [t]
+        row = [_tensor_trapezoid(feval, box, pts_per_axis)]
         if rows:
             below = rows[-1]
             for k in range(1, len(below) + 1):
                 row.append(row[k - 1] + (row[k - 1] - below[k - 1]) / (4.0**k - 1.0))
-        rows.append(row)
-        extrap = row[-1]
-        if prev_extrap is not None:
-            est = abs(extrap - prev_extrap)
+            est = abs(row[-1] - below[-1])
             if est <= tol:
-                return IntegrationReport(extrap, est, level, True)
-        prev_extrap = extrap
-    if prev_extrap is None or len(rows) < 2:
-        raise NoConvergenceError("point budget exhausted before two levels ran")
+                return IntegrationReport(row[-1], est, level, True)
+        rows.append(row)
+    # 17^n points fit the budget for n <= _DIMENSION_CAP, so two levels ran
     est = abs(rows[-1][-1] - rows[-2][-1])
     raise NoConvergenceError(
         f"no convergence after {len(rows) - 1} doublings; estimate {est:.3e}"
     )
 
 
-def _tensor_trapezoid(feval, box, pts_per_axis: int, chunk: int) -> complex:
+def _tensor_trapezoid(feval, box, pts_per_axis: int) -> complex:
     nodes_list, weights_list = [], []
     for lo, hi in box:
         w = np.full(pts_per_axis, (hi - lo) / (pts_per_axis - 1))
@@ -420,7 +412,7 @@ def _tensor_trapezoid(feval, box, pts_per_axis: int, chunk: int) -> complex:
         w[-1] *= 0.5
         nodes_list.append(np.linspace(lo, hi, pts_per_axis))
         weights_list.append(w)
-    return _tensor_sum(feval, nodes_list, weights_list, chunk)
+    return _tensor_sum(feval, nodes_list, weights_list, _ND_CHUNK)
 
 
 def _tensor_sum(fv, nodes_list, weights_list, chunk: int) -> complex:

@@ -38,7 +38,6 @@ __all__ = [
     "fresnel_tail",
     "phase_exp",
     "chirp_filon_weights",
-    "chirp_tail_constant",
     "gauss_tail",
     "adaptive_chirp_integral",
 ]
@@ -355,23 +354,6 @@ def damped_chirp_filon_weights(alpha: complex, center: float, edges):
     return np.append(nodes[:3].T.ravel(), nodes[3, -1]), weights
 
 
-def chirp_tail_constant(beta: float, center: float, edge: float, side: int):
-    """Int of e^{i beta (x-c)^2} from edge to +inf (side=+1) or -inf (side=-1).
-
-    Used for constant continuation of g beyond a finite window: multiply by
-    the edge value of g.
-    """
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    s = math.sqrt(2.0 * beta)
-    u = (edge - center) * s
-    if side > 0:
-        val = FRESNEL_LIMIT - fresnel_integral(u)
-    else:
-        val = FRESNEL_LIMIT + fresnel_integral(u)  # F(-inf..u) = F_inf + F(u)
-    return val / s
-
-
 def gauss_tail(alpha: complex, B: float):
     """(value, bound) for Int_B^inf exp(alpha x^2) dx, Re(alpha) <= 0.
 
@@ -413,6 +395,9 @@ def gauss_tail(alpha: complex, B: float):
     return np.exp(alpha * B * B) * total, bound
 
 
+_CHIRP_MIN_CELLS = 8  # cells of the first adaptive_chirp_integral level
+
+
 def adaptive_chirp_integral(
     g,
     beta: float,
@@ -420,22 +405,19 @@ def adaptive_chirp_integral(
     window: tuple[float, float],
     tol: float,
     *,
-    tails: str = "none",
     max_levels: int = 12,
-    min_cells: int = 8,
 ):
     """Adaptive Filon evaluation of Int e^{i beta (x-c)^2} g(x) dx on window.
 
     g must accept numpy arrays (a raising or non-finite g raises
     IntegrandError).  Cells are refined globally (doubling) until
-    two successive levels agree within tol.  tails="const" adds analytic
-    continuation of g by its window-edge values to +-inf; "none" integrates
-    the window alone.  Returns (value, error_estimate).
+    two successive levels agree within tol.  Returns (value,
+    error_estimate).
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must have lo < hi")
-    ncell = min_cells
+    ncell = _CHIRP_MIN_CELLS
     if beta != 0.0:
         # the near/far moment split must not hide inside coarse cells:
         # if the near zone intersects the window, start fine enough that
@@ -450,11 +432,6 @@ def adaptive_chirp_integral(
         edges = np.linspace(lo, hi, ncell + 1)
         nodes, wts = chirp_filon_weights(beta, center, edges)
         val = complex(np.dot(wts, guarded_values(g, nodes, what="envelope")))
-        if tails == "const":
-            g_lo = complex(guarded_values(g, np.array([lo]), what="envelope")[0])
-            g_hi = complex(guarded_values(g, np.array([hi]), what="envelope")[0])
-            val += g_hi * chirp_tail_constant(beta, center, hi, +1)
-            val += g_lo * chirp_tail_constant(beta, center, lo, -1)
         if prev is not None:
             drift = abs(val - prev)
             # two consecutive small drifts: a single agreeing pair can be

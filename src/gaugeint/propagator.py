@@ -3,11 +3,9 @@
 Closed-form free and harmonic kernels, time-sliced kernels with a
 potential (iterated one-step damped Fresnel convolutions on a spatial
 grid, each slice a dense bridge-weight matrix applied to the envelope),
-the perturbation expansion
-in interaction vertices (an exact complex-Gaussian bridge recursion on
-polynomial envelopes), and an independent Crank-Nicolson reference
-solver.  Units hbar = 1; the particle mass enters every kernel and
-defaults to 1.
+and the perturbation expansion in interaction vertices (an exact
+complex-Gaussian bridge recursion on polynomial envelopes).  Units
+hbar = 1; the particle mass enters every kernel and defaults to 1.
 
 The bridge-weight matrix of a slice is built on an offset lattice: with
 uniform slices the bridge centres are the nodes scaled by j / (j + 1)
@@ -27,7 +25,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
-from scipy.linalg import solve_banded
 
 from .errors import (
     GridTooCoarseError,
@@ -45,7 +42,6 @@ __all__ = [
     "free_kernel",
     "psi0_closed",
     "harmonic_kernel_closed",
-    "dispersive_gaussian",
     "psi0_sliced",
     "psi_sliced",
     "perturbation_term",
@@ -53,8 +49,6 @@ __all__ = [
     "perturbation_partial_sum",
     "perturbation_partial_sums",
     "free_kernel_semigroup_residual",
-    "schrodinger_reference",
-    "reference_grid",
 ]
 
 
@@ -233,32 +227,6 @@ def harmonic_kernel_closed(
         / s
     )
     return complex(pref * np.exp(phase))
-
-
-def dispersive_gaussian(
-    x, t: float, sigma: float, *, mass: float = 1.0
-):
-    """Free evolution of the unit-norm Gaussian (2 pi s^2)^{-1/4} e^{-x^2/(4 s^2)}.
-
-    Closed form obtained by completing the square against the free
-    kernel; reduces to the initial packet at t = 0.
-    """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    xa = np.asarray(x, dtype=float)
-    norm = (2.0 * math.pi * sigma * sigma) ** -0.25
-    if t == 0.0:
-        out = norm * np.exp(-np.square(xa) / (4.0 * sigma * sigma))
-    else:
-        a = 0.25 / sigma**2 - 0.5j * mass / t
-        pref = np.sqrt(mass / (2j * math.pi * t)) * norm * np.sqrt(math.pi / a)
-        expo = 0.5j * mass * np.square(xa) / t - np.square(
-            mass * xa / t
-        ) / (4.0 * a)
-        out = pref * np.exp(expo)
-    if out.shape == ():
-        return complex(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -763,84 +731,3 @@ def perturbation_partial_sums(
         total += chi
         sums.append(base * total)
     return sums
-
-
-# ---------------------------------------------------------------------------
-# Crank-Nicolson reference solver
-# ---------------------------------------------------------------------------
-
-
-def reference_grid(grid: SliceGrid) -> np.ndarray:
-    """The spatial points used by schrodinger_reference for this grid."""
-    h = 2.0 * grid.extent / grid.points
-    return -grid.extent + h * (np.arange(grid.points) + 0.5)
-
-
-def schrodinger_reference(
-    potential: Potential,
-    initial: np.ndarray,
-    tau: float,
-    grid: SliceGrid,
-    *,
-    mass: float = 1.0,
-    steps: int | None = None,
-) -> np.ndarray:
-    """Evolve a grid wavefunction by i d(psi)/dt = [-(1/2m) d^2/dx^2 + V] psi.
-
-    Crank-Nicolson with Dirichlet walls at +-extent: unconditionally
-    stable, norm-conserving, second order in both steps.  The default
-    step count enforces dt <= dx^2.  Raises GridTooCoarseError when the
-    initial state carries visible mass at the walls (the walls would
-    reflect it) .
-    """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    x = reference_grid(grid)
-    h = x[1] - x[0]
-    psi = np.asarray(initial, dtype=complex)
-    if psi.shape != x.shape:
-        raise ValueError(
-            f"initial state has shape {psi.shape}, grid has {x.shape}"
-        )
-    edge = max(2, grid.points // 50)
-    interior_peak = float(np.max(np.abs(psi)))
-    if interior_peak == 0.0:
-        return psi.copy()
-    if float(np.max(np.abs(psi[:edge]))) > 1e-8 * interior_peak or float(
-        np.max(np.abs(psi[-edge:]))
-    ) > 1e-8 * interior_peak:
-        raise GridTooCoarseError(
-            "initial state touches the window walls; enlarge the extent"
-        )
-    if steps is None:
-        steps = max(8, int(math.ceil(tau / (h * h))))
-    dt = tau / steps
-    if dt > h * h * (1.0 + 1e-12):
-        raise GridTooCoarseError(
-            f"time step {dt:.3e} exceeds dx^2 = {h * h:.3e}; increase steps"
-        )
-
-    kin = 1.0 / (2.0 * mass * h * h)
-    m_pts = grid.points
-    off = np.full(m_pts - 1, -kin)
-    for k in range(steps):
-        t_mid = (k + 0.5) * dt
-        diag = 2.0 * kin + potential.values(x, t_mid)
-        # (1 + i dt H / 2) psi_next = (1 - i dt H / 2) psi
-        rhs = (
-            psi
-            - 0.5j * dt * (diag * psi)
-            - 0.5j
-            * dt
-            * (-kin)
-            * (
-                np.concatenate(([0.0 + 0j], psi[:-1]))
-                + np.concatenate((psi[1:], [0.0 + 0j]))
-            )
-        )
-        ab = np.zeros((3, m_pts), dtype=complex)
-        ab[0, 1:] = 0.5j * dt * off
-        ab[1, :] = 1.0 + 0.5j * dt * diag
-        ab[2, :-1] = 0.5j * dt * off
-        psi = solve_banded((1, 1), ab, rhs)
-    return psi

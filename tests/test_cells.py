@@ -105,6 +105,18 @@ def test_gauge_must_be_positive():
         is_delta_fine(TaggedCell1D(0.0, Cell1D.bounded(0.0, 0.5)), g)
 
 
+def test_gauge_callback_errors_are_integrand_errors():
+    def broken(x):
+        raise RuntimeError("boom")
+
+    with pytest.raises(IntegrandError) as info:
+        cousin_division(Gauge1D(broken), tails=(-2.0, 2.0))
+    assert isinstance(info.value.__cause__, RuntimeError)
+    for bad in (math.inf, math.nan, 1j):
+        with pytest.raises(IntegrandError):
+            Gauge1D(lambda x, _bad=bad: _bad)(0.0)
+
+
 def test_cousin_constant_gauge_forced_tails():
     g = Gauge1D(lambda x: 0.3)
     d = cousin_division(g, tails=(-4.0, 4.0))

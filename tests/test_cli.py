@@ -15,6 +15,8 @@ from gaugeint.config import (
     RunConfig,
     load_config,
 )
+from gaugeint.exchange import abs_g0_growth
+from gaugeint.fresnel import IncrementSchedule
 from gaugeint.reports import (
     parse_coefficient,
     parse_potential,
@@ -56,6 +58,18 @@ class TestConfig:
             LabConfig(seed=1 << 64)
         with pytest.raises(ValueError):
             LabConfig(radii=(2.0, 1.0))
+
+    def test_counts_reject_bools(self):
+        for section, name in (
+            ("pathint", "points"),
+            ("pathint", "slices"),
+            ("lab", "samples"),
+            ("lab", "m_max"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                RunConfig.from_json_dict({section: {name: True}})
+        with pytest.raises(ValueError, match="cells_per_axis"):
+            abs_g0_growth(IncrementSchedule((1.0,)), [1.0], cells_per_axis=True)
 
     def test_overrides_skip_none(self):
         cfg = RunConfig()
@@ -309,6 +323,19 @@ class TestUsageAndOverrides:
         path.write_text(json.dumps({"lab": {"seed": 31415}}), encoding="utf-8")
         assert main(["--config", str(path), "selftest", "--criterion", "6"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_import_loads_no_scipy(self):
+        # scipy.special stays a lazy import of the moment kernels: a
+        # module-level scipy import adds about 0.25 s to every fresh start
+        code = (
+            "import sys, gaugeint; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -139,6 +139,24 @@ def test_gamma_fine_rejects_unassociated_sample():
         is_gamma_fine(wrong_tag, cell, gauge)
 
 
+def test_gamma_fine_gauge_errors_are_integrand_errors():
+    x, cell = narrow_cell_pair()
+
+    def broken(*_args):
+        raise RuntimeError("boom")
+
+    for gauge in (
+        GaugeRT(required_times=lambda _x: TimeSet((1.0,)), delta=broken),
+        GaugeRT(required_times=broken, delta=lambda _x, _n: 1.0),
+    ):
+        with pytest.raises(IntegrandError) as info:
+            is_gamma_fine(x, cell, gauge)
+        assert isinstance(info.value.__cause__, RuntimeError)
+    complex_width = GaugeRT(lambda _x: TimeSet((1.0,)), lambda _x, _n: 1j)
+    with pytest.raises(IntegrandError, match="complex"):
+        is_gamma_fine(x, cell, complex_width)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_gamma_fine_inclusion_clause_is_monotone(data):

