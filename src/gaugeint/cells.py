@@ -471,12 +471,25 @@ def division_to_json(division: Division1D) -> str:
 
 
 def division_from_json(text: str) -> Division1D:
-    """Parse division_to_json output back into a Division1D."""
+    """Parse division_to_json output back into a Division1D.
+
+    Each item must be an object with exactly the keys tag, kind and
+    bounds (schemas/division.schema.json); a malformed item raises
+    ValueError naming its index.
+    """
     arr = json.loads(text)
     if not isinstance(arr, list):
         raise ValueError("division JSON must be an array")
     items = []
-    for obj in arr:
-        cell = _cell_from_kind_bounds(obj["kind"], obj["bounds"])
-        items.append(TaggedCell1D(_tag_from_json(obj["tag"]), cell))
+    for index, obj in enumerate(arr):
+        if not isinstance(obj, dict) or obj.keys() != {"tag", "kind", "bounds"}:
+            raise ValueError(
+                f"division item {index} must be an object with exactly the "
+                f"keys tag, kind and bounds, got {obj!r}"
+            )
+        try:
+            cell = _cell_from_kind_bounds(obj["kind"], obj["bounds"])
+            items.append(TaggedCell1D(_tag_from_json(obj["tag"]), cell))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"division item {index}: {exc}") from exc
     return Division1D(tuple(items))

@@ -15,8 +15,9 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .errors import _require_count
 from .exchange import _DEFAULT_PROBE_RADII
-from .propagator import SliceGrid, _require_count
+from .propagator import SliceGrid
 
 __all__ = [
     "FORMAT_VERSION",
@@ -86,9 +87,8 @@ class LabConfig:
     m_max: int = 64
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not (
-            -_SEED_BOUND < self.seed < _SEED_BOUND
-        ):
+        object.__setattr__(self, "seed", _require_count("seed", self.seed, 0))
+        if self.seed >= _SEED_BOUND:
             raise ValueError("seed must fit in 64 bits")
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
@@ -152,17 +152,10 @@ class RunConfig:
             except TypeError as exc:
                 raise ValueError(f"bad config section {name!r}: {exc}") from exc
 
-        lab_doc = dict(doc.get("lab", {}))
-        if "radii" in lab_doc:
-            lab_doc["radii"] = tuple(lab_doc["radii"])
         return cls(
             integrator=section("integrator", IntegratorConfig),
             pathint=section("pathint", PathintConfig),
-            lab=(
-                LabConfig(**lab_doc)
-                if isinstance(lab_doc, dict)
-                else section("lab", LabConfig)
-            ),
+            lab=section("lab", LabConfig),
             output_dir=str(doc.get("output_dir", ".")),
         )
 

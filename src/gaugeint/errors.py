@@ -1,4 +1,6 @@
-"""Exception types shared across the package and the guard for user callbacks."""
+"""Exception types, the user-callback guard and the count check of the package."""
+
+import numbers
 
 import numpy as np
 
@@ -65,3 +67,14 @@ def guarded_values(callback, *args, what: str = "integrand") -> np.ndarray:
     if not np.isfinite(out).all():
         raise IntegrandError(f"{what} returned a non-finite value")
     return out
+
+
+def _require_count(name: str, value, minimum: int) -> int:
+    """value as an int; any integer type but bool, and at least minimum."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+    return int(value)

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import Cell1D, CellND
-from .errors import NoMFoundError, guarded_values
+from .errors import NoMFoundError, _require_count, guarded_values
 from .fresnel import IncrementSchedule, incremental_density
 from .integrate import hk_integrate_1d
 from .propagator import (
     PropagatorQuery,
     SliceGrid,
-    _require_count,
+    free_kernel,
     perturbation_partial_sums,
     psi_sliced,
 )
@@ -278,14 +278,13 @@ def partial_sum_family(c: float, tau: float, *, mass: float = 1.0):
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
-    modulus = 1.0 / math.sqrt(2.0 * math.pi * tau / mass)
+    beta = free_modulus_envelope(tau, mass=mass)
 
     def psi0_vals(x: np.ndarray) -> np.ndarray:
         xa = np.asarray(x, dtype=float)
-        out = np.full(xa.shape, modulus, dtype=complex)
+        out = beta(xa).astype(complex)
         fin = np.isfinite(xa)
-        pref = np.sqrt(mass / (2j * math.pi * tau))
-        out[fin] = pref * np.exp(0.5j * mass * np.square(xa[fin]) / tau)
+        out[fin] = free_kernel(xa[fin], tau, mass=mass)
         return out
 
     def family(m: int, x: np.ndarray) -> np.ndarray:
@@ -296,9 +295,6 @@ def partial_sum_family(c: float, tau: float, *, mass: float = 1.0):
 
     def limit(x: np.ndarray) -> np.ndarray:
         return psi0_vals(x) * np.exp(-1j * c * tau)
-
-    def beta(x: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(x, dtype=float).shape, modulus)
 
     return family, limit, beta
 

@@ -30,6 +30,7 @@ from .errors import (
     DimensionCapError,
     IntegrandError,
     NoConvergenceError,
+    _require_count,
     guarded_values,
 )
 from .oscquad import adaptive_chirp_integral, gauss_tail
@@ -544,8 +545,7 @@ def alexiewicz_seminorm(
 ) -> float:
     """sup over grid points of |prefix integral| from the interval's start."""
     a, b = float(interval[0]), float(interval[1])
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    grid = _require_count("grid", grid, 2)
     cuts = np.linspace(a, b, grid + 1)
     best = 0.0
     running: list[complex] = []

@@ -17,7 +17,6 @@ per lattice offset (O(j N) of them) and gathered into the N rows.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -31,9 +30,14 @@ from .errors import (
     IntegrandError,
     NoConvergenceError,
     ResourceLimitError,
+    _require_count,
 )
-from .integrate import _neville_at_zero, _vectorized
-from .oscquad import _damped_cell_weights, _scatter_cells
+from .integrate import _neville_at_zero, _vectorized, fresnel_line_integral
+from .oscquad import (
+    _damped_cell_weights,
+    _scatter_cells,
+    damped_chirp_filon_weights,
+)
 
 __all__ = [
     "Potential",
@@ -55,17 +59,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-
-def _require_count(name: str, value, minimum: int) -> int:
-    """value as an int; any integer type but bool, and at least minimum."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < minimum
-    ):
-        raise ValueError(f"{name} must be an integer >= {minimum}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -260,40 +253,26 @@ def _member_work(slices: int, points: int) -> int:
     return lattice + inner * npts * npts + ncell + npts
 
 
-def _bridge_tails(alpha: complex, lo, hi):
-    """Int e^{alpha w^2} dw over w < lo and over w > hi, in closed form.
+def _fold_bridge_tails(rows: np.ndarray, alpha: complex, lo, hi) -> None:
+    """Add Int e^{alpha w^2} dw over w < lo and over w > hi to the end nodes.
 
-    The constant continuation of the envelope beyond the mesh: lo and hi
-    are the offsets of the first and last cell edge from the bridge
-    centre, and the two values fold into the extreme nodes.
+    The constant continuation of the envelope beyond the mesh, in closed
+    form: lo and hi are the offsets of the first and last cell edge from
+    each row's bridge centre, and the two tails fold in place into
+    rows[..., 0] and rows[..., -1].
     """
     from scipy.special import erfc as _cerfc
 
     s = np.sqrt(-alpha)  # principal branch, Re s >= 0
     pref = math.sqrt(math.pi) / (2.0 * s)
-    return pref * _cerfc(-s * lo), pref * _cerfc(s * hi)
-
-
-def _bridge_row(alpha: complex, center: float, edges: np.ndarray):
-    """Filon weights for the full-line Int e^{alpha (z - center)^2} g(z) dz.
-
-    The cubic-through-4-nodes rule on the cell mesh edges, with exact
-    damped-chirp moments about center, plus the constant-continuation
-    tails; w @ g(nodes) approximates the integral, where nodes are the
-    3 ncell + 1 equally spaced points from edges[0] to edges[-1].
-    """
-    wa = edges[:-1] - center
-    wb = edges[1:] - center
-    row = _scatter_cells(_damped_cell_weights(alpha, wa, wb))
-    lo, hi = _bridge_tails(alpha, wa[0], wb[-1])
-    row[0] += lo
-    row[-1] += hi
-    return row
+    rows[..., 0] += pref * _cerfc(-s * lo)
+    rows[..., -1] += pref * _cerfc(s * hi)
 
 
 def _bridge_rows(alpha: complex, j: int, xi_prime: float, edges: np.ndarray):
-    """_bridge_row for every centre c_q = (j x_q + xi') / (j + 1) at once.
+    """Full-line bridge rows for every centre c_q = (j x_q + xi') / (j + 1).
 
+    Row q is damped_chirp_filon_weights(alpha, c_q, edges) plus the tails.
     x_q = edges[0] + h q are the 3 ncell + 1 nodes, h the node spacing.
     The offset of edge e_i from centre c_q is w0 + delta L with
     w0 = (edges[0] - xi') / (j + 1), delta = h / (j + 1) and the integer
@@ -322,44 +301,28 @@ def _bridge_rows(alpha: complex, j: int, xi_prime: float, edges: np.ndarray):
         return window[..., ::-j, ::step]
 
     rows = _scatter_cells(by_row(lattice))
-    lo, hi = _bridge_tails(alpha, by_row(wa)[:, 0], by_row(wb)[:, -1])
-    rows[:, 0] += lo
-    rows[:, -1] += hi
+    _fold_bridge_tails(rows, alpha, by_row(wa)[:, 0], by_row(wb)[:, -1])
     return rows
 
 
 def _sliced_member(
-    q: PropagatorQuery,
-    extent: float,
-    points: int,
-    eps: float,
-    mass: float,
-    sampling: str,
+    q: PropagatorQuery, extent: float, points: int, eps: float, mass: float
 ) -> complex:
-    """One damped sliced-kernel evaluation (arguments checked by psi_sliced).
+    """One damped sliced-kernel evaluation, slices >= 2 (checked by psi_sliced).
 
     The wavefront is carried as a slow envelope against the exact free
     kernel from the start point (bridge factoring): each intermediate
     integration is a complex-Gaussian bridge contracted with exact
     damped-chirp cell moments plus analytic constant-continuation tails,
-    so no grid oscillation is ever sampled pointwise.  The rows of an
-    intermediate step come from one offset lattice (_bridge_rows), O(j
-    ncell) moments for slice j, and both samplings contract them; the
-    final step to the end point is a single row (_bridge_row).
+    so no grid oscillation is ever sampled pointwise.  Step j weighs the
+    envelope by the left-point potential e^{-i V(x_j) dt}; the rows of
+    an intermediate step come from one offset lattice (_bridge_rows),
+    O(j ncell) moments for slice j, and the final step to the end point
+    contracts a single row.
     """
     n = q.slices
     dt = q.duration / n
     pot = q.potential
-
-    if n == 1:
-        # single increment: no intermediate integration, no damping needed
-        if sampling == "left":
-            v = float(pot.values(np.array([q.xi_prime]), q.tau_prime)[0])
-        else:
-            mid = 0.5 * (q.xi_prime + q.xi)
-            v = float(pot.values(np.array([mid]), q.tau_prime)[0])
-        return complex(np.exp(-1j * v * dt)) * psi0_closed(q, mass=mass)
-
     c = 0.5 * (q.xi + q.xi_prime)
     times = q.tau_prime + dt * np.arange(n)
 
@@ -368,44 +331,21 @@ def _sliced_member(
     nodes = np.linspace(c - extent, c + extent, 3 * ncell + 1)
 
     # envelope after slice 1: phi_1(z) = K(z - xi'; dt) * chi(z)
-    if sampling == "left":
-        v0 = float(pot.values(np.array([q.xi_prime]), times[0])[0])
-        chi = np.full(nodes.size, np.exp(-1j * v0 * dt), dtype=complex)
-    else:
-        v0 = pot.values(0.5 * (q.xi_prime + nodes), times[0])
-        chi = np.exp(-1j * v0 * dt).astype(complex)
-
-    for j in range(1, n - 1):
+    v0 = float(pot.values(np.array([q.xi_prime]), times[0])[0])
+    chi = np.full(nodes.size, np.exp(-1j * v0 * dt), dtype=complex)
+    for j in range(1, n):
         a = times[j] - q.tau_prime
         big_a = 1.0 / dt + 1.0 / a
         alpha = complex(-eps, 0.5 * mass * big_a)
         pref_b = complex(np.sqrt(mass * big_a / (2j * math.pi)))
-        rows = _bridge_rows(alpha, j, q.xi_prime, edges)
-        if sampling == "left":
-            g = np.exp(-1j * pot.values(nodes, times[j]) * dt) * chi
-            chi = pref_b * (rows @ g)
-        else:
-            vmid = pot.values(
-                0.5 * (nodes[None, :] + nodes[:, None]), times[j]
-            )
-            g = np.exp(-1j * vmid * dt) * chi[None, :]
-            chi = pref_b * np.einsum("qn,qn->q", rows, g)
-
-    # final intermediate: bridge to the exact end point
-    a = times[n - 1] - q.tau_prime
-    big_a = 1.0 / dt + 1.0 / a
-    lam = a / (a + dt)
-    alpha = complex(-eps, 0.5 * mass * big_a)
-    pref_b = complex(np.sqrt(mass * big_a / (2j * math.pi)))
-    center = lam * q.xi + (1.0 - lam) * q.xi_prime
-    wrow = _bridge_row(alpha, center, edges)
-    if sampling == "left":
-        g = np.exp(-1j * pot.values(nodes, times[n - 1]) * dt) * chi
-    else:
-        vmid = pot.values(0.5 * (nodes + q.xi), times[n - 1])
-        g = np.exp(-1j * vmid * dt) * chi
-    core = complex(pref_b * np.sum(wrow * g))
-    return psi0_closed(q, mass=mass) * core
+        g = np.exp(-1j * pot.values(nodes, times[j]) * dt) * chi
+        if j == n - 1:  # final step: bridge to the exact end point
+            lam = a / (a + dt)
+            center = lam * q.xi + (1.0 - lam) * q.xi_prime
+            row = damped_chirp_filon_weights(alpha, center, edges)[1]
+            _fold_bridge_tails(row, alpha, edges[0] - center, edges[-1] - center)
+            return psi0_closed(q, mass=mass) * complex(pref_b * np.sum(row * g))
+        chi = pref_b * (_bridge_rows(alpha, j, q.xi_prime, edges) @ g)
 
 
 def psi_sliced(
@@ -414,14 +354,13 @@ def psi_sliced(
     *,
     mass: float = 1.0,
     rtol: float = 1e-3,
-    sampling: str = "left",
 ) -> complex:
     """Time-sliced propagator with the query's potential.
 
     Iterated one-step damped Fresnel convolutions over the query's
     slices; per-slice potential weight e^{-i V(x_{j-1}) dt} at the LEFT
-    increment endpoint (midpoint behind the sampling flag, for
-    convergence experiments).  The damping ladder (eps, 2 eps, 4 eps) is
+    increment endpoint.  One slice is that weight times the closed-form
+    free kernel.  Otherwise the damping ladder (eps, 2 eps, 4 eps) is
     extrapolated polynomially to zero; the result must be stable under
     dropping the widest member (else NoConvergenceError), under halving
     the mesh, and under shrinking the window to three quarters (else
@@ -431,10 +370,9 @@ def psi_sliced(
         raise ValueError("rtol must be positive")
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError("mass must be a positive real")
-    if sampling not in ("left", "midpoint"):
-        raise ValueError("sampling must be 'left' or 'midpoint'")
     if q.slices == 1:
-        return _sliced_member(q, grid.extent, grid.points, 0.0, mass, sampling)
+        v = float(q.potential.values(np.array([q.xi_prime]), q.tau_prime)[0])
+        return complex(np.exp(-1j * v * q.duration)) * psi0_closed(q, mass=mass)
 
     # probes of the weakest member: half the mesh (when that keeps >= 8
     # points) and the window shrunk to 3/4 at similar resolution
@@ -457,7 +395,7 @@ def psi_sliced(
 
     eps_members = [grid.damping, 2.0 * grid.damping, 4.0 * grid.damping]
     vals = [
-        _sliced_member(q, grid.extent, grid.points, eps, mass, sampling)
+        _sliced_member(q, grid.extent, grid.points, eps, mass)
         for eps in eps_members
     ]
     extrap = _neville_at_zero(eps_members, vals)
@@ -470,7 +408,7 @@ def psi_sliced(
             f"the third member; tighten the grid or damping"
         )
     for extent, points, change, remedy in probes:
-        v = _sliced_member(q, extent, points, eps_members[0], mass, sampling)
+        v = _sliced_member(q, extent, points, eps_members[0], mass)
         if abs(v - vals[0]) > 2.0 * rtol * scale:
             raise GridTooCoarseError(
                 f"{change} moved the weakest member by "
@@ -519,8 +457,6 @@ def free_kernel_semigroup_residual(
     half-lines about the stationary point), independently of the closed
     form it is compared against.
     """
-    from .integrate import OscillatoryTailSpec, oscillatory_improper
-
     if not (s > 0.0 and t > 0.0):
         raise ValueError("time steps must be positive")
     a = 0.5 * mass * (1.0 / s + 1.0 / t)
@@ -529,13 +465,7 @@ def free_kernel_semigroup_residual(
     pref = complex(
         np.sqrt(mass / (2j * math.pi * s)) * np.sqrt(mass / (2j * math.pi * t))
     )
-    half = oscillatory_improper(
-        OscillatoryTailSpec(
-            phase_quadratic_coefficient=2j * a, lower_limit=0.0, direction=+1
-        ),
-        tol=tol,
-    )
-    numeric = pref * np.exp(1j * const_phase) * 2.0 * half
+    numeric = pref * np.exp(1j * const_phase) * fresnel_line_integral(2j * a, tol)
     closed = free_kernel(xi - xi_prime, s + t, mass=mass)
     return abs(complex(numeric) - complex(closed))
 

@@ -71,6 +71,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="cells_per_axis"):
             abs_g0_growth(IncrementSchedule((1.0,)), [1.0], cells_per_axis=True)
 
+    def test_lab_section_loads_like_the_others(self, capsys, tmp_path):
+        for doc in (
+            {"lab": 5},
+            {"lab": {"bogus": 1}},
+            {"lab": {"radii": 5}},
+            {"lab": {"seed": True}},
+            {"lab": {"seed": -5}},
+        ):
+            with pytest.raises(ValueError, match="lab|seed"):
+                RunConfig.from_json_dict(doc)
+        path = tmp_path / "lab.json"
+        path.write_text(json.dumps({"lab": 5}), encoding="utf-8")
+        assert main(["--config", str(path), "fresnel", "--c", "i"]) == 1
+        assert "section 'lab'" in capsys.readouterr().err
+        assert main(["--seed", "-5", "fresnel", "--c", "i"]) == 1
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
     def test_overrides_skip_none(self):
         cfg = RunConfig()
         out = cfg.with_overrides(
@@ -184,6 +201,15 @@ class TestDivisionCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["valid"] is False
         assert any(v["kind"] == "gap" for v in report["violations"])
+
+    def test_malformed_items_fail_validation(self, capsys, tmp_path):
+        cell = {"tag": 0.0, "kind": "bounded", "bounds": [0.0, 1.0]}
+        no_bounds = {"tag": 0.0, "kind": "bounded"}
+        path = tmp_path / "malformed.json"
+        for doc, index in (([1], 0), ([cell, no_bounds], 1)):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["division", "--validate", str(path)]) == 1
+            assert f"division item {index}" in capsys.readouterr().err
 
     def test_unknown_gauge_spec(self, capsys):
         assert main(["division", "--gauge", "wavelet:1"]) == 1

@@ -397,6 +397,14 @@ def test_alexiewicz_sine_peak():
     assert abs(v - 2.0) < 1e-8
 
 
+def test_alexiewicz_grid_must_be_a_count():
+    for grid in (2.5, True, 1):
+        with pytest.raises(ValueError, match="grid must be an integer >= 2"):
+            alexiewicz_seminorm(
+                lambda x: np.ones_like(x, dtype=complex), (0.0, 1.0), grid
+            )
+
+
 def test_alexiewicz_chirp_grid_stability():
     f = lambda x: np.cos(x * x).astype(complex)
     v1 = alexiewicz_seminorm(f, (0.0, 40.0), 128)

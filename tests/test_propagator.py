@@ -463,17 +463,6 @@ class TestSlicedPotentials:
         vc = psi_sliced(q, GRID)
         assert abs(vr - vc) / abs(vc) < 2e-3
 
-    def test_midpoint_sampling_flag(self):
-        grid = SliceGrid(extent=12.0, points=240, damping=1e-3)
-        q = PropagatorQuery(
-            0.0, 0.0, 1.0, 1.0, slices=4, potential=Potential.harmonic(0.5)
-        )
-        mh = harmonic_kernel_closed(q, 0.5)
-        err_mid = abs(psi_sliced(q, grid, sampling="midpoint") - mh)
-        err_left = abs(psi_sliced(q, grid, sampling="left") - mh)
-        # midpoint weights halve the slicing bias order: visibly smaller
-        assert err_mid < err_left
-
     def test_window_too_small_is_refused(self):
         q = PropagatorQuery(
             0.0, 0.0, 1.0, 0.5, slices=16, potential=Potential.harmonic(0.5)
@@ -501,7 +490,7 @@ class TestSlicedPotentials:
         )
         for kwargs in (
             {"mass": 0.0}, {"mass": -1.0}, {"mass": math.nan},
-            {"mass": math.inf}, {"sampling": "right"},
+            {"mass": math.inf},
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
