@@ -90,6 +90,7 @@ from .propagator import (
     Potential,
     PropagatorQuery,
     SliceGrid,
+    closed_kernel,
     free_kernel,
     free_kernel_semigroup_residual,
     harmonic_kernel_closed,

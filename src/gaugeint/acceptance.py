@@ -10,7 +10,7 @@ these runners.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -34,24 +34,19 @@ from .exchange import (
     growth_verdict,
 )
 from .fresnel import FigureND, IncrementSchedule, fresnel_distribution, incremental_distribution
-from .integrate import (
-    OscillatoryTailSpec,
-    fresnel_line_integral,
-    hk_integrate_1d,
-    oscillatory_improper,
-)
+from .integrate import hk_integrate_1d
 from .propagator import (
     Potential,
     PropagatorQuery,
+    closed_kernel,
     free_kernel_semigroup_residual,
-    harmonic_kernel_closed,
     perturbation_partial_sums,
     perturbation_terms,
     psi0_closed,
     psi0_sliced,
     psi_sliced,
 )
-from .reports import exchange_documents, fresnel_table
+from .reports import exchange_documents, fresnel_references, fresnel_table
 
 __all__ = [
     "CriterionResult",
@@ -64,7 +59,6 @@ __all__ = [
     "criterion_7_property_suites",
     "criterion_8_coexistence_report",
     "ALL_CRITERIA",
-    "run_all",
     "format_line",
 ]
 
@@ -78,62 +72,53 @@ class CriterionResult:
     elapsed_seconds: float
 
 
-def _result(number, title, start, failures, detail_ok):
-    elapsed = time.perf_counter() - start
-    if failures:
-        return CriterionResult(number, title, False, "; ".join(failures), elapsed)
-    return CriterionResult(number, title, True, detail_ok, elapsed)
+def _criterion(number: int, title: str):
+    """Turn body(cfg) -> (failures, detail) into criterion `number`.
+
+    The criterion takes cfg=None for the default RunConfig, times the
+    body, and fails exactly when the body reports failures, which then
+    form its detail, joined by "; ".
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run(cfg: RunConfig | None = None) -> CriterionResult:
+            cfg = cfg or RunConfig()
+            start = time.perf_counter()
+            failures, detail = body(cfg)
+            elapsed = time.perf_counter() - start
+            return CriterionResult(
+                number, title, not failures, "; ".join(failures) or detail, elapsed
+            )
+
+        return run
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_fresnel_values(cfg: RunConfig | None = None) -> CriterionResult:
-    """Quadratic-phase line integrals match their closed forms."""
-    cfg = cfg or RunConfig()
-    start = time.perf_counter()
-    tol = cfg.integrator.tol
+@_criterion(1, "oscillatory closed forms")
+def criterion_1_fresnel_values(cfg: RunConfig):
+    """Quadratic-phase line integrals match their closed forms.
+
+    The rows of the fresnel report; the error is relative for the
+    full-line values (|reference| > 1) and absolute for the half-line ones.
+    """
     failures = []
     worst = 0.0
-
-    checks = [
-        ("exp(ix^2/2) full line", fresnel_line_integral(1j, tol),
-         cmath.sqrt(2.0 * math.pi / (-1j))),
-        ("exp(iy^2) full line", fresnel_line_integral(2j, tol),
-         cmath.sqrt(1j * math.pi)),
-    ]
-    for label, numeric, reference in checks:
-        rel = abs(numeric - reference) / abs(reference)
-        worst = max(worst, rel)
-        if rel > 1e-6:
-            failures.append(f"{label}: rel err {rel:.3e} > 1e-6")
-
-    half = oscillatory_improper(
-        OscillatoryTailSpec(
-            phase_quadratic_coefficient=2j, lower_limit=0.0, direction=+1
-        ),
-        tol,
-    )
-    quarter = 0.5 * math.sqrt(0.5 * math.pi)
-    for label, numeric in [("cos(u^2) half line", half.real),
-                           ("sin(u^2) half line", half.imag)]:
-        err = abs(numeric - quarter)
+    for label, numeric, reference in fresnel_references(None, cfg.integrator.tol):
+        err = abs(numeric - reference) / max(abs(reference), 1.0)
         worst = max(worst, err)
         if err > 1e-6:
             failures.append(f"{label}: err {err:.3e} > 1e-6")
-
-    return _result(
-        1, "oscillatory closed forms", start, failures,
-        f"4 values, worst deviation {worst:.3e} (tol 1e-6)",
-    )
+    return failures, f"4 values, worst deviation {worst:.3e} (tol 1e-6)"
 
 
-def criterion_2_distribution_normalization(
-    cfg: RunConfig | None = None,
-) -> CriterionResult:
+@_criterion(2, "distribution normalization")
+def criterion_2_distribution_normalization(cfg: RunConfig):
     """Full-space mass of the oscillatory distributions is exactly one."""
-    cfg = cfg or RunConfig()
-    start = time.perf_counter()
     failures = []
     worst = 0.0
 
@@ -158,16 +143,14 @@ def criterion_2_distribution_normalization(
                 f"incremental mass, schedule {k} (n={n}): err {err:.3e} > 1e-8"
             )
 
-    return _result(
-        2, "distribution normalization", start, failures,
-        f"n=1,2,3 plus 5 random schedules, worst deviation {worst:.3e} (tol 1e-8)",
+    return failures, (
+        f"n=1,2,3 plus 5 random schedules, worst deviation {worst:.3e} (tol 1e-8)"
     )
 
 
-def criterion_3_free_propagator(cfg: RunConfig | None = None) -> CriterionResult:
+@_criterion(3, "free propagator")
+def criterion_3_free_propagator(cfg: RunConfig):
     """Sliced free kernels match the closed form; kernels compose."""
-    cfg = cfg or RunConfig()
-    start = time.perf_counter()
     grid = cfg.slice_grid()
     mass = cfg.pathint.mass
     failures = []
@@ -202,10 +185,9 @@ def criterion_3_free_propagator(cfg: RunConfig | None = None) -> CriterionResult
                 f"composition residual at (s={s:.3f}, t={t:.3f}): {res:.3e} > 1e-4"
             )
 
-    return _result(
-        3, "free propagator", start, failures,
+    return failures, (
         f"15 sliced queries worst rel {worst_rel:.3e} (tol 1e-3); "
-        f"3 composition residuals worst {worst_res:.3e} (tol 1e-4)",
+        f"3 composition residuals worst {worst_res:.3e} (tol 1e-4)"
     )
 
 
@@ -224,7 +206,7 @@ def _remainder_checks(c: float, tau: float, mass: float):
         potential=Potential.constant_potential(c),
     )
     base = psi0_closed(q, mass=mass)
-    target = base * cmath.exp(-1j * c * tau)
+    target = closed_kernel(q, mass=mass)
     x = abs(c) * tau
     checks = []
     for m, s_m in enumerate(perturbation_partial_sums(12, q, mass=mass)):
@@ -233,12 +215,9 @@ def _remainder_checks(c: float, tau: float, mass: float):
     return q, checks
 
 
-def criterion_4_perturbation_series(
-    cfg: RunConfig | None = None,
-) -> CriterionResult:
+@_criterion(4, "perturbation series")
+def criterion_4_perturbation_series(cfg: RunConfig):
     """Constant-potential partial sums obey the factorial remainder bound."""
-    cfg = cfg or RunConfig()
-    start = time.perf_counter()
     mass = cfg.pathint.mass
     failures = []
     worst_margin = 0.0
@@ -265,44 +244,34 @@ def criterion_4_perturbation_series(
                     f"c={c}, ratio r={r}: rel err {rel:.3e} > 1e-5"
                 )
 
-    return _result(
-        4, "perturbation series", start, failures,
+    return failures, (
         f"m<=12 remainder bounds (worst margin {worst_margin:.3f} of bound); "
-        f"term ratios r<=6 worst rel {worst_ratio:.3e} (tol 1e-5)",
+        f"term ratios r<=6 worst rel {worst_ratio:.3e} (tol 1e-5)"
     )
 
 
-def criterion_5_harmonic_cross_check(
-    cfg: RunConfig | None = None,
-) -> CriterionResult:
+@_criterion(5, "harmonic cross-check")
+def criterion_5_harmonic_cross_check(cfg: RunConfig):
     """Sliced harmonic-oscillator kernel matches the closed kernel."""
-    cfg = cfg or RunConfig()
-    start = time.perf_counter()
-    grid = cfg.slice_grid()
     mass = cfg.pathint.mass
-    omega, tau = 0.5, 0.5
     q = PropagatorQuery(
         xi_prime=0.0,
         tau_prime=0.0,
         xi=0.3,
-        tau=tau,
+        tau=0.5,
         slices=16,
-        potential=Potential.harmonic(omega),
+        potential=Potential.harmonic(0.5),
     )
-    got = psi_sliced(q, grid, mass=mass)
-    want = harmonic_kernel_closed(q, omega, mass=mass)
+    got = psi_sliced(q, cfg.slice_grid(), mass=mass)
+    want = closed_kernel(q, mass=mass)
     rel = abs(got - want) / abs(want)
     failures = [] if rel <= 1e-2 else [f"rel err {rel:.3e} > 1e-2"]
-    return _result(
-        5, "harmonic cross-check", start, failures,
-        f"16 slices, omega=0.5, tau=0.5: rel err {rel:.3e} (tol 1e-2)",
-    )
+    return failures, f"16 slices, omega=0.5, tau=0.5: rel err {rel:.3e} (tol 1e-2)"
 
 
-def criterion_6_growth_witness(cfg: RunConfig | None = None) -> CriterionResult:
+@_criterion(6, "non-integrability witness")
+def criterion_6_growth_witness(cfg: RunConfig):
     """|g0| window sums grow linearly; a Gaussian control stays bounded."""
-    cfg = cfg or RunConfig()
-    start = time.perf_counter()
     failures = []
     radii = _DEFAULT_PROBE_RADII
 
@@ -322,17 +291,15 @@ def criterion_6_growth_witness(cfg: RunConfig | None = None) -> CriterionResult:
     if control != "BOUNDED":
         failures.append(f"Gaussian control verdict {control}, expected BOUNDED")
 
-    return _result(
-        6, "non-integrability witness", start, failures,
+    return failures, (
         f"7 rows worst deviation {worst:.3e} (tol 1e-10); "
-        f"|g0| {verdict}, Gaussian control {control}",
+        f"|g0| {verdict}, Gaussian control {control}"
     )
 
 
-def criterion_7_property_suites(cfg: RunConfig | None = None) -> CriterionResult:
+@_criterion(7, "property suites")
+def criterion_7_property_suites(cfg: RunConfig):
     """Random-input property suites: divisions, integrator laws, determinism."""
-    cfg = cfg or RunConfig()
-    start = time.perf_counter()
     failures = []
 
     # -- 500 random gauges: build, validate, JSON round-trip
@@ -428,25 +395,20 @@ def criterion_7_property_suites(cfg: RunConfig | None = None) -> CriterionResult
         slices=4,
         potential=Potential.constant_potential(1.0),
     )
-    docs_a = exchange_documents(q, 6, cfg)
-    docs_b = exchange_documents(q, 6, cfg)
-    table_a = fresnel_table(None, cfg.integrator.tol)
-    table_b = fresnel_table(None, cfg.integrator.tol)
-    if any(docs_a[k].encode() != docs_b[k].encode() for k in docs_a):
+    if exchange_documents(q, 6, cfg) != exchange_documents(q, 6, cfg):
         failures.append("exchange documents differ between identical runs")
-    if table_a.encode() != table_b.encode():
+    tables = [fresnel_table(None, cfg.integrator.tol) for _ in range(2)]
+    if tables[0] != tables[1]:
         failures.append("oscillatory-value tables differ between identical runs")
 
-    return _result(
-        7, "property suites", start, failures,
+    return failures, (
         "500 division round-trips, 200 integrand-pair law checks, "
-        "byte-identical repeated reports",
+        "byte-identical repeated reports"
     )
 
 
-def criterion_8_coexistence_report(
-    cfg: RunConfig | None = None,
-) -> CriterionResult:
+@_criterion(8, "coexistence report")
+def criterion_8_coexistence_report(cfg: RunConfig):
     """Series convergence coexists with an unbounded dominating envelope.
 
     The exchange of the series and the integral is not decidable
@@ -455,8 +417,6 @@ def criterion_8_coexistence_report(
     the integrability probe.  This criterion re-asserts both facts and
     passes exactly when they coexist.
     """
-    cfg = cfg or RunConfig()
-    start = time.perf_counter()
     mass = cfg.pathint.mass
     failures = []
 
@@ -471,12 +431,11 @@ def criterion_8_coexistence_report(
     if verdict != "UNBOUNDED":
         failures.append(f"|g0| growth verdict {verdict}, expected UNBOUNDED")
 
-    detail = (
+    return failures, (
         "series converges (remainder bounds m<=12) while |g0| growth is "
         f"{verdict}: the dominating-function hypothesis fails, so the "
         "series/integral exchange stays numerically undecided"
     )
-    return _result(8, "coexistence report", start, failures, detail)
 
 
 ALL_CRITERIA = (
@@ -489,11 +448,6 @@ ALL_CRITERIA = (
     criterion_7_property_suites,
     criterion_8_coexistence_report,
 )
-
-
-def run_all(cfg: RunConfig | None = None) -> list[CriterionResult]:
-    cfg = cfg or RunConfig()
-    return [criterion(cfg) for criterion in ALL_CRITERIA]
 
 
 def format_line(result: CriterionResult) -> str:

@@ -30,6 +30,7 @@ from .errors import (
     AssociationError,
     IntegrandError,
     ResourceLimitError,
+    _require_number,
     guarded_values,
 )
 
@@ -419,11 +420,9 @@ def _tag_to_json(tag: float):
 
 
 def _tag_from_json(obj) -> float:
-    if obj == "inf":
-        return inf
-    if obj == "-inf":
-        return -inf
-    return float(obj)
+    if obj in ("inf", "-inf"):
+        return float(obj)
+    return _require_number("tag", obj)
 
 
 def _cell_bounds(cell: Cell1D) -> list[float]:
@@ -438,6 +437,7 @@ def _cell_bounds(cell: Cell1D) -> list[float]:
 
 
 def _cell_from_kind_bounds(kind: str, bounds: Sequence[float]) -> Cell1D:
+    bounds = [_require_number("bound", b) for b in bounds]
     if kind == KIND_BOUNDED:
         if len(bounds) != 2:
             raise ValueError("bounded cell needs bounds [u, v]")

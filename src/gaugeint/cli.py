@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .cells import Gauge1D, cousin_division, division_from_json, division_to_json, validate_division
-from .config import CONFIG_ENV_VAR, RunConfig, load_config
+from .config import CONFIG_ENV_VAR, FORMAT_VERSION, RunConfig, load_config
 from .errors import GaugeIntError
 from .propagator import PropagatorQuery
 from .reports import (
@@ -222,7 +222,7 @@ def _cmd_division(args, cfg: RunConfig) -> int:
         else:
             sys.stdout.write(text + "\n")
     doc = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "items": len(division),
         "valid": report.ok,
         "violations": [

@@ -10,12 +10,11 @@ GAUGEINT_CONFIG environment variable.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .errors import _require_count
+from .errors import _require_count, _require_positive
 from .exchange import _DEFAULT_PROBE_RADII
 from .propagator import SliceGrid
 
@@ -33,13 +32,6 @@ FORMAT_VERSION = 1
 CONFIG_ENV_VAR = "GAUGEINT_CONFIG"
 
 _SEED_BOUND = 1 << 64
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be a positive real, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -90,9 +82,9 @@ class LabConfig:
         object.__setattr__(self, "seed", _require_count("seed", self.seed, 0))
         if self.seed >= _SEED_BOUND:
             raise ValueError("seed must fit in 64 bits")
-        radii = tuple(float(r) for r in self.radii)
+        radii = tuple(_require_positive("radii", r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
-        if not radii or any(not (math.isfinite(r) and r > 0.0) for r in radii):
+        if not radii:
             raise ValueError("radii must be positive reals")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")

@@ -33,6 +33,7 @@ from .errors import (
     DimensionCapError,
     NoConvergenceError,
     ScheduleError,
+    _require_number,
     guarded_call,
     guarded_values,
 )
@@ -438,21 +439,24 @@ def reduce_cylinder_integral(
 # ---------------------------------------------------------------------------
 
 
+def _json_times(text: str) -> tuple[dict, tuple[float, ...]]:
+    """The object of a time document and its "times" array as floats."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or not isinstance(obj.get("times"), list):
+        raise ScheduleError('expected an object with a "times" array')
+    return obj, tuple(_require_number("time", t) for t in obj["times"])
+
+
 def timeset_from_json(text: str) -> TimeSet:
     """Parse {"times": [...]} into a TimeSet."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "times" not in obj:
-        raise ScheduleError('expected an object with a "times" array')
-    return TimeSet(tuple(obj["times"]))
+    return TimeSet(_json_times(text)[1])
 
 
 def schedule_from_json(text: str) -> IncrementSchedule:
     """Parse {"times": [...], "origin_time": t0, "origin_point": x0}."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "times" not in obj:
-        raise ScheduleError('expected an object with a "times" array')
+    obj, times = _json_times(text)
     return IncrementSchedule(
-        times=tuple(obj["times"]),
-        origin_time=float(obj.get("origin_time", 0.0)),
-        origin_point=float(obj.get("origin_point", 0.0)),
+        times=times,
+        origin_time=_require_number("origin_time", obj.get("origin_time", 0.0)),
+        origin_point=_require_number("origin_point", obj.get("origin_point", 0.0)),
     )

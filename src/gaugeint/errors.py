@@ -1,5 +1,6 @@
-"""Exception types, the user-callback guard and the count check of the package."""
+"""Exception types, the user-callback guard and the input checks of the package."""
 
+import math
 import numbers
 
 import numpy as np
@@ -78,3 +79,18 @@ def _require_count(name: str, value, minimum: int) -> int:
     ):
         raise ValueError(f"{name} must be an integer >= {minimum}")
     return int(value)
+
+
+def _require_number(name: str, value) -> float:
+    """value as a float; any real number type but bool (so no strings)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _require_positive(name: str, value) -> float:
+    """value as a float; a number, finite and > 0."""
+    value = _require_number(name, value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a positive real, got {value}")
+    return value

@@ -46,7 +46,6 @@ __all__ = [
 
 _DEFAULT_PROBE_RADII = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 _SAMPLE_WINDOW = 8.0  # finite tags of the diagnostic lie in [-8, 8]
-_PROBE_TOL = 1e-9  # tolerance of the diagnostic's envelope growth table
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def bounded_convergence_diagnostic(
             f"at all {points.size} sampled tags"
         )
 
-    table = envelope_growth_table(beta, probe_radii, tol=_PROBE_TOL)
+    table = envelope_growth_table(beta, probe_radii)
     return ConvergenceWitness(
         m_found=m_found,
         eps=float(eps),

@@ -185,10 +185,7 @@ def fresnel_cell_mass(cell: CellND) -> complex:
             * quadratic_phase(cell.tags)
             * cell.volume()
         )
-    out = complex(1.0)
-    for f in cell.factors:
-        out *= ROOT_MINUS_I_OVER_2PI * fresnel_axis_integral(f)
-    return out
+    return fresnel_distribution(FigureND((cell.factors,)))
 
 
 def fresnel_distribution(fig: FigureND) -> complex:

@@ -16,6 +16,7 @@ per lattice offset (O(j N) of them) and gathered into the N rows.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .errors import (
     NoConvergenceError,
     ResourceLimitError,
     _require_count,
+    _require_positive,
 )
 from .integrate import _neville_at_zero, _vectorized, fresnel_line_integral
 from .oscquad import (
@@ -46,6 +48,7 @@ __all__ = [
     "free_kernel",
     "psi0_closed",
     "harmonic_kernel_closed",
+    "closed_kernel",
     "psi0_sliced",
     "psi_sliced",
     "perturbation_term",
@@ -95,9 +98,7 @@ class Potential:
 
     @staticmethod
     def harmonic(omega: float) -> "Potential":
-        omega = float(omega)
-        if not omega > 0.0:
-            raise ValueError("harmonic frequency must be positive")
+        omega = _require_positive("omega", omega)
         return Potential(
             lambda x, _t, _w=omega: 0.5 * _w * _w * np.square(
                 np.asarray(x, float)
@@ -162,13 +163,11 @@ class SliceGrid:
     damping: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.extent) and self.extent > 0.0):
-            raise ValueError("extent must be a positive real")
+        object.__setattr__(self, "extent", _require_positive("extent", self.extent))
         object.__setattr__(self, "points", _require_count("points", self.points, 8))
         if self.points % 2:
             raise ValueError("points must be even")
-        if not (math.isfinite(self.damping) and self.damping > 0.0):
-            raise ValueError("damping must be a positive real")
+        object.__setattr__(self, "damping", _require_positive("damping", self.damping))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +180,8 @@ def free_kernel(displacement, dt: float, *, mass: float = 1.0) -> complex:
 
     Vectorized over the displacement; principal square root.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if not mass > 0.0:
-        raise ValueError("mass must be positive")
+    dt = _require_positive("dt", dt)
+    mass = _require_positive("mass", mass)
     u = np.asarray(displacement, dtype=float)
     pref = np.sqrt(mass / (2j * math.pi * dt))
     out = pref * np.exp(0.5j * mass * np.square(u) / dt)
@@ -206,9 +203,7 @@ def harmonic_kernel_closed(
     sqrt(m w / (2 pi i sin w T)) * exp(i m w ((xi^2 + xi'^2) cos wT
     - 2 xi xi') / (2 sin wT)), principal branch.
     """
-    omega = float(omega)
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
+    omega = _require_positive("omega", omega)
     wt = omega * q.duration
     if not 0.0 < wt < math.pi:
         raise ValueError("queries are restricted to 0 < omega*duration < pi")
@@ -220,6 +215,20 @@ def harmonic_kernel_closed(
         / s
     )
     return complex(pref * np.exp(phase))
+
+
+def closed_kernel(q: PropagatorQuery, *, mass: float = 1.0) -> complex | None:
+    """The closed-form kernel of q's potential; None for a custom potential.
+
+    Zero and constant potentials give psi0_closed e^{-i c T} (exact for
+    zero, whose constant is 0.0); harmonic gives harmonic_kernel_closed.
+    """
+    pot = q.potential
+    if pot.analytic_tag == "custom":
+        return None
+    if pot.analytic_tag == "harmonic":
+        return harmonic_kernel_closed(q, pot.omega, mass=mass)
+    return psi0_closed(q, mass=mass) * cmath.exp(-1j * pot.constant * q.duration)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +466,8 @@ def free_kernel_semigroup_residual(
     half-lines about the stationary point), independently of the closed
     form it is compared against.
     """
-    if not (s > 0.0 and t > 0.0):
-        raise ValueError("time steps must be positive")
+    s, t = _require_positive("s", s), _require_positive("t", t)
+    mass = _require_positive("mass", mass)
     a = 0.5 * mass * (1.0 / s + 1.0 / t)
     z0 = (t * xi_prime + s * xi) / (s + t)
     const_phase = 0.5 * mass * (xi - xi_prime) ** 2 / (s + t)

@@ -13,6 +13,7 @@ import json
 import math
 
 from .config import FORMAT_VERSION, RunConfig
+from .errors import _require_number
 from .exchange import (
     abs_g0_growth,
     bounded_convergence_diagnostic,
@@ -27,9 +28,8 @@ from .integrate import OscillatoryTailSpec, fresnel_line_integral, oscillatory_i
 from .propagator import (
     Potential,
     PropagatorQuery,
-    harmonic_kernel_closed,
+    closed_kernel,
     perturbation_partial_sums,
-    psi0_closed,
     psi_sliced,
 )
 
@@ -39,6 +39,7 @@ __all__ = [
     "parse_potential",
     "parse_coefficient",
     "query_from_json_dict",
+    "fresnel_references",
     "fresnel_table",
     "kernel_table",
     "perturb_table",
@@ -104,12 +105,10 @@ def query_from_json_dict(doc: dict) -> PropagatorQuery:
     if unknown:
         raise ValueError(f"unknown query keys: {sorted(unknown)}")
     potential = parse_potential(str(doc.get("potential", "zero")))
+    reals = {"xi_prime": 0.0, "tau_prime": 0.0, "xi": 0.0, "tau": 1.0}
     return PropagatorQuery(
-        xi_prime=float(doc.get("xi_prime", 0.0)),
-        tau_prime=float(doc.get("tau_prime", 0.0)),
-        xi=float(doc.get("xi", 0.0)),
-        tau=float(doc.get("tau", 1.0)),
-        slices=int(doc.get("slices", 1)),
+        **{k: _require_number(k, doc.get(k, v)) for k, v in reals.items()},
+        slices=doc.get("slices", 1),
         potential=potential,
     )
 
@@ -122,105 +121,78 @@ def _csv(lines: list[str]) -> str:
 # fresnel
 
 
-def fresnel_table(c: complex | None = None, tol: float = 1e-8) -> str:
-    """CSV comparing numeric oscillatory integrals with closed forms.
+def fresnel_references(
+    c: complex | None = None, tol: float = 1e-8
+) -> list[tuple[str, complex, complex]]:
+    """(quantity, numeric, reference) rows of oscillatory integrals.
 
     With a coefficient c: one row for the full-line integral of
-    exp(c x^2 / 2) against sqrt(2 pi / (-c)).  Without: the reference
-    table of classic quadratic-phase values.
+    exp(c x^2 / 2) against sqrt(2 pi / (-c)).  Without: the classic
+    quadratic-phase values, two full lines and the two half-line Fresnel
+    integrals of cos(u^2) and sin(u^2).
     """
-    rows = []
-
-    def row(label: str, numeric: complex, reference: complex) -> None:
-        rows.append(
-            ",".join(
-                [
-                    label,
-                    sig_complex(numeric),
-                    sig_complex(reference),
-                    sig(abs(numeric - reference)),
-                ]
-            )
-        )
-
     if c is not None:
-        numeric = fresnel_line_integral(c, tol)
-        row("full_line_exp_half_c_x2", numeric, cmath.sqrt(2.0 * math.pi / (-c)))
-    else:
-        row(
-            "full_line_exp_ix2_over_2",
-            fresnel_line_integral(1j, tol),
-            cmath.sqrt(2.0 * math.pi / (-1j)),
-        )
-        row(
-            "full_line_exp_iy2",
-            fresnel_line_integral(2j, tol),
-            cmath.sqrt(1j * math.pi),
-        )
-        half = oscillatory_improper(
-            OscillatoryTailSpec(
-                phase_quadratic_coefficient=2j, lower_limit=0.0, direction=+1
-            ),
-            tol,
-        )
-        quarter = 0.5 * math.sqrt(0.5 * math.pi)
-        row("halfline_cos_u2", complex(half.real), complex(quarter))
-        row("halfline_sin_u2", complex(half.imag), complex(quarter))
+        return [
+            ("full_line_exp_half_c_x2", fresnel_line_integral(c, tol),
+             cmath.sqrt(2.0 * math.pi / (-c))),
+        ]
+    half = oscillatory_improper(
+        OscillatoryTailSpec(
+            phase_quadratic_coefficient=2j, lower_limit=0.0, direction=+1
+        ),
+        tol,
+    )
+    quarter = complex(0.5 * math.sqrt(0.5 * math.pi))
+    return [
+        ("full_line_exp_ix2_over_2", fresnel_line_integral(1j, tol),
+         cmath.sqrt(2.0 * math.pi / (-1j))),
+        ("full_line_exp_iy2", fresnel_line_integral(2j, tol),
+         cmath.sqrt(1j * math.pi)),
+        ("halfline_cos_u2", complex(half.real), quarter),
+        ("halfline_sin_u2", complex(half.imag), quarter),
+    ]
+
+
+def fresnel_table(c: complex | None = None, tol: float = 1e-8) -> str:
+    """CSV of fresnel_references: numeric value, closed form, distance."""
+    rows = [
+        f"{label},{sig_complex(numeric)},{sig_complex(reference)},"
+        f"{sig(abs(numeric - reference))}"
+        for label, numeric, reference in fresnel_references(c, tol)
+    ]
     return _csv(["quantity,numeric,reference,abs_diff", *rows])
 
 
 # ---------------------------------------------------------------------------
 # kernel and perturbation tables
 
-
 def kernel_table(q: PropagatorQuery, cfg: RunConfig) -> str:
     """CSV with the closed form, the sliced value and their distance."""
-    grid = cfg.slice_grid()
     mass = cfg.pathint.mass
+    closed = closed_kernel(q, mass=mass)
+    sliced = psi_sliced(q, cfg.slice_grid(), mass=mass)
     lines = ["quantity,value,abs_diff_vs_closed"]
-    tag = q.potential.analytic_tag
-    if tag == "zero":
-        closed = psi0_closed(q, mass=mass)
-        label = "psi0_closed"
-    elif tag == "harmonic":
-        closed = harmonic_kernel_closed(q, q.potential.omega, mass=mass)
-        label = "harmonic_closed"
-    elif tag == "constant":
-        closed = psi0_closed(q, mass=mass) * cmath.exp(
-            -1j * q.potential.constant * q.duration
-        )
-        label = "constant_closed"
-    else:
-        closed = None
-        label = None
+    diff = "nan"
     if closed is not None:
+        tag = q.potential.analytic_tag
+        label = "psi0_closed" if tag == "zero" else f"{tag}_closed"
         lines.append(f"{label},{sig_complex(closed)},0")
-    sliced = psi_sliced(q, grid, mass=mass)
-    diff = sig(abs(sliced - closed)) if closed is not None else "nan"
+        diff = sig(abs(sliced - closed))
     lines.append(f"psi_sliced,{sig_complex(sliced)},{diff}")
     return _csv(lines)
 
 
 def perturb_table(q: PropagatorQuery, m_max: int, cfg: RunConfig) -> str:
-    """CSV of partial sums S_m, with the closed target for constant V."""
+    """CSV of partial sums S_m, with the closed target for zero and constant V."""
     mass = cfg.pathint.mass
-    grid = cfg.slice_grid()
-    target = None
-    if q.potential.analytic_tag == "zero":
-        target = psi0_closed(q, mass=mass)
-    elif q.potential.analytic_tag == "constant":
-        target = psi0_closed(q, mass=mass) * cmath.exp(
-            -1j * q.potential.constant * q.duration
-        )
-    header = "m,partial_sum"
-    if target is not None:
-        header += ",abs_diff_vs_closed"
-    lines = [header]
-    for m, s_m in enumerate(perturbation_partial_sums(m_max, q, grid, mass=mass)):
-        cells = [str(m), sig_complex(s_m)]
-        if target is not None:
-            cells.append(sig(abs(s_m - target)))
-        lines.append(",".join(cells))
+    target = None  # harmonic V keeps its fixed m,partial_sum table format
+    if q.potential.analytic_tag != "harmonic":
+        target = closed_kernel(q, mass=mass)
+    lines = ["m,partial_sum" + ("" if target is None else ",abs_diff_vs_closed")]
+    sums = perturbation_partial_sums(m_max, q, cfg.slice_grid(), mass=mass)
+    for m, s_m in enumerate(sums):
+        row = f"{m},{sig_complex(s_m)}"
+        lines.append(row if target is None else f"{row},{sig(abs(s_m - target))}")
     return _csv(lines)
 
 

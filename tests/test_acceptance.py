@@ -6,6 +6,7 @@ a single pass/fail line and enforces the criterion's runtime budget.
 
 import pytest
 
+from gaugeint import reports
 from gaugeint.acceptance import (
     criterion_1_fresnel_values,
     criterion_2_distribution_normalization,
@@ -64,3 +65,15 @@ def test_criterion_7_property_suites(cfg):
 
 def test_criterion_8_coexistence_report(cfg):
     _check(criterion_8_coexistence_report(cfg), 120.0)
+
+
+def test_failing_criterion_1_names_the_table_quantity(monkeypatch):
+    exact = reports.fresnel_line_integral
+    monkeypatch.setattr(
+        reports, "fresnel_line_integral", lambda c, tol: exact(c, tol) + 1e-3
+    )
+    result = criterion_1_fresnel_values()
+    assert not result.passed
+    assert result.detail.startswith("full_line_exp_ix2_over_2: err ")
+    assert "; full_line_exp_iy2: err " in result.detail
+    assert "halfline" not in result.detail

@@ -88,6 +88,18 @@ class TestConfig:
         assert main(["--seed", "-5", "fresnel", "--c", "i"]) == 1
         assert "seed must be an integer >= 0" in capsys.readouterr().err
 
+    def test_real_fields_take_only_numbers(self):
+        for section, name, value in (
+            ("integrator", "damping", True),
+            ("integrator", "tol", "1e-8"),
+            ("pathint", "mass", "1"),
+            ("pathint", "extent", False),
+            ("lab", "eps", True),
+            ("lab", "radii", [1.0, "2"]),
+        ):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                RunConfig.from_json_dict({section: {name: value}})
+
     def test_overrides_skip_none(self):
         cfg = RunConfig()
         out = cfg.with_overrides(
@@ -143,6 +155,17 @@ class TestParsing:
             query_from_json_dict({"xj": 1.0})
         with pytest.raises(ValueError):
             query_from_json_dict([1, 2])
+
+    def test_query_document_takes_only_numbers(self):
+        for doc, message in (
+            ({"slices": 2.7}, "slices must be an integer"),
+            ({"slices": True}, "slices must be an integer"),
+            ({"xi": "0.3"}, "xi must be a number"),
+            ({"tau": True}, "tau must be a number"),
+            ({"xi_prime": None}, "xi_prime must be a number"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                query_from_json_dict(doc)
 
     def test_significant_digit_rendering(self):
         assert sig(1.0) == "1"

@@ -519,3 +519,24 @@ def test_schedule_json_parsing():
     assert sched.origin_time == 0.0 and sched.origin_point == 0.0
     with pytest.raises(ScheduleError):
         schedule_from_json('{"origin_time": 0.0}')
+
+
+@pytest.mark.parametrize("times", ['[false, "2"]', "[true]", '["0.5"]'])
+def test_time_documents_take_only_numbers(times):
+    text = f'{{"times": {times}}}'
+    for reader in (timeset_from_json, schedule_from_json):
+        with pytest.raises(ValueError, match="time must be a number"):
+            reader(text)
+
+
+def test_time_documents_need_a_times_array():
+    for reader in (timeset_from_json, schedule_from_json):
+        with pytest.raises(ScheduleError, match='"times" array'):
+            reader('{"times": 1.0}')
+
+
+@pytest.mark.parametrize("field", ["origin_time", "origin_point"])
+@pytest.mark.parametrize("value", ['"1"', "true", "null"])
+def test_schedule_origin_takes_only_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        schedule_from_json(f'{{"times": [2.0], "{field}": {value}}}')

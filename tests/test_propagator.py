@@ -6,6 +6,7 @@ own improper-integral engine, a Crank-Nicolson solver kept here) before
 being compared against the module under test.
 """
 
+import cmath
 import math
 import warnings
 
@@ -29,6 +30,7 @@ from gaugeint.propagator import (
     PropagatorQuery,
     SliceGrid,
     _chi_levels,
+    closed_kernel,
     free_kernel,
     free_kernel_semigroup_residual,
     harmonic_kernel_closed,
@@ -332,6 +334,32 @@ class TestClosedForms:
             free_kernel(1.0, -0.5)
         with pytest.raises(ValueError):
             free_kernel(1.0, 0.5, mass=0.0)
+
+    def test_infinite_steps_and_masses_are_rejected(self):
+        for call in (
+            lambda: free_kernel(0.5, math.inf),
+            lambda: free_kernel(0.5, 1.0, mass=math.inf),
+            lambda: free_kernel_semigroup_residual(0.0, 0.3, math.inf, 1.0),
+            lambda: free_kernel_semigroup_residual(0.0, 0.3, 1.0, math.inf),
+            lambda: free_kernel_semigroup_residual(0.0, 0.3, 1.0, 1.0, mass=math.inf),
+            lambda: Potential.harmonic(math.inf),
+        ):
+            with pytest.raises(ValueError, match="positive"):
+                call()
+
+    def test_closed_kernel_is_the_closed_form_of_each_potential(self):
+        def query(potential):
+            return PropagatorQuery(0.2, 0.1, -0.7, 1.3, potential=potential)
+
+        q = query(Potential.zero())
+        assert closed_kernel(q) == psi0_closed(q)
+        q = query(Potential.constant_potential(1.7))
+        assert closed_kernel(q, mass=2.0) == psi0_closed(q, mass=2.0) * cmath.exp(
+            -1j * 1.7 * q.duration
+        )
+        q = query(Potential.harmonic(0.9))
+        assert closed_kernel(q, mass=0.5) == harmonic_kernel_closed(q, 0.9, mass=0.5)
+        assert closed_kernel(query(Potential.custom(lambda x, t: x))) is None
 
     def test_harmonic_kernel_small_frequency_limit(self):
         q = PropagatorQuery(0.3, 0.0, 1.1, 1.0)

@@ -37,6 +37,11 @@ MALFORMED_ITEMS = [
     ([{"tag": 0.0, "kind": "annulus", "bounds": []}], 0),
     ([{"tag": "inf", "kind": "pos_tail", "bounds": 1.0}], 0),
     ([{"tag": None, "kind": "full_line", "bounds": []}], 0),
+    # numbers only: no bool tag, string tag or string bound
+    ([GOOD_CELL, {"tag": True, "kind": "full_line", "bounds": []}], 1),
+    ([{"tag": "0.5", "kind": "bounded", "bounds": [0.0, 1.0]}], 0),
+    ([{"tag": 0.0, "kind": "neg_tail", "bounds": ["0"]}], 0),
+    ([{"tag": 0.5, "kind": "bounded", "bounds": [0.0, True]}], 0),
 ]
 
 
