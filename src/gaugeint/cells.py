@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from math import fsum, inf, isfinite, isnan
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     AssociationError,
     IntegrandError,
@@ -64,7 +66,7 @@ KIND_FULL_LINE = "full_line"
 
 
 def _check_extended(x: float, what: str) -> float:
-    x = float(x)
+    x = _require_number(what, x)
     if isnan(x):
         raise ValueError(f"{what} must not be NaN")
     return x
@@ -92,21 +94,21 @@ class Cell1D:
 
     @classmethod
     def bounded(cls, u: float, v: float) -> "Cell1D":
-        u, v = float(u), float(v)
+        u, v = _require_number("edge", u), _require_number("edge", v)
         if not (isfinite(u) and isfinite(v)):
             raise ValueError("bounded cell needs finite edges")
         return cls(u, v)
 
     @classmethod
     def neg_tail(cls, a: float) -> "Cell1D":
-        a = float(a)
+        a = _require_number("edge", a)
         if not isfinite(a):
             raise ValueError("negative tail needs a finite edge")
         return cls(-inf, a)
 
     @classmethod
     def pos_tail(cls, b: float) -> "Cell1D":
-        b = float(b)
+        b = _require_number("edge", b)
         if not isfinite(b):
             raise ValueError("positive tail needs a finite edge")
         return cls(b, inf)
@@ -286,7 +288,7 @@ def cousin_division(
         a = -(1.0 / gauge(-inf) + 1.0)
         b = 1.0 / gauge(inf) + 1.0
     else:
-        a, b = float(tails[0]), float(tails[1])
+        a, b = (_require_number("tails", x) for x in tails)
         if not (isfinite(a) and isfinite(b) and a < b):
             raise ValueError("tails must be finite with a < b")
         if not a < -1.0 / gauge(-inf):
@@ -390,9 +392,13 @@ def validate_division(division: Division1D, gauge: Gauge1D | None = None) -> Div
 
 
 def fsum_complex(values: Iterable[complex]) -> complex:
-    """Exact-compensated complex summation (component-wise fsum)."""
-    vals = [complex(v) for v in values]
-    return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
+    """Correctly rounded complex sum, so independent of the order of values.
+
+    An ndarray is summed through its real and imaginary parts.
+    """
+    if not isinstance(values, np.ndarray):
+        values = np.array([complex(v) for v in values], dtype=complex)
+    return complex(fsum(values.real.tolist()), fsum(values.imag.tolist()))
 
 
 def riemann_sum(

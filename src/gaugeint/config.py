@@ -144,11 +144,14 @@ class RunConfig:
             except TypeError as exc:
                 raise ValueError(f"bad config section {name!r}: {exc}") from exc
 
+        output_dir = doc.get("output_dir", ".")
+        if not isinstance(output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {output_dir!r}")
         return cls(
             integrator=section("integrator", IntegratorConfig),
             pathint=section("pathint", PathintConfig),
             lab=section("lab", LabConfig),
-            output_dir=str(doc.get("output_dir", ".")),
+            output_dir=output_dir,
         )
 
     def with_overrides(self, **sections) -> "RunConfig":

@@ -70,7 +70,7 @@ class TimeSet:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
+        times = tuple(_require_number("time", t) for t in self.times)
         object.__setattr__(self, "times", times)
         if not times:
             raise ScheduleError("a time set needs at least one time")
@@ -120,7 +120,7 @@ class PathSample:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
+        values = tuple(_require_number("path value", v) for v in self.values)
         object.__setattr__(self, "values", values)
         if len(values) != len(self.times):
             raise ScheduleError("one value per time required")
@@ -439,22 +439,25 @@ def reduce_cylinder_integral(
 # ---------------------------------------------------------------------------
 
 
-def _json_times(text: str) -> tuple[dict, tuple[float, ...]]:
-    """The object of a time document and its "times" array as floats."""
+def _json_times(text: str, keys: set[str]) -> tuple[dict, tuple[float, ...]]:
+    """A time document holding only the given keys, and its "times" as floats."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or not isinstance(obj.get("times"), list):
         raise ScheduleError('expected an object with a "times" array')
+    unknown = set(obj) - keys
+    if unknown:
+        raise ScheduleError(f"unknown time document keys: {sorted(unknown)}")
     return obj, tuple(_require_number("time", t) for t in obj["times"])
 
 
 def timeset_from_json(text: str) -> TimeSet:
     """Parse {"times": [...]} into a TimeSet."""
-    return TimeSet(_json_times(text)[1])
+    return TimeSet(_json_times(text, {"times"})[1])
 
 
 def schedule_from_json(text: str) -> IncrementSchedule:
     """Parse {"times": [...], "origin_time": t0, "origin_point": x0}."""
-    obj, times = _json_times(text)
+    obj, times = _json_times(text, {"times", "origin_time", "origin_point"})
     return IncrementSchedule(
         times=times,
         origin_time=_require_number("origin_time", obj.get("origin_time", 0.0)),

@@ -88,6 +88,14 @@ def _require_number(name: str, value) -> float:
     return float(value)
 
 
+def _require_finite(name: str, value) -> float:
+    """value as a float; a number and finite."""
+    value = _require_number(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _require_positive(name: str, value) -> float:
     """value as a float; a number, finite and > 0."""
     value = _require_number(name, value)

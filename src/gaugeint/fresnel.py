@@ -30,7 +30,7 @@ from .cells import (
     CellND,
     fsum_complex,
 )
-from .errors import AssociationError, ScheduleError
+from .errors import AssociationError, ScheduleError, _require_number
 from .oscquad import (
     FRESNEL_LIMIT,
     ROOT_MINUS_I_OVER_2PI,
@@ -100,10 +100,10 @@ class IncrementSchedule:
     origin_point: float = 0.0
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
+        times = tuple(_require_number("time", t) for t in self.times)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "origin_time", float(self.origin_time))
-        object.__setattr__(self, "origin_point", float(self.origin_point))
+        for name in ("origin_time", "origin_point"):
+            object.__setattr__(self, name, _require_number(name, getattr(self, name)))
         if not times:
             raise ScheduleError("at least one sample time required")
         if not all(math.isfinite(t) for t in times):

@@ -14,8 +14,9 @@ geometric epsilon schedule and extrapolated to zero damping; each damped
 tail is evaluated as a finite chirp window plus an analytic by-parts
 continuation with a rigorous remainder bound.
 
-All accumulation is compensated (exact summation of floats) in a fixed
-order, so results are bit-reproducible for a fixed configuration.
+All accumulation is exact: math.fsum rounds the true sum once, so a
+result does not depend on the order of its terms and is bit-reproducible
+for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .errors import (
     IntegrandError,
     NoConvergenceError,
     _require_count,
+    _require_finite,
+    _require_number,
     guarded_values,
 )
 from .oscquad import adaptive_chirp_integral, gauss_tail
@@ -99,7 +102,9 @@ class OscillatoryTailSpec:
     def __post_init__(self) -> None:
         c = complex(self.phase_quadratic_coefficient)
         object.__setattr__(self, "phase_quadratic_coefficient", c)
-        object.__setattr__(self, "lower_limit", float(self.lower_limit))
+        object.__setattr__(
+            self, "lower_limit", _require_finite("lower limit", self.lower_limit)
+        )
         if c == 0:
             raise ValueError("coefficient must be nonzero")
         if c.real > 0.0:
@@ -108,8 +113,6 @@ class OscillatoryTailSpec:
             raise ValueError("imaginary part must be >= 0 when real part is 0")
         if self.direction not in (+1, -1):
             raise ValueError("direction must be +1 or -1")
-        if not math.isfinite(self.lower_limit):
-            raise ValueError("lower limit must be finite")
 
 
 def _vectorized(f):
@@ -164,7 +167,7 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
     evaluations compare the cell's Simpson value against its two halves and
     bisect exactly where the disagreement exceeds the cell's tolerance
     share.  Returns (value, est, levels, converged, fail_lo, fail_hi);
-    accepted contributions are summed exactly in left-to-right order.
+    accepted contributions are summed exactly, so in any order.
     """
     edges = np.linspace(a, b, min_cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -175,7 +178,6 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
     width = b - a
     half_tol_per_width = 0.5 * tol / width
 
-    acc_lo: list[np.ndarray] = []
     acc_val: list[np.ndarray] = []
     acc_est: list[np.ndarray] = []
     levels = 0
@@ -193,13 +195,12 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
         ind = np.abs(diff15)
         accept = ind <= half_tol_per_width * w
         if np.any(accept):
-            acc_lo.append(lo[accept])
             acc_val.append(simpson_children[accept] + diff15[accept])
             acc_est.append(ind[accept])
         keep = ~accept
         if not np.any(keep):
             converged = True
-            lo = hi = flo = fm = fhi = np.empty(0)
+            lo = hi = np.empty(0)
             break
         if 2 * int(keep.sum()) > _MAX_CELLS:
             lo, hi = lo[keep], hi[keep]
@@ -212,20 +213,14 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
         flo, fhi = _interleave(flo, fmk), _interleave(fmk, fhi)
         fm = _interleave(fq1k, fq3k)
 
-    order_lo = np.concatenate(acc_lo) if acc_lo else np.empty(0)
-    vals = np.concatenate(acc_val) if acc_val else np.empty(0, dtype=complex)
-    ests = np.concatenate(acc_est) if acc_est else np.empty(0)
-    if not converged and lo.size:
+    if not converged:
         # carry the unsettled cells at their current single-cell value
         w = hi - lo
         sp = (w / 6.0) * (flo + 4.0 * fm + fhi)
-        tp = 0.5 * w * (flo + fhi)
-        order_lo = np.concatenate([order_lo, lo])
-        vals = np.concatenate([vals, sp])
-        ests = np.concatenate([ests, np.abs(sp - tp)])
-    order = np.argsort(order_lo, kind="stable")
-    value = fsum_complex(vals[order])
-    est = math.fsum(ests[order])
+        acc_val.append(sp)
+        acc_est.append(np.abs(sp - 0.5 * w * (flo + fhi)))
+    value = fsum_complex(np.concatenate(acc_val))
+    est = math.fsum(np.concatenate(acc_est).tolist())
     return value, est, levels, converged, lo, hi
 
 
@@ -279,7 +274,7 @@ def hk_integrate_1d(
     times width once the peeled partial sums stabilize, mirroring a gauge
     that pins the tag to the endpoint.
     """
-    a, b = float(window[0]), float(window[1])
+    a, b = (_require_number("window", x) for x in window)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("window must be finite with lower < upper")
     if not tol > 0.0:
@@ -370,7 +365,7 @@ def hk_integrate_nd(
     each axis; a Romberg table over the level values supplies the
     extrapolated result and its stability estimate.
     """
-    box = [(float(lo), float(hi)) for lo, hi in window]
+    box = [tuple(_require_number("window", x) for x in axis) for axis in window]
     n = len(box)
     if n < 1:
         raise ValueError("window must have at least one axis")
@@ -421,7 +416,7 @@ def _tensor_sum(fv, nodes_list, weights_list, chunk: int) -> complex:
 
     fv maps an (m, n) array of grid points to m values.  Streamed over
     chunks of the outer axes so the point buffer holds about chunk rows;
-    the partial sums are added exactly, in a fixed order.
+    the partial sums are added exactly.
     """
     n = len(nodes_list)
     last_nodes, last_w = nodes_list[-1], weights_list[-1]
@@ -544,7 +539,7 @@ def alexiewicz_seminorm(
     tol: float = 1e-9,
 ) -> float:
     """sup over grid points of |prefix integral| from the interval's start."""
-    a, b = float(interval[0]), float(interval[1])
+    a, b = (_require_number("interval", x) for x in interval)
     grid = _require_count("grid", grid, 2)
     cuts = np.linspace(a, b, grid + 1)
     best = 0.0

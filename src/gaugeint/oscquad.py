@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, guarded_values
+from .errors import NoConvergenceError, _require_number, guarded_values
 
 __all__ = [
     "FRESNEL_LIMIT",
@@ -414,7 +414,7 @@ def adaptive_chirp_integral(
     two successive levels agree within tol.  Returns (value,
     error_estimate).
     """
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = (_require_number("window", x) for x in window)
     if not lo < hi:
         raise ValueError("window must have lo < hi")
     ncell = _CHIRP_MIN_CELLS

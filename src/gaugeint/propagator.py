@@ -32,6 +32,7 @@ from .errors import (
     NoConvergenceError,
     ResourceLimitError,
     _require_count,
+    _require_finite,
     _require_positive,
 )
 from .integrate import _neville_at_zero, _vectorized, fresnel_line_integral
@@ -81,6 +82,7 @@ class Potential:
     def __post_init__(self) -> None:
         if self.analytic_tag not in ("zero", "constant", "harmonic", "custom"):
             raise ValueError(f"unknown analytic tag {self.analytic_tag!r}")
+        object.__setattr__(self, "constant", _require_finite("constant", self.constant))
 
     @staticmethod
     def zero() -> "Potential":
@@ -89,7 +91,7 @@ class Potential:
 
     @staticmethod
     def constant_potential(c: float) -> "Potential":
-        c = float(c)
+        c = _require_finite("constant", c)
         return Potential(
             lambda x, _t, _c=c: np.full_like(np.asarray(x, float), _c),
             analytic_tag="constant",
@@ -135,10 +137,7 @@ class PropagatorQuery:
 
     def __post_init__(self) -> None:
         for name in ("xi_prime", "tau_prime", "xi", "tau"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not self.tau > self.tau_prime:
             raise ValueError("tau must exceed tau_prime")
         object.__setattr__(self, "slices", _require_count("slices", self.slices, 1))

@@ -146,8 +146,8 @@ def fresnel_references(
     return [
         ("full_line_exp_ix2_over_2", fresnel_line_integral(1j, tol),
          cmath.sqrt(2.0 * math.pi / (-1j))),
-        ("full_line_exp_iy2", fresnel_line_integral(2j, tol),
-         cmath.sqrt(1j * math.pi)),
+        # fresnel_line_integral(2j, tol) is this same tail, doubled
+        ("full_line_exp_iy2", 2.0 * half, cmath.sqrt(1j * math.pi)),
         ("halfline_cos_u2", complex(half.real), quarter),
         ("halfline_sin_u2", complex(half.imag), quarter),
     ]

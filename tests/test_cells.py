@@ -2,8 +2,10 @@
 construction, validation, Riemann sums and JSON round-trips."""
 
 import math
+from fractions import Fraction
 from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -262,6 +264,35 @@ def test_riemann_sum_rejects_infinite_summand():
 def test_fsum_complex():
     vals = [1e16 + 1e16j, 1.0 + 1.0j, -1e16 - 1e16j]
     assert fsum_complex(vals) == 1.0 + 1.0j
+
+
+def test_fsum_complex_is_correctly_rounded_in_any_order():
+    # terms over 400 decades that cancel in pairs down to a sum near 1e-9;
+    # a plain float sum of this array is off by about 1e184
+    rng = np.random.default_rng(7)
+    big = 10.0 ** rng.uniform(-200, 200, 3000) * rng.choice([-1.0, 1.0], 3000)
+    big = big + 1j * big[::-1]
+    small = (10.0 ** rng.uniform(-40, -10, 1000)) * (1.0 - 2.0j)
+    values = np.concatenate([big, -big, small])
+    rng.shuffle(values)
+    # the per-element construction of the sum, and the exact rational sum
+    # rounded once
+    per_element = [complex(v) for v in values]
+    expected = complex(
+        math.fsum(v.real for v in per_element), math.fsum(v.imag for v in per_element)
+    )
+    exact = complex(
+        float(sum(map(Fraction, values.real.tolist()))),
+        float(sum(map(Fraction, values.imag.tolist()))),
+    )
+    total = fsum_complex(values)
+    assert total == expected == exact
+    assert (total.real.hex(), total.imag.hex()) == (
+        "0x1.8a2c1f782e446p-30", "-0x1.8a2c1f782e446p-29"
+    )
+    assert fsum_complex(values[::-1]) == total
+    assert fsum_complex(v for v in per_element) == total
+    assert fsum_complex(np.array([])) == 0j
 
 
 def test_division_json_round_trip_exact():

@@ -1,11 +1,13 @@
-"""Tests for configuration handling, report rendering and the CLI."""
+"""Tests for configuration handling, input checks, report rendering and the CLI."""
 
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from gaugeint.cells import Cell1D, Gauge1D, cousin_division
 from gaugeint.cli import main
 from gaugeint.config import (
     CONFIG_ENV_VAR,
@@ -15,8 +17,17 @@ from gaugeint.config import (
     RunConfig,
     load_config,
 )
+from gaugeint.cylinder import PathSample, TimeSet
 from gaugeint.exchange import abs_g0_growth
 from gaugeint.fresnel import IncrementSchedule
+from gaugeint.integrate import (
+    OscillatoryTailSpec,
+    alexiewicz_seminorm,
+    hk_integrate_1d,
+    hk_integrate_nd,
+)
+from gaugeint.oscquad import adaptive_chirp_integral
+from gaugeint.propagator import PropagatorQuery
 from gaugeint.reports import (
     parse_coefficient,
     parse_potential,
@@ -100,6 +111,12 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"{name} must be a number"):
                 RunConfig.from_json_dict({section: {name: value}})
 
+    @pytest.mark.parametrize("value", [None, 3, ["out"]])
+    def test_output_dir_must_be_a_string(self, value):
+        # null once became the directory "None"
+        with pytest.raises(ValueError, match="output_dir must be a string"):
+            RunConfig.from_json_dict({"output_dir": value})
+
     def test_overrides_skip_none(self):
         cfg = RunConfig()
         out = cfg.with_overrides(
@@ -166,6 +183,30 @@ class TestParsing:
         ):
             with pytest.raises(ValueError, match=message):
                 query_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PropagatorQuery("0.3", True, "1", 2),
+            lambda: TimeSet((True, "2")),
+            lambda: IncrementSchedule(("1",), origin_point="0.5"),
+            lambda: IncrementSchedule((1.0,), origin_time=False),
+            lambda: PathSample(TimeSet((1.0,)), ("2",)),
+            lambda: Cell1D.bounded("0", True),
+            lambda: Cell1D.neg_tail("1"),
+            lambda: Cell1D("0", 1.0),
+            lambda: OscillatoryTailSpec(1j, "0", 1),
+            lambda: hk_integrate_1d(np.exp, ("0", True)),
+            lambda: hk_integrate_nd(np.sum, [(0.0, "1")]),
+            lambda: alexiewicz_seminorm(np.exp, (False, 1.0), 2),
+            lambda: adaptive_chirp_integral(np.exp, 1.0, 0.0, ("0", 1.0), 1e-6),
+            lambda: cousin_division(Gauge1D(lambda x: 1.0), tails=("-3", 3.0)),
+        ],
+    )
+    def test_domain_types_take_only_numbers(self, build):
+        # float() once turned strings and bools into numbers
+        with pytest.raises(ValueError, match="must be a number"):
+            build()
 
     def test_significant_digit_rendering(self):
         assert sig(1.0) == "1"
@@ -286,6 +327,13 @@ class TestPerturbCommand:
 
     def test_rejects_negative_mmax(self, capsys):
         assert main(["perturb", "--V", "zero", "--mmax", "-1"]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_constant(self, capsys, value):
+        assert main(["perturb", "--V", f"const:{value}", "--mmax", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "constant must be finite" in captured.err
+        assert "nan" not in captured.out
 
 
 class TestExchangeCommand:

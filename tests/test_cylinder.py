@@ -529,6 +529,20 @@ def test_time_documents_take_only_numbers(times):
             reader(text)
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (timeset_from_json, '{"times": [1.0], "origin_time": 0.0}'),
+        (schedule_from_json, '{"times": [1.0], "origin_pint": 0.5}'),
+        (schedule_from_json, '{"times": [1.0], "format_version": 1}'),
+    ],
+)
+def test_time_documents_reject_unknown_keys(reader, text):
+    # a misspelt origin_point once defaulted silently to 0.0
+    with pytest.raises(ScheduleError, match="unknown time document keys"):
+        reader(text)
+
+
 def test_time_documents_need_a_times_array():
     for reader in (timeset_from_json, schedule_from_json):
         with pytest.raises(ScheduleError, match='"times" array'):

@@ -116,6 +116,29 @@ def test_same_call_is_deterministic():
     assert r1.abs_error_estimate == r2.abs_error_estimate
 
 
+def _bits(rep):
+    return (
+        rep.value.real.hex(), rep.value.imag.hex(),
+        rep.abs_error_estimate.hex(), rep.refinements, rep.converged,
+    )
+
+
+def test_adaptive_values_are_pinned_bit_for_bit():
+    # a jump at 1/3: the adaptive core stops at its level cap three times
+    # and carries the unsettled cells into the sum
+    rep = hk_integrate_1d(lambda x: (x > 1 / 3) * np.exp(1j * x), (0.0, 1.0), 1e-10)
+    assert _bits(rep) == (
+        "0x1.074f38bc3cc8ep-1", "0x1.9e5dc93b92345p-2",
+        "0x1.358c3eb4e3d40p-42", 126, True,
+    )
+    # smooth: every round converges
+    rep = hk_integrate_1d(lambda x: np.exp(1j * x) / (1 + x * x), (0.0, 2.0), 1e-10)
+    assert _bits(rep) == (
+        "0x1.750266f9fcbdep-1", "0x1.4138515a0be97p-1",
+        "0x1.2d725037c84fbp-36", 10, True,
+    )
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         hk_integrate_1d(lambda x: x, (1.0, 0.0))

@@ -220,6 +220,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Potential.harmonic(-1.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, "1"])
+    def test_constant_potential_must_be_a_finite_number(self, c):
+        # a NaN or infinite constant once gave NaN partial sums silently
+        with pytest.raises(ValueError, match="constant must be"):
+            Potential.constant_potential(c)
+        with pytest.raises(ValueError, match="constant must be"):
+            Potential(lambda x, t: x, analytic_tag="constant", constant=c)
+
     def test_potential_scalar_evaluator_is_wrapped(self):
         pot = Potential.custom(lambda x, t: math.sin(x))  # scalar-only
         vals = pot.values(np.array([0.0, math.pi / 2]), 0.0)
