@@ -32,6 +32,7 @@ from .errors import (
     AssociationError,
     IntegrandError,
     ResourceLimitError,
+    _require_finite,
     _require_number,
     guarded_values,
 )
@@ -94,24 +95,15 @@ class Cell1D:
 
     @classmethod
     def bounded(cls, u: float, v: float) -> "Cell1D":
-        u, v = _require_number("edge", u), _require_number("edge", v)
-        if not (isfinite(u) and isfinite(v)):
-            raise ValueError("bounded cell needs finite edges")
-        return cls(u, v)
+        return cls(_require_finite("edge", u), _require_finite("edge", v))
 
     @classmethod
     def neg_tail(cls, a: float) -> "Cell1D":
-        a = _require_number("edge", a)
-        if not isfinite(a):
-            raise ValueError("negative tail needs a finite edge")
-        return cls(-inf, a)
+        return cls(-inf, _require_finite("edge", a))
 
     @classmethod
     def pos_tail(cls, b: float) -> "Cell1D":
-        b = _require_number("edge", b)
-        if not isfinite(b):
-            raise ValueError("positive tail needs a finite edge")
-        return cls(b, inf)
+        return cls(_require_finite("edge", b), inf)
 
     @classmethod
     def full_line(cls) -> "Cell1D":

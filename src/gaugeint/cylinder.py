@@ -34,13 +34,14 @@ from .errors import (
     NoConvergenceError,
     ScheduleError,
     _require_number,
+    _require_positive,
     guarded_call,
     guarded_values,
 )
 from .fresnel import ROOT_MINUS_I_OVER_2PI, IncrementSchedule
 from .integrate import (
     _DIMENSION_CAP,
-    _damped_extrapolation,
+    _neville_at_zero,
     _tensor_sum,
     _vectorized_nd,
     hk_integrate_1d,
@@ -331,6 +332,7 @@ def _graded_edges(eps: float, radius: float, ncells: int) -> np.ndarray:
 
 _MAX_LEVEL = 9  # cell doublings of one damped tensor reduction
 _EPS0 = 5e-2  # widest damping of the reduction's schedule
+_MEMBERS = 6  # damped members of the reduction's schedule
 
 
 def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
@@ -399,6 +401,34 @@ def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
     )
 
 
+def _damped_extrapolation(fv, sched: IncrementSchedule, tol: float) -> complex:
+    """Extrapolate damped reductions to zero damping.
+
+    _damped_reduction is evaluated on the schedule eps = _EPS0 2^-k,
+    k < _MEMBERS, with inner_tol = max(tol 1e-2, 1e-11), and the values are
+    extrapolated polynomially to eps = 0.  The extrapolant must move by
+    less than tol when the last member is added, else NoConvergenceError.
+    """
+    tol = _require_positive("tol", tol)
+    eps_values = [_EPS0 * 0.5**k for k in range(_MEMBERS)]
+    inner_tol = max(tol * 1e-2, 1e-11)  # floor: the windowed chirp core bottoms out
+    # the damping radius grows like 1/sqrt(eps), so later schedule members
+    # need proportionally more cells to resolve the envelope; start them
+    # deeper in the ladder rather than re-climbing the coarse levels
+    vals = [
+        _damped_reduction(fv, sched, eps, inner_tol, start_cells=24 * 2 ** (k // 2))
+        for k, eps in enumerate(eps_values)
+    ]
+    prev_extrap = _neville_at_zero(eps_values[:-1], vals[:-1])
+    extrap = _neville_at_zero(eps_values, vals)
+    if abs(extrap - prev_extrap) > tol:
+        raise NoConvergenceError(
+            f"damping extrapolation unstable: moved {abs(extrap - prev_extrap):.3e} "
+            f"between the last two schedule points (tol {tol:.3e})"
+        )
+    return complex(extrap)
+
+
 def reduce_cylinder_integral(
     f,
     times: TimeSet,
@@ -412,7 +442,7 @@ def reduce_cylinder_integral(
     times, in order) to m complex values.  The unbounded oscillatory
     n-dimensional integral is damped by exp(-eps |increments|^2) over a
     geometric schedule in eps and extrapolated polynomially to eps = 0
-    (integrate._damped_extrapolation).  Discontinuous f is supported for
+    (_damped_extrapolation).  Discontinuous f is supported for
     n = 1 (the adaptive path); for n >= 2 the tensor rule assumes f smooth.
     """
     if tuple(times.times) != tuple(sched.times):
@@ -422,16 +452,7 @@ def reduce_cylinder_integral(
     n = sched.dim
     if n > _DIMENSION_CAP:
         raise DimensionCapError(f"dimension {n} exceeds cap {_DIMENSION_CAP}")
-    fv = _vectorized_nd(f)
-    # the damping radius grows like 1/sqrt(eps), so later schedule members
-    # need proportionally more cells to resolve the envelope; start them
-    # deeper in the ladder rather than re-climbing the coarse levels
-    return _damped_extrapolation(
-        lambda k, eps, inner_tol: _damped_reduction(
-            fv, sched, eps, inner_tol, start_cells=24 * 2 ** (k // 2)
-        ),
-        _EPS0, 6, tol,
-    )
+    return _damped_extrapolation(_vectorized_nd(f), sched, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exception types, the user-callback guard and the input checks of the package."""
 
+import cmath
 import math
 import numbers
 
@@ -86,6 +87,15 @@ def _require_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _require_complex(name: str, value) -> complex:
+    """value as a complex; a finite number of any type but bool (so no strings)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Complex) and cmath.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite complex number, got {value!r}")
+    return complex(value)
 
 
 def _require_finite(name: str, value) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import Cell1D, CellND
-from .errors import NoMFoundError, _require_count, guarded_values
+from .errors import NoMFoundError, _require_count, _require_positive, guarded_values
 from .fresnel import IncrementSchedule, incremental_density
 from .integrate import hk_integrate_1d
 from .propagator import (
@@ -220,8 +220,7 @@ def bounded_convergence_diagnostic(
     IntegrandError when a callable raises or returns a non-finite value.
     """
     samples = _require_count("samples", samples, 1)
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    eps = _require_positive("eps", eps)
     rng = np.random.default_rng(seed)
     finite = rng.uniform(-_SAMPLE_WINDOW, _SAMPLE_WINDOW, size=samples)
     points = np.concatenate([finite, [-np.inf, np.inf]])
@@ -275,8 +274,7 @@ def partial_sum_family(c: float, tau: float, *, mass: float = 1.0):
     common quadratic phase is dropped — every comparison this family
     enters is phase-invariant.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    tau = _require_positive("tau", tau)
     beta = free_modulus_envelope(tau, mass=mass)
 
     def psi0_vals(x: np.ndarray) -> np.ndarray:
@@ -310,8 +308,7 @@ def free_modulus_envelope(tau: float, *, mass: float = 1.0):
 
 def gaussian_envelope(sigma: float = 1.0):
     """Integrable control envelope e^{-x^2/(2 sigma^2)} (0 at +-inf)."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = _require_positive("sigma", sigma)
 
     def beta(x: np.ndarray) -> np.ndarray:
         xa = np.asarray(x, dtype=float)

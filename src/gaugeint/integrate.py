@@ -9,10 +9,10 @@ cell as tag-value times width once the peeled prefix sums stabilize.  That
 is the numerical shadow of a gauge that forces the tag onto the endpoint,
 and it is what lets classically troublesome derivatives integrate.
 
-Improper quadratic-phase tails are regularized by Gaussian damping over a
-geometric epsilon schedule and extrapolated to zero damping; each damped
-tail is evaluated as a finite chirp window plus an analytic by-parts
-continuation with a rigorous remainder bound.
+Improper quadratic-phase tails are taken as Henstock integrals, with no
+damping: a window Filon integral with exact chirp moments plus an analytic
+by-parts continuation whose rigorous remainder bound places the window's
+cut.
 
 All accumulation is exact: math.fsum rounds the true sum once, so a
 result does not depend on the order of its terms and is bit-reproducible
@@ -22,6 +22,7 @@ for a fixed configuration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,11 @@ from .errors import (
     DimensionCapError,
     IntegrandError,
     NoConvergenceError,
+    _require_complex,
     _require_count,
     _require_finite,
     _require_number,
+    _require_positive,
     guarded_values,
 )
 from .oscquad import adaptive_chirp_integral, gauss_tail
@@ -100,7 +103,7 @@ class OscillatoryTailSpec:
     direction: int
 
     def __post_init__(self) -> None:
-        c = complex(self.phase_quadratic_coefficient)
+        c = _require_complex("coefficient", self.phase_quadratic_coefficient)
         object.__setattr__(self, "phase_quadratic_coefficient", c)
         object.__setattr__(
             self, "lower_limit", _require_finite("lower limit", self.lower_limit)
@@ -111,8 +114,9 @@ class OscillatoryTailSpec:
             raise ValueError("coefficient real part must be <= 0")
         if c.real == 0.0 and c.imag < 0.0:
             raise ValueError("imaginary part must be >= 0 when real part is 0")
-        if self.direction not in (+1, -1):
-            raise ValueError("direction must be +1 or -1")
+        d = self.direction
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or abs(d) != 1:
+            raise ValueError(f"direction must be the integer +1 or -1, got {d!r}")
 
 
 def _vectorized(f):
@@ -277,8 +281,7 @@ def hk_integrate_1d(
     a, b = (_require_number("window", x) for x in window)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("window must be finite with lower < upper")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    tol = _require_positive("tol", tol)
     fv = _vectorized(f)
 
     value, est, levels, converged, fail_lo, fail_hi = _adaptive_verified(fv, a, b, tol)
@@ -374,8 +377,7 @@ def hk_integrate_nd(
     for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("each axis needs finite lower < upper")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    tol = _require_positive("tol", tol)
 
     feval = _vectorized_nd(f)
 
@@ -443,75 +445,49 @@ def _tensor_sum(fv, nodes_list, weights_list, chunk: int) -> complex:
     return fsum_complex(partials)
 
 
-def _damped_tail_value(c: complex, lower: float, eps: float, tol: float) -> complex:
-    """Int over (lower, inf) of exp((c/2 - eps) x^2) dx, damping included."""
-    if c.imag < 0.0:
-        # conjugating the coefficient conjugates the integral
-        return _damped_tail_value(c.conjugate(), lower, eps, tol).conjugate()
-    alpha = 0.5 * c - eps
-    decay = -alpha.real
-    cut = max(lower + 1.0, math.sqrt(37.0 / decay))
-    if c.imag > 0.0:
-        beta = 0.5 * c.imag
-        genv = lambda x: np.exp((0.5 * c.real - eps) * np.square(x))
+_CUT_START = 4.0  # first cut of oscillatory_improper, past max(lower, 0)
+_CUT_POINTS = 13  # cuts of its doubling ladder; the last is the cap
+
+
+def oscillatory_improper(spec: OscillatoryTailSpec, tol: float = 1e-8) -> complex:
+    """Integral of exp(c x^2/2) over one unbounded tail, with no damping.
+
+    The Henstock value is the limit of the window integrals (Hake's
+    theorem), taken directly: a window Filon integral with exact chirp
+    moments (adaptive_chirp_integral, or hk_integrate_1d for real c) plus
+    gauss_tail's by-parts tail beyond the window.  The cut is the first
+    point of a doubling ladder where the tail's rigorous bound is at most
+    a tenth of the inner tolerance; NoConvergenceError names the bound
+    when no cut up to the ladder's cap is far enough out.
+    """
+    tol = _require_positive("tol", tol)
+    c = spec.phase_quadratic_coefficient
+    # conjugating the coefficient conjugates the integral
+    flip = c.imag < 0.0
+    alpha = 0.5 * (c.conjugate() if flip else c)
+    # mirror x -> -x maps the (-inf, L) tail onto (-L, inf)
+    lower = spec.direction * spec.lower_limit
+    inner_tol = max(tol * 1e-2, 1e-11)  # floor: the windowed chirp core bottoms out
+    for k in range(_CUT_POINTS):
+        cut = (max(lower, 0.0) + _CUT_START) * 2.0**k
+        tail, bound = gauss_tail(alpha, cut)
+        if bound <= 0.1 * inner_tol:
+            break
+    else:
+        raise NoConvergenceError(
+            f"tail bound {bound:.3e} exceeds {0.1 * inner_tol:.3e} at the "
+            f"ladder's cap, cut {cut:.6g}"
+        )
+    envelope = lambda x: np.exp(alpha.real * np.square(x))
+    if alpha.imag > 0.0:
         core, _ = adaptive_chirp_integral(
-            genv, beta, 0.0, (lower, cut), tol, max_levels=14
+            envelope, alpha.imag, 0.0, (lower, cut), inner_tol, max_levels=14
         )
     else:
         # pure decay: smooth integrand, plain adaptive core
-        rep = hk_integrate_1d(
-            lambda x: np.exp(alpha.real * np.square(x)), (lower, cut), tol
-        )
-        core = rep.value
-    tail, _ = gauss_tail(alpha, cut)
-    return complex(core + tail)
-
-
-def oscillatory_improper(
-    spec: OscillatoryTailSpec,
-    tol: float = 1e-8,
-    *,
-    eps0: float = 1e-2,
-) -> complex:
-    """Regularized integral of exp(c x^2/2) over one unbounded tail.
-
-    Gaussian damping exp(-eps x^2) is applied over the geometric schedule
-    eps0, eps0/2, ..., each damped value split into a finite quadrature
-    window plus an analytic by-parts continuation, and the sequence is
-    extrapolated polynomially to eps = 0 (_damped_extrapolation).
-    """
-    c = spec.phase_quadratic_coefficient
-    lower = spec.lower_limit
-    if spec.direction < 0:
-        # mirror x -> -x maps the (-inf, L) tail onto (-L, inf)
-        lower = -lower
-    return _damped_extrapolation(
-        lambda _k, eps, inner_tol: _damped_tail_value(c, lower, eps, inner_tol),
-        eps0, 9, tol,
-    )
-
-
-def _damped_extrapolation(member, eps0: float, members: int, tol: float) -> complex:
-    """Extrapolate damped values to zero damping.
-
-    member(k, eps, inner_tol) is evaluated on the schedule eps = eps0 2^-k,
-    k < members, with inner_tol = max(tol 1e-2, 1e-11), and the values are
-    extrapolated polynomially to eps = 0.  The extrapolant must move by
-    less than tol when the last member is added, else NoConvergenceError.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    eps_values = [eps0 * 0.5**k for k in range(members)]
-    inner_tol = max(tol * 1e-2, 1e-11)  # floor: the windowed chirp core bottoms out
-    vals = [member(k, eps, inner_tol) for k, eps in enumerate(eps_values)]
-    prev_extrap = _neville_at_zero(eps_values[:-1], vals[:-1])
-    extrap = _neville_at_zero(eps_values, vals)
-    if abs(extrap - prev_extrap) > tol:
-        raise NoConvergenceError(
-            f"damping extrapolation unstable: moved {abs(extrap - prev_extrap):.3e} "
-            f"between the last two schedule points (tol {tol:.3e})"
-        )
-    return complex(extrap)
+        core = hk_integrate_1d(envelope, (lower, cut), inner_tol).value
+    value = complex(core + tail)
+    return value.conjugate() if flip else value
 
 
 def _neville_at_zero(xs, ys) -> complex:

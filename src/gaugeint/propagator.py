@@ -83,6 +83,8 @@ class Potential:
         if self.analytic_tag not in ("zero", "constant", "harmonic", "custom"):
             raise ValueError(f"unknown analytic tag {self.analytic_tag!r}")
         object.__setattr__(self, "constant", _require_finite("constant", self.constant))
+        check = _require_positive if self.analytic_tag == "harmonic" else _require_finite
+        object.__setattr__(self, "omega", check("omega", self.omega))
 
     @staticmethod
     def zero() -> "Potential":
@@ -91,7 +93,6 @@ class Potential:
 
     @staticmethod
     def constant_potential(c: float) -> "Potential":
-        c = _require_finite("constant", c)
         return Potential(
             lambda x, _t, _c=c: np.full_like(np.asarray(x, float), _c),
             analytic_tag="constant",
@@ -100,7 +101,6 @@ class Potential:
 
     @staticmethod
     def harmonic(omega: float) -> "Potential":
-        omega = _require_positive("omega", omega)
         return Potential(
             lambda x, _t, _w=omega: 0.5 * _w * _w * np.square(
                 np.asarray(x, float)
@@ -374,10 +374,8 @@ def psi_sliced(
     the mesh, and under shrinking the window to three quarters (else
     GridTooCoarseError) — three independent failure probes.
     """
-    if not rtol > 0.0:
-        raise ValueError("rtol must be positive")
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise ValueError("mass must be a positive real")
+    rtol = _require_positive("rtol", rtol)
+    mass = _require_positive("mass", mass)
     if q.slices == 1:
         v = float(q.potential.values(np.array([q.xi_prime]), q.tau_prime)[0])
         return complex(np.exp(-1j * v * q.duration)) * psi0_closed(q, mass=mass)

@@ -4,9 +4,10 @@ Each case runs the CLI in-process and compares stdout (and the documents
 `exchange` writes) byte for byte with the recorded text.  A refactor of
 the numerical core that moves any printed digit fails here; a deliberate
 change of the numbers re-records the text and says why in CHANGES.md.
-The abs_diff column of the fresnel tables prints an error of ~1e-11 to
-12 digits, so a round-off change of the value (~1e-15) already moves it:
-those rows pin the exact arithmetic of the Filon weights.
+The abs_diff column of the fresnel tables prints an error of ~1e-15 to
+12 digits, so the error is itself round-off and any change of the
+arithmetic moves it: those rows pin the exact Filon weights and the
+by-parts tail.
 The 3-slice kernel case is the one that runs a dense bridge step, so its
 last digits pin the round-off of the offset-lattice rows.
 """
@@ -54,15 +55,15 @@ GOLDEN = {
     'fresnel': (
         'format_version,1\n'
         'quantity,numeric,reference,abs_diff\n'
-        'full_line_exp_ix2_over_2,1.77245385089+1.77245385089j,1.77245385091+1.77245385091j,2.80502357414e-11\n'
-        'full_line_exp_iy2,1.25331413733+1.25331413732j,1.25331413732+1.25331413732j,1.39861154029e-11\n'
-        'halfline_cos_u2,0.626657068663+0j,0.626657068658+0j,5.61051205494e-12\n'
-        'halfline_sin_u2,0.626657068662+0j,0.626657068658+0j,4.17443857259e-12\n'
+        'full_line_exp_ix2_over_2,1.77245385091+1.77245385091j,1.77245385091+1.77245385091j,6.77872758924e-15\n'
+        'full_line_exp_iy2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.61650912418e-15\n'
+        'halfline_cos_u2,0.626657068658+0j,0.626657068658+0j,7.77156117238e-16\n'
+        'halfline_sin_u2,0.626657068658+0j,0.626657068658+0j,1.11022302463e-16\n'
     ),
     'fresnel_c': (
         'format_version,1\n'
         'quantity,numeric,reference,abs_diff\n'
-        'full_line_exp_half_c_x2,1.25331413733+1.25331413732j,1.25331413732+1.25331413732j,1.39861154029e-11\n'
+        'full_line_exp_half_c_x2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.61650912418e-15\n'
     ),
     'perturb_const': (
         'format_version,1\n'

@@ -21,6 +21,7 @@ from gaugeint.errors import (
     IntegrandError,
     NoConvergenceError,
 )
+from gaugeint import integrate
 from gaugeint.integrate import (
     IntegrationReport,
     OscillatoryTailSpec,
@@ -30,7 +31,7 @@ from gaugeint.integrate import (
     hk_integrate_nd,
     oscillatory_improper,
 )
-from gaugeint.oscquad import FRESNEL_LIMIT, fresnel_integral
+from gaugeint.oscquad import FRESNEL_LIMIT, fresnel_integral, fresnel_tail
 
 mp.mp.dps = 30
 
@@ -240,7 +241,8 @@ def test_additivity_over_adjacent_windows(f, split):
 
 
 # ---------------------------------------------------------------------------
-# improper oscillatory integrals via damping + extrapolation
+# improper oscillatory integrals: a window Filon integral plus a bounded
+# by-parts tail, with no damping
 # ---------------------------------------------------------------------------
 
 
@@ -305,15 +307,35 @@ def test_negative_imaginary_coefficient_conjugates():
     assert abs(vm - vp.conjugate()) < 1e-9
 
 
-def test_damping_schedule_shift_consistency():
-    # halving the leading damping strength must not move the extrapolated
-    # value beyond tolerance: the answer belongs to the limit, not the path
-    spec = OscillatoryTailSpec(
-        phase_quadratic_coefficient=1j, lower_limit=0.5, direction=+1
-    )
-    v1 = oscillatory_improper(spec, 1e-8, eps0=1e-2)
-    v2 = oscillatory_improper(spec, 1e-8, eps0=5e-3)
-    assert abs(v1 - v2) < 2e-8
+def test_tail_additivity():
+    # the Henstock integral is additive over intervals: the tail from 0
+    # minus the tail from 0.5 is the finite integral over (0, 0.5)
+    tail = lambda lower: oscillatory_improper(OscillatoryTailSpec(1j, lower, +1), 1e-8)
+    assert abs(tail(0.0) - tail(0.5) - fresnel_integral(0.5)) < 1e-12
+
+
+def test_weak_chirp_tail():
+    # a slow chirp needs a far cut; a damping ladder once refused it
+    v = oscillatory_improper(OscillatoryTailSpec(0.01j, 0.0, +1), 1e-8)
+    assert abs(v - cmath.sqrt(2j * math.pi / 0.01) / 2.0) < 1e-8
+
+
+def test_far_lower_limit_tail():
+    # a tail starting far out is small and fast; a damping ladder once
+    # refused it
+    v = oscillatory_improper(OscillatoryTailSpec(1j, 50.0, +1), 1e-8)
+    assert abs(v - fresnel_tail(50.0)) < 1e-8
+
+
+def test_tiny_coefficient_hits_cut_cap(monkeypatch):
+    # no cut on the ladder bounds the tail of so slow a chirp: the cap
+    # error names the bound before any window is integrated
+    def no_window(*_args, **_kw):
+        raise AssertionError("window integrated before the cut was found")
+
+    monkeypatch.setattr(integrate, "adaptive_chirp_integral", no_window)
+    with pytest.raises(NoConvergenceError, match="tail bound"):
+        oscillatory_improper(OscillatoryTailSpec(1e-12j, 0.0, +1), 1e-8)
 
 
 def test_damped_line_matches_gaussian_closed_form():
@@ -341,6 +363,15 @@ def test_tail_spec_validation():
         OscillatoryTailSpec(
             phase_quadratic_coefficient=1j, lower_limit=math.inf, direction=+1
         )
+    # strings, bools and non-finite numbers once passed through complex()
+    # or compared equal to +1
+    bad = [complex(math.nan, 1.0), complex(-math.inf, 1.0), complex(0.0, math.inf)]
+    for coefficient in ["2j", True, *bad]:
+        with pytest.raises(ValueError, match="coefficient must be a finite complex"):
+            OscillatoryTailSpec(coefficient, 0.0, +1)
+    for direction in [True, 1.0, "1"]:
+        with pytest.raises(ValueError, match="direction must be the integer"):
+            OscillatoryTailSpec(1j, 0.0, direction)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,23 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="constant must be"):
             Potential(lambda x, t: x, analytic_tag="constant", constant=c)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, "1"])
+    def test_omega_must_be_a_finite_number(self, omega):
+        # direct construction once skipped the check of Potential.harmonic,
+        # and closed_kernel read the bad omega
+        for tag in ("harmonic", "custom"):
+            with pytest.raises(ValueError, match="omega must be"):
+                Potential(lambda x, t: x, analytic_tag=tag, omega=omega)
+        with pytest.raises(ValueError, match="omega must be"):
+            Potential.harmonic(omega)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_harmonic_omega_must_be_positive(self, omega):
+        with pytest.raises(ValueError, match="omega must be"):
+            Potential(lambda x, t: x, analytic_tag="harmonic", omega=omega)
+        with pytest.raises(ValueError, match="omega must be"):
+            Potential.harmonic(omega)
+
     def test_potential_scalar_evaluator_is_wrapped(self):
         pot = Potential.custom(lambda x, t: math.sin(x))  # scalar-only
         vals = pot.values(np.array([0.0, math.pi / 2]), 0.0)
