@@ -20,7 +20,15 @@ class IntegrandError(GaugeIntError):
 
 
 class NoConvergenceError(GaugeIntError):
-    """Refinement or extrapolation hit its cap before reaching tolerance."""
+    """Refinement or extrapolation hit its cap before reaching tolerance.
+
+    cap names the limit that stopped the run, as the name of its module
+    constant (such as "_MAX_CELLS"), or is None where no cap is named.
+    """
+
+    def __init__(self, message: str, cap: str | None = None) -> None:
+        super().__init__(message)
+        self.cap = cap
 
 
 class ResourceLimitError(GaugeIntError):

@@ -7,7 +7,12 @@ Window endpoints get special treatment: when refinement stalls against an
 endpoint the engine peels geometric annuli off it and accepts the endpoint
 cell as tag-value times width once the peeled prefix sums stabilize.  That
 is the numerical shadow of a gauge that forces the tag onto the endpoint,
-and it is what lets classically troublesome derivatives integrate.
+and it is what lets classically troublesome derivatives integrate.  The
+adaptive core recognises the stall itself (a growing chain of unsettled
+cells closing in on one endpoint for several levels) and hands it to the
+peel at once instead of refining it to the cell cap.  A run that cannot
+finish raises NoConvergenceError whose cap attribute names the limit
+that stopped it.
 
 Improper quadratic-phase tails are taken as Henstock integrals, with no
 damping: a window Filon integral with exact chirp moments plus an analytic
@@ -58,6 +63,16 @@ _DIMENSION_CAP = 4  # largest box dimension of the direct n-D reductions
 _MAX_LEVELS = 42
 _MAX_CELLS = 4_000_000
 _MAX_PEELS = 48
+# verification rounds of one window (start meshes 16 ... 753,657 cells)
+_MAX_ROUNDS = 16
+# stall exit of _adaptive_core: this many levels in a row with the live
+# cells all within _STALL_REACH of the width from one window endpoint,
+# growing by _STALL_GROWTH and closing in on it, taken once at least
+# _STALL_FLOOR cells are live
+_STALL_LEVELS = 4
+_STALL_FLOOR = 1 << 16
+_STALL_REACH = 0.125
+_STALL_GROWTH = 1.5
 
 # hk_integrate_nd: axis doublings, points per axis at level 0, the point
 # budget of one level, and the points evaluated per integrand call
@@ -94,8 +109,8 @@ class OscillatoryTailSpec:
     """One unbounded tail of exp(c x^2 / 2).
 
     direction +1 integrates over (lower_limit, +inf), -1 over
-    (-inf, lower_limit).  The coefficient must have nonpositive real part,
-    and nonnegative imaginary part when the real part vanishes.
+    (-inf, lower_limit).  The coefficient must be nonzero with
+    nonpositive real part.
     """
 
     phase_quadratic_coefficient: complex
@@ -112,8 +127,6 @@ class OscillatoryTailSpec:
             raise ValueError("coefficient must be nonzero")
         if c.real > 0.0:
             raise ValueError("coefficient real part must be <= 0")
-        if c.real == 0.0 and c.imag < 0.0:
-            raise ValueError("imaginary part must be >= 0 when real part is 0")
         d = self.direction
         if isinstance(d, bool) or not isinstance(d, numbers.Integral) or abs(d) != 1:
             raise ValueError(f"direction must be the integer +1 or -1, got {d!r}")
@@ -170,8 +183,18 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
     Each cell carries values at its endpoints and midpoint; quarter-point
     evaluations compare the cell's Simpson value against its two halves and
     bisect exactly where the disagreement exceeds the cell's tolerance
-    share.  Returns (value, est, levels, converged, fail_lo, fail_hi);
-    accepted contributions are summed exactly, so in any order.
+    share.  Refinement stops early at a stall: for _STALL_LEVELS levels in
+    a row the live cells hug one window endpoint (all within _STALL_REACH
+    of the width), their count grows by _STALL_GROWTH or more and their
+    far edge moves toward the endpoint, and now at least _STALL_FLOOR of
+    them carry indicators that sum above tol.
+
+    Returns (value, est, levels, cap, fail_lo, fail_hi).  cap is None when
+    every cell settled, else the name of the limit that stopped
+    refinement ("_MAX_CELLS", "_MAX_LEVELS" or "_STALL_LEVELS"); the
+    unsettled cells are then carried at their single-cell value and
+    returned as fail_lo/fail_hi.  Accepted contributions are summed
+    exactly, so in any order.
     """
     edges = np.linspace(a, b, min_cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -185,7 +208,7 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
     acc_val: list[np.ndarray] = []
     acc_est: list[np.ndarray] = []
     levels = 0
-    converged = False
+    stall_levels, prev_live, prev_extent = 0, 0, width
     for levels in range(1, _MAX_LEVELS + 1):
         w = hi - lo
         m = 0.5 * (lo + hi)
@@ -203,21 +226,45 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
             acc_est.append(ind[accept])
         keep = ~accept
         if not np.any(keep):
-            converged = True
+            cap = None
             lo = hi = np.empty(0)
             break
-        if 2 * int(keep.sum()) > _MAX_CELLS:
-            lo, hi = lo[keep], hi[keep]
-            flo, fm, fhi = flo[keep], fm[keep], fhi[keep]
+        lo, hi, m = lo[keep], hi[keep], m[keep]
+        flo, fm, fhi = flo[keep], fm[keep], fhi[keep]
+        if 2 * lo.size > _MAX_CELLS:
+            cap = "_MAX_CELLS"
             break
-        lo, hi, mk = lo[keep], hi[keep], m[keep]
-        flo, fhi, fmk = flo[keep], fhi[keep], fm[keep]
-        fq1k, fq3k = fq1[keep], fq3[keep]
-        lo, hi = _interleave(lo, mk), _interleave(mk, hi)
-        flo, fhi = _interleave(flo, fmk), _interleave(fmk, fhi)
-        fm = _interleave(fq1k, fq3k)
+        # the live cells are in ascending order, so the endpoint they
+        # touch and their reach from it are read off the first and last
+        if lo[0] == a:
+            extent = hi[-1] - a
+        elif hi[-1] == b:
+            extent = b - lo[0]
+        else:
+            extent = width
+        closing = (
+            extent <= _STALL_REACH * width
+            and extent < prev_extent
+            and lo.size >= _STALL_GROWTH * prev_live
+        )
+        stall_levels = stall_levels + 1 if closing else 0
+        prev_live, prev_extent = lo.size, extent
+        if (
+            stall_levels >= _STALL_LEVELS
+            and lo.size >= _STALL_FLOOR
+            and np.sum(ind, where=keep) > tol
+        ):
+            cap = "_STALL_LEVELS"
+            break
+        lo, hi = _interleave(lo, m), _interleave(m, hi)
+        flo, fhi, fm = (
+            _interleave(flo, fm), _interleave(fm, fhi),
+            _interleave(fq1[keep], fq3[keep]),
+        )
+    else:
+        cap = "_MAX_LEVELS"
 
-    if not converged:
+    if cap is not None:
         # carry the unsettled cells at their current single-cell value
         w = hi - lo
         sp = (w / 6.0) * (flo + 4.0 * fm + fhi)
@@ -225,7 +272,7 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
         acc_est.append(np.abs(sp - 0.5 * w * (flo + fhi)))
     value = fsum_complex(np.concatenate(acc_val))
     est = math.fsum(np.concatenate(acc_est).tolist())
-    return value, est, levels, converged, lo, hi
+    return value, est, levels, cap, lo, hi
 
 
 def _adaptive_verified(fv, a, b, tol):
@@ -237,18 +284,20 @@ def _adaptive_verified(fv, a, b, tol):
     within their combined estimates.  The start counts follow mc -> 2*mc+7
     so successive meshes never nest: nested starts refine to identical
     leaves under deterministic bisection and would rubber-stamp each other.
-    Returns the same tuple shape as _adaptive_core.
+    Returns the same tuple shape as _adaptive_core; cap is None on
+    agreement, the core's cap when a round stopped with more than tol
+    unsettled, and "_MAX_ROUNDS" when the rounds never agreed.
     """
     history: list[tuple[complex, float]] = []
     total_levels = 0
     mc = 16
-    while True:
-        v, e, lv, ok, flo, fhi = _adaptive_core(fv, a, b, tol, min_cells=mc)
+    for _ in range(_MAX_ROUNDS):
+        v, e, lv, cap, flo, fhi = _adaptive_core(fv, a, b, tol, min_cells=mc)
         total_levels += lv
-        if not ok and e > tol:
-            # the cap stopped refinement with real mass unsettled; report
-            # the live cells for peeling
-            return v, e, total_levels, False, flo, fhi
+        if cap is not None and e > tol:
+            # a cap or a stall stopped refinement with real mass unsettled;
+            # report the live cells for peeling
+            return v, e, total_levels, cap, flo, fhi
         # a level-capped run whose carried cells contribute less than tol
         # (e.g. a jump chain bisected to negligible width) is a settled
         # measurement and joins the agreement test like any other round
@@ -257,10 +306,15 @@ def _adaptive_verified(fv, a, b, tol):
             (v1, e1), (v2, e2), (v3, e3) = history[-3:]
             drift = max(abs(v1 - v3), abs(v2 - v3))
             if drift <= max(0.5 * tol, 2.0 * (max(e1, e2) + e3)):
-                return v3, max(e3, drift), total_levels, True, flo, fhi
+                return v3, max(e3, drift), total_levels, None, flo, fhi
         mc = 2 * mc + 7
-        if mc > max(64, _MAX_CELLS // 4):
-            return v, e, total_levels, False, np.empty(0), np.empty(0)
+    return v, e, total_levels, "_MAX_ROUNDS", np.empty(0), np.empty(0)
+
+
+def _stopped(what: str, cap: str, est: float, tol: float) -> NoConvergenceError:
+    return NoConvergenceError(
+        f"{what} stopped at {cap}: estimate {est:.3e}, tol {tol:.3e}", cap=cap
+    )
 
 
 def hk_integrate_1d(
@@ -273,10 +327,15 @@ def hk_integrate_1d(
     f maps a float ndarray to complex values elementwise (scalar-only
     callables are detected and looped).  Refinement bisects exactly the
     cells whose two-level disagreement exceeds their share of tol.  If
-    refinement stalls flush against a window endpoint, geometric annuli are
-    peeled off that endpoint and the endpoint cell enters as f(endpoint)
-    times width once the peeled partial sums stabilize, mirroring a gauge
-    that pins the tag to the endpoint.
+    refinement stalls flush against a window endpoint (the core's stall
+    exit, or a cap with the unsettled cells at the endpoint), geometric
+    annuli are peeled off that endpoint and the endpoint cell enters as
+    f(endpoint) times width once the peeled partial sums stabilize,
+    mirroring a gauge that pins the tag to the endpoint.  A
+    NoConvergenceError names the limit that stopped the run, in its
+    message and as its cap attribute: "_MAX_CELLS", "_MAX_LEVELS" or
+    "_STALL_LEVELS" of an adaptive run, "_MAX_ROUNDS" of its
+    verification, or "_MAX_PEELS".
     """
     a, b = (_require_number("window", x) for x in window)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -284,8 +343,8 @@ def hk_integrate_1d(
     tol = _require_positive("tol", tol)
     fv = _vectorized(f)
 
-    value, est, levels, converged, fail_lo, fail_hi = _adaptive_verified(fv, a, b, tol)
-    if converged:
+    value, est, levels, cap, fail_lo, fail_hi = _adaptive_verified(fv, a, b, tol)
+    if cap is None:
         return IntegrationReport(value, est, levels, est <= tol)
 
     # peel only when refinement is stuck flush against a window endpoint;
@@ -295,9 +354,7 @@ def hk_integrate_1d(
     peel_left = bool(fail_lo.size) and fail_lo.min() <= a + slack
     peel_right = bool(fail_hi.size) and fail_hi.max() >= b - slack
     if not (peel_left or peel_right):
-        raise NoConvergenceError(
-            f"no convergence after {levels} levels; estimate {est:.3e} > tol {tol:.3e}"
-        )
+        raise _stopped(f"window after {levels} levels", cap, est, tol)
 
     pieces: list[complex] = []
     ests: list[float] = []
@@ -305,10 +362,10 @@ def hk_integrate_1d(
     h0 = width / 8.0
     core_lo = a + h0 if peel_left else a
     core_hi = b - h0 if peel_right else b
-    v, e, lv, ok, *_ = _adaptive_verified(fv, core_lo, core_hi, tol / 4)
+    v, e, lv, cap, *_ = _adaptive_verified(fv, core_lo, core_hi, tol / 4)
     total_levels += lv
-    if not ok:
-        raise NoConvergenceError("interior window failed to converge")
+    if cap is not None:
+        raise _stopped("interior window", cap, e, tol / 4)
     pieces.append(v)
     ests.append(e)
 
@@ -324,12 +381,11 @@ def hk_integrate_1d(
             h = h_prev / peel_ratio
             ann_lo = endpoint + h if sign > 0 else endpoint - h_prev
             ann_hi = endpoint + h_prev if sign > 0 else endpoint - h
-            v, e, lv, ok, *_ = _adaptive_verified(fv, ann_lo, ann_hi, tol / 20)
+            v, e, lv, cap, *_ = _adaptive_verified(fv, ann_lo, ann_hi, tol / 20)
             total_levels += lv
-            if not ok:
-                raise NoConvergenceError(
-                    "endpoint annulus failed to converge; the integrand is "
-                    "too irregular away from the window endpoint"
+            if cap is not None:
+                raise _stopped(
+                    f"endpoint annulus ({ann_lo:.6g}, {ann_hi:.6g})", cap, e, tol / 20
                 )
             pieces.append(v)
             ests.append(e)
@@ -348,8 +404,10 @@ def hk_integrate_1d(
                 break
         if not settled:
             raise NoConvergenceError(
-                "endpoint prefix sums did not stabilize; the integrand does "
-                "not appear to be gauge-integrable at the window endpoint"
+                "endpoint prefix sums did not stabilize within _MAX_PEELS "
+                f"({_MAX_PEELS}) annuli; the integrand does not appear to be "
+                "gauge-integrable at the window endpoint",
+                cap="_MAX_PEELS",
             )
 
     value = fsum_complex(pieces)
@@ -476,7 +534,8 @@ def oscillatory_improper(spec: OscillatoryTailSpec, tol: float = 1e-8) -> comple
     else:
         raise NoConvergenceError(
             f"tail bound {bound:.3e} exceeds {0.1 * inner_tol:.3e} at the "
-            f"ladder's cap, cut {cut:.6g}"
+            f"ladder's cap, cut {cut:.6g}",
+            cap="_CUT_POINTS",
         )
     envelope = lambda x: np.exp(alpha.real * np.square(x))
     if alpha.imag > 0.0:

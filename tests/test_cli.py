@@ -231,6 +231,12 @@ class TestFresnelCommand:
         assert len(lines) == 3  # version, header, one row
         assert "1.77245385091+1.77245385091j" in lines[2]
 
+    def test_negative_imaginary_coefficient_row(self, capsys):
+        assert main(["fresnel", "--c=-i", "--tol", "1e-6"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3
+        assert "1.77245385091-1.77245385091j" in lines[2]
+
     def test_bad_coefficient_fails_validation(self, capsys):
         assert main(["fresnel", "--c", "banana"]) == 1
         assert "cannot parse" in capsys.readouterr().err

@@ -138,6 +138,54 @@ def test_adaptive_values_are_pinned_bit_for_bit():
         "0x1.750266f9fcbdep-1", "0x1.4138515a0be97p-1",
         "0x1.2d725037c84fbp-36", 10, True,
     )
+    # the peel: the first run stops at the endpoint stall, and only its
+    # level count may move with the stall rule
+    rep = hk_integrate_1d(classic_derivative, (0.0, 1.0), 1e-3)
+    assert _bits(rep)[:3] + _bits(rep)[4:] == (
+        "0x1.aed9c33136386p-1", "0x0.0p+0", "0x1.abcc6562c9606p-13", True,
+    )
+    # no false stalls: a single endpoint chain, and resolvable oscillation
+    # crowded at an endpoint, refine exactly as without the stall rule
+    rep = hk_integrate_1d(_inverse_sqrt, (0.0, 1.0), 1e-6)
+    assert _bits(rep) == (
+        "0x1.ffffff3b10ccdp+0", "0x0.0p+0", "0x1.fc399c2000000p-25", 126, True,
+    )
+    rep = hk_integrate_1d(
+        lambda x: np.cos(200.0 / (x + 0.05)).astype(complex), (0.0, 1.0), 1e-8
+    )
+    assert _bits(rep) == (
+        "-0x1.4d5d8220d0dcep-8", "0x0.0p+0", "0x1.c24bf24706b44p-30", 47, True,
+    )
+
+
+def _inverse_sqrt(x):
+    """x^(-1/2), set to 0 at the origin."""
+    out = np.zeros_like(x, dtype=complex)
+    nz = x != 0.0
+    out[nz] = 1.0 / np.sqrt(x[nz])
+    return out
+
+
+def test_endpoint_stall_goes_to_the_peel_at_once():
+    # the first run stops at the stall rather than refining the chain at
+    # the origin to about 2.6M live cells (17.5M points) before peeling
+    points = 0
+
+    def counted(x):
+        nonlocal points
+        points += x.size
+        return classic_derivative(x)
+
+    rep = hk_integrate_1d(counted, (0.0, 1.0), 1e-3)
+    assert abs(rep.value - math.sin(1.0)) < 1e-3
+    assert points <= 2_000_000
+
+
+def test_no_convergence_names_the_cap(monkeypatch):
+    monkeypatch.setattr(integrate, "_MAX_CELLS", 20_000)
+    with pytest.raises(NoConvergenceError, match="_MAX_CELLS") as info:
+        hk_integrate_1d(classic_derivative, (0.0, 1.0), 1e-4)
+    assert info.value.cap == "_MAX_CELLS"
 
 
 def test_window_validation():
@@ -305,6 +353,11 @@ def test_negative_imaginary_coefficient_conjugates():
     vp = oscillatory_improper(spec_p, 1e-9)
     vm = oscillatory_improper(spec_m, 1e-9)
     assert abs(vm - vp.conjugate()) < 1e-9
+    # on the imaginary axis too: exp(-i x^2/2) is as Henstock-integrable
+    # as exp(i x^2/2)
+    v = fresnel_line_integral(-1j, 1e-8)
+    assert v == fresnel_line_integral(1j, 1e-8).conjugate()
+    assert abs(v - cmath.sqrt(2.0 * math.pi / 1j)) < 1e-8
 
 
 def test_tail_additivity():
@@ -334,8 +387,9 @@ def test_tiny_coefficient_hits_cut_cap(monkeypatch):
         raise AssertionError("window integrated before the cut was found")
 
     monkeypatch.setattr(integrate, "adaptive_chirp_integral", no_window)
-    with pytest.raises(NoConvergenceError, match="tail bound"):
+    with pytest.raises(NoConvergenceError, match="tail bound") as info:
         oscillatory_improper(OscillatoryTailSpec(1e-12j, 0.0, +1), 1e-8)
+    assert info.value.cap == "_CUT_POINTS"
 
 
 def test_damped_line_matches_gaussian_closed_form():
