@@ -396,8 +396,9 @@ def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
         prev = value
         ncells *= 2
     raise NoConvergenceError(
-        f"tensor reduction did not stabilize to {tol:.3e} within "
-        f"{_MAX_LEVEL} refinement levels"
+        f"tensor reduction did not stabilize to {tol:.3e}, stopped at "
+        f"_MAX_LEVEL ({_MAX_LEVEL} refinement levels)",
+        cap="_MAX_LEVEL",
     )
 
 

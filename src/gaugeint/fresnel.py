@@ -42,7 +42,6 @@ __all__ = [
     "FigureND",
     "IncrementSchedule",
     "quadratic_phase",
-    "fresnel_axis_integral",
     "free_increment_factor",
     "fresnel_cell_mass",
     "fresnel_distribution",
@@ -140,13 +139,6 @@ def quadratic_phase(x) -> complex:
     return complex(np.exp(0.5j * float(np.dot(xs, xs))))
 
 
-def fresnel_axis_integral(cell: Cell1D) -> complex:
-    """Int_I e^{(i/2) x^2} dx over one 1D cell via incomplete Fresnel values."""
-    hi = FRESNEL_LIMIT if cell.hi == math.inf else complex(fresnel_integral(cell.hi))
-    lo = -FRESNEL_LIMIT if cell.lo == -math.inf else complex(fresnel_integral(cell.lo))
-    return hi - lo
-
-
 def free_increment_factor(cell: Cell1D, shift, dt: float):
     """sqrt(-i/(2 pi dt)) Int_I e^{(i/2)(x-shift)^2/dt} dx, vectorized in shift.
 
@@ -190,13 +182,10 @@ def fresnel_cell_mass(cell: CellND) -> complex:
 
 def fresnel_distribution(fig: FigureND) -> complex:
     """Distribution value of a figure: additive sum of per-cell products."""
-    masses = []
-    for c in fig.cells:
-        m = complex(1.0)
-        for f in c:
-            m *= ROOT_MINUS_I_OVER_2PI * fresnel_axis_integral(f)
-        masses.append(m)
-    return fsum_complex(masses)
+    return fsum_complex([
+        math.prod((free_increment_factor(f, 0.0, 1.0) for f in c), start=complex(1.0))
+        for c in fig.cells
+    ])
 
 
 def incremental_density(cell: CellND, sched: IncrementSchedule) -> complex:

@@ -440,9 +440,11 @@ def hk_integrate_nd(
     feval = _vectorized_nd(f)
 
     rows: list[list[complex]] = []
+    cap = "_ND_MAX_LEVELS"
     for level in range(_ND_MAX_LEVELS + 1):
         pts_per_axis = (_ND_MIN_PTS - 1) * (1 << level) + 1
         if pts_per_axis**n > _ND_MAX_POINTS:
+            cap = "_ND_MAX_POINTS"
             break
         row = [_tensor_trapezoid(feval, box, pts_per_axis)]
         if rows:
@@ -456,7 +458,9 @@ def hk_integrate_nd(
     # 17^n points fit the budget for n <= _DIMENSION_CAP, so two levels ran
     est = abs(rows[-1][-1] - rows[-2][-1])
     raise NoConvergenceError(
-        f"no convergence after {len(rows) - 1} doublings; estimate {est:.3e}"
+        f"no convergence after {len(rows) - 1} doublings, stopped at {cap}; "
+        f"estimate {est:.3e}",
+        cap=cap,
     )
 
 
@@ -526,17 +530,16 @@ def oscillatory_improper(spec: OscillatoryTailSpec, tol: float = 1e-8) -> comple
     # mirror x -> -x maps the (-inf, L) tail onto (-L, inf)
     lower = spec.direction * spec.lower_limit
     inner_tol = max(tol * 1e-2, 1e-11)  # floor: the windowed chirp core bottoms out
-    for k in range(_CUT_POINTS):
-        cut = (max(lower, 0.0) + _CUT_START) * 2.0**k
-        tail, bound = gauss_tail(alpha, cut)
-        if bound <= 0.1 * inner_tol:
-            break
-    else:
+    cuts = (max(lower, 0.0) + _CUT_START) * 2.0 ** np.arange(_CUT_POINTS)
+    tails, bounds = gauss_tail(alpha, cuts)
+    far_enough = np.flatnonzero(bounds <= 0.1 * inner_tol)
+    if not far_enough.size:
         raise NoConvergenceError(
-            f"tail bound {bound:.3e} exceeds {0.1 * inner_tol:.3e} at the "
-            f"ladder's cap, cut {cut:.6g}",
+            f"tail bound {bounds[-1]:.3e} exceeds {0.1 * inner_tol:.3e} at the "
+            f"ladder's cap, cut {cuts[-1]:.6g}",
             cap="_CUT_POINTS",
         )
+    cut, tail = float(cuts[far_enough[0]]), tails[far_enough[0]]
     envelope = lambda x: np.exp(alpha.real * np.square(x))
     if alpha.imag > 0.0:
         core, _ = adaptive_chirp_integral(

@@ -4,8 +4,8 @@ The incomplete Fresnel integral
 
     F(u) = Int_0^u exp(i y^2 / 2) dy
 
-is evaluated by a Maclaurin series for |u| <= 6 and by the integration-by-
-parts asymptotic expansion of the tail for |u| > 6; at the switch point both
+is evaluated by a Maclaurin series for |u| <= 6 and as F(inf) minus
+gauss_tail's by-parts tail for |u| > 6; at the switch point both
 branches are accurate to ~4e-9 (the series is roundoff-limited, the
 asymptotic truncates at its minimum term).  F is the building block for
 exact chirp moments
@@ -17,8 +17,9 @@ possible without ever resolving the chirp on a grid: cells only need to
 resolve g.  Far from the stationary point the centered moments are computed
 through a plane-wave expansion to avoid catastrophic cancellation.
 
-Also here: the integration-by-parts tail of Int_B^inf exp(alpha x^2) dx for
-Re(alpha) <= 0, with a rigorous remainder bound.
+A Gaussian tail Int_B^inf exp(alpha x^2) dx, Re(alpha) <= 0, is either
+gauss_tail's by-parts series with a rigorous bound or _erfc_tail's complex
+erfc; one by-parts recurrence gives every kernel's m_1..m_3 from m_0.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "ROOT_MINUS_I_OVER_2PI",
     "FRESNEL_SWITCH",
     "fresnel_integral",
-    "fresnel_tail",
     "phase_exp",
     "chirp_filon_weights",
     "gauss_tail",
@@ -76,32 +76,6 @@ def _fresnel_series(u):
     return total
 
 
-def fresnel_tail(u):
-    """Int_u^inf exp(i y^2/2) dy for u >= FRESNEL_SWITCH, by parts.
-
-    Terms i (-i)^k (2k-1)!! u^{-(2k+1)} times exp(i u^2/2), truncated at the
-    minimum term; the dropped remainder is below the last kept term.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.size and np.min(u) < FRESNEL_SWITCH:
-        raise ValueError("fresnel_tail needs u >= FRESNEL_SWITCH")
-    inv2 = 1.0 / (u * u)
-    term = 1j / u
-    total = term.copy()
-    prev_mag = np.abs(term)
-    active = np.ones(u.shape, dtype=bool)
-    for k in range(1, _TAIL_MAX_TERMS):
-        term = term * (-1j) * (2 * k - 1) * inv2
-        mag = np.abs(term)
-        still = active & (mag < prev_mag)
-        total = np.where(still, total + term, total)
-        active = still
-        prev_mag = mag
-        if not active.any():
-            break
-    return phase_exp(u) * total
-
-
 def fresnel_integral(u):
     """F(u) = Int_0^u exp(i y^2 / 2) dy, odd in u, vectorized."""
     u = np.asarray(u, dtype=float)
@@ -114,8 +88,7 @@ def fresnel_integral(u):
         out[near] = _fresnel_series(u[near])
     far = ~near
     if far.any():
-        t = fresnel_tail(au[far])
-        out[far] = np.sign(u[far]) * (FRESNEL_LIMIT - t)
+        out[far] = np.sign(u[far]) * (FRESNEL_LIMIT - gauss_tail(0.5j, au[far])[0])
     return out[0] if scalar else out
 
 
@@ -173,15 +146,28 @@ def _scatter_cells(cellw):
     return weights
 
 
-def _moments_near(ua, ub):
-    """Centered moments mu_k = Int (u-um)^k exp(iu^2/2) du on [ua, ub]."""
-    Fa, Fb = fresnel_integral(ua), fresnel_integral(ub)
-    Ea, Eb = phase_exp(ua), phase_exp(ub)
-    m0 = Fb - Fa
-    m1 = -1j * (Eb - Ea)
-    m2 = -1j * (ub * Eb - ua * Ea) + 1j * m0
-    m3 = -1j * (ub * ub * Eb - ua * ua * Ea) + 2.0 * (Eb - Ea)
-    return _centred_moments(np.stack([m0, m1, m2, m3]), 0.5 * (ua + ub))
+def _by_parts_moments(alpha: complex, a, b, m0):
+    """Raw moments m_k = Int_a^b w^k e^{alpha w^2} dw, k = 0..3, from m_0.
+
+    By parts, m_k = ([w^(k-1) e^{alpha w^2}]_a^b - (k-1) m_(k-2)) / (2 alpha).
+    """
+    inv = 1.0 / (2.0 * alpha)
+    ea, eb = np.exp(alpha * a * a), np.exp(alpha * b * b)
+    m1 = inv * (eb - ea)
+    m2 = inv * (b * eb - a * ea - m0)
+    m3 = inv * (b * b * eb - a * a * ea - 2.0 * m1)
+    return np.stack([m0, m1, m2, m3])
+
+
+def _erfc_tail(alpha: complex, x):
+    """Int_x^inf e^{alpha w^2} dw = sqrt(pi)/(2 s) erfc(s x), s = sqrt(-alpha).
+
+    Re(alpha) <= 0 and alpha != 0; vectorized over real x.
+    """
+    from scipy.special import erfc
+
+    s = np.sqrt(-alpha)  # principal branch, Re s >= 0
+    return math.sqrt(math.pi) / (2.0 * s) * erfc(s * np.asarray(x, dtype=float))
 
 
 def _moments_far(ua, ub):
@@ -253,8 +239,10 @@ def chirp_filon_weights(beta: float, center: float, edges):
 
     mu = np.empty((4, ua.size), dtype=complex)
     near = np.abs(um) <= _NEAR_LIMIT
-    if near.any():
-        mu[:, near] = _moments_near(ua[near], ub[near])
+    if near.any():  # m_0 = F(b) - F(a), centred on the cell midpoint
+        a, b = ua[near], ub[near]
+        raw = _by_parts_moments(0.5j, a, b, fresnel_integral(b) - fresnel_integral(a))
+        mu[:, near] = _centred_moments(raw, um[near])
     far = ~near
     if far.any():
         mu[:, far] = _moments_far(ua[far], ub[far])
@@ -272,11 +260,9 @@ def _damped_raw_moments(alpha: complex, wa, wb):
     """Raw moments m_k = Int_wa^wb w^k e^{alpha w^2} dw, k = 0..3, vectorized.
 
     Near cells (|alpha| w^2 small) use the Maclaurin series of the kernel;
-    far cells use the complex-erfc closed form for m_0 with by-parts
-    recurrences upward.  Re(alpha) <= 0 keeps every exponential bounded.
+    far cells take m_0 from the complex erfc and the rest by parts.
+    Re(alpha) <= 0 keeps every exponential bounded.
     """
-    from scipy.special import erfc as _cerfc
-
     wa = np.asarray(wa, dtype=float)
     wb = np.asarray(wb, dtype=float)
     m = np.empty((4,) + wa.shape, dtype=complex)
@@ -309,13 +295,8 @@ def _damped_raw_moments(alpha: complex, wa, wb):
     far = ~near
     if far.any():
         a, b = wa[far], wb[far]
-        s = np.sqrt(-alpha)  # principal branch, Re s >= 0
-        ea, eb = np.exp(alpha * a * a), np.exp(alpha * b * b)
-        m0 = math.sqrt(math.pi) / (2.0 * s) * (_cerfc(s * a) - _cerfc(s * b))
-        m1 = (eb - ea) / (2.0 * alpha)
-        m2 = (b * eb - a * ea) / (2.0 * alpha) - m0 / (2.0 * alpha)
-        m3 = (b * b * eb - a * a * ea) / (2.0 * alpha) - m1 / alpha
-        m[0, far], m[1, far], m[2, far], m[3, far] = m0, m1, m2, m3
+        m0 = _erfc_tail(alpha, a) - _erfc_tail(alpha, b)
+        m[:, far] = _by_parts_moments(alpha, a, b, m0)
     return m
 
 
@@ -354,45 +335,35 @@ def damped_chirp_filon_weights(alpha: complex, center: float, edges):
     return np.append(nodes[:3].T.ravel(), nodes[3, -1]), weights
 
 
-def gauss_tail(alpha: complex, B: float):
+def gauss_tail(alpha: complex, B):
     """(value, bound) for Int_B^inf exp(alpha x^2) dx, Re(alpha) <= 0.
 
-    Integration by parts gives exp(alpha B^2) * sum_k c_k B^{-(2k+1)} with
-    c_k = -(2k-1)!!/(2 alpha)^{k+1}; truncated at the minimum term.  The
-    returned bound dominates the dropped remainder:
-    (2K-1)!!/|2 alpha|^K * B^{-(2K-1)}/(2K-1).
+    Vectorized over B > 0 (numpy scalars for a scalar B).  By parts, the
+    value is exp(alpha B^2) sum_k t_k, t_0 = -1/(2 alpha B) and t_k =
+    t_(k-1) (2k-1) / (2 alpha B^2), cut at the minimum term or after
+    _TAIL_MAX_TERMS.  After K terms the remainder is (2K-1)!!/(2 alpha)^K
+    Int_B^inf e^{alpha x^2} x^{-2K} dx, at most e^{Re(alpha) B^2} |t_(K-1)|:
+    the returned bound.
     """
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if alpha.real > 1e-15:
         raise ValueError("Re(alpha) must be <= 0")
-    B = float(B)
-    if B <= 0.0:
+    shape = np.shape(B)
+    B = np.ravel(np.asarray(B, dtype=float))  # one arithmetic path for any shape
+    if not np.all(B > 0.0):  # NaN fails too
         raise ValueError("B must be positive")
-    two_a = 2.0 * alpha
-    term = -1.0 / (two_a * B)  # t_0
-    total = term
-    kept = 1
-    prev = abs(term)
-    while kept < 40:
-        term = term * (2 * kept - 1) / (two_a * B * B)
-        mag = abs(term)
-        if mag >= prev:
-            break
-        total += term
-        prev = mag
-        kept += 1
-    # after K kept terms the dropped remainder is
-    # (2K-1)!!/(2 alpha)^K * Int_B^inf e^{alpha x^2} x^{-2K} dx, and
-    # |e^{alpha x^2}| <= e^{Re(alpha) B^2} on [B, inf) bounds the integral
-    # by e^{Re(alpha) B^2} B^{1-2K}/(2K-1).
-    dfac = 1.0
-    for j in range(1, kept + 1):
-        dfac *= 2 * j - 1
-    bound = dfac / (abs(two_a) ** kept) * B ** (1 - 2 * kept) / (2 * kept - 1)
-    bound *= math.exp(min(alpha.real, 0.0) * B * B)
-    return np.exp(alpha * B * B) * total, bound
+    ratio = 1.0 / (2.0 * alpha * B[:, None] ** 2)
+    term = -1.0 / (2.0 * alpha * B)  # t_0
+    odd = 2.0 * np.arange(1, _TAIL_MAX_TERMS) - 1.0  # t_k = t_(k-1) (2k-1) ratio
+    # |t_k / t_(k-1)| grows with k, so the kept terms t_1.. are a prefix; past
+    # it the factor 1 freezes the running product at the last kept term
+    keep = odd * np.abs(ratio) < 1.0
+    terms = term[:, None] * np.cumprod(np.where(keep, odd * ratio, 1.0), axis=-1)
+    value = np.exp(alpha * B * B) * (term + np.sum(terms, axis=-1, where=keep))
+    bound = np.abs(terms[:, -1]) * np.exp(min(alpha.real, 0.0) * B * B)
+    return value.reshape(shape)[()], bound.reshape(shape)[()]
 
 
 _CHIRP_MIN_CELLS = 8  # cells of the first adaptive_chirp_integral level
@@ -443,5 +414,7 @@ def adaptive_chirp_integral(
         prev = val
         ncell *= 2
     raise NoConvergenceError(
-        f"chirp integral did not stabilize to {tol} within {max_levels} levels"
+        f"chirp integral did not stabilize to {tol}, stopped at max_levels "
+        f"({max_levels} levels)",
+        cap="max_levels",
     )

@@ -36,11 +36,7 @@ from .errors import (
     _require_positive,
 )
 from .integrate import _neville_at_zero, _vectorized, fresnel_line_integral
-from .oscquad import (
-    _damped_cell_weights,
-    _scatter_cells,
-    damped_chirp_filon_weights,
-)
+from .oscquad import _damped_cell_weights, _erfc_tail, _scatter_cells
 
 __all__ = [
     "Potential",
@@ -261,26 +257,33 @@ def _member_work(slices: int, points: int) -> int:
     return lattice + inner * npts * npts + ncell + npts
 
 
-def _fold_bridge_tails(rows: np.ndarray, alpha: complex, lo, hi) -> None:
-    """Add Int e^{alpha w^2} dw over w < lo and over w > hi to the end nodes.
+def _fold_bridge_tails(rows: np.ndarray, alpha: complex, lo, hi, h: float) -> None:
+    """Add the beyond-mesh tails of Int e^{alpha w^2} g(w) dw to the end nodes.
 
-    The constant continuation of the envelope beyond the mesh, in closed
-    form: lo and hi are the offsets of the first and last cell edge from
-    each row's bridge centre, and the two tails fold in place into
-    rows[..., 0] and rows[..., -1].
+    lo and hi are the offsets of the first and last node from each row's
+    bridge centre, h the node spacing.  Past an edge e the envelope goes on
+    as g(e) + g'(e) (w - e), g' the one-sided three-point slope.  On the
+    right T = Int_hi^inf e^{alpha w^2} dw and M = Int_hi^inf (w - hi)
+    e^{alpha w^2} dw = -e^{alpha hi^2} / (2 alpha) - hi T (proper, as
+    Re(alpha) < 0), mirrored on the left; T and M / (2 h) fold in place
+    into the three end nodes of each row.
     """
-    from scipy.special import erfc as _cerfc
-
-    s = np.sqrt(-alpha)  # principal branch, Re s >= 0
-    pref = math.sqrt(math.pi) / (2.0 * s)
-    rows[..., 0] += pref * _cerfc(-s * lo)
-    rows[..., -1] += pref * _cerfc(s * hi)
+    t_lo, t_hi = _erfc_tail(alpha, -lo), _erfc_tail(alpha, hi)
+    m_lo = np.exp(alpha * lo * lo) / (2.0 * alpha) - lo * t_lo
+    m_hi = -np.exp(alpha * hi * hi) / (2.0 * alpha) - hi * t_hi
+    # g'(lo) from g_0, g_1, g_2; g'(hi) from g_-3, g_-2, g_-1 is its mirror image
+    slope = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
+    rows[..., 0] += t_lo
+    rows[..., -1] += t_hi
+    rows[..., :3] += np.multiply.outer(m_lo, slope)
+    rows[..., -3:] -= np.multiply.outer(m_hi, slope[::-1])
 
 
 def _bridge_rows(alpha: complex, j: int, xi_prime: float, edges: np.ndarray):
     """Full-line bridge rows for every centre c_q = (j x_q + xi') / (j + 1).
 
-    Row q is damped_chirp_filon_weights(alpha, c_q, edges) plus the tails.
+    Row q is the damped Filon rule of e^{alpha (x - c_q)^2} on edges plus
+    the tails.
     x_q = edges[0] + h q are the 3 ncell + 1 nodes, h the node spacing.
     The offset of edge e_i from centre c_q is w0 + delta L with
     w0 = (edges[0] - xi') / (j + 1), delta = h / (j + 1) and the integer
@@ -309,7 +312,8 @@ def _bridge_rows(alpha: complex, j: int, xi_prime: float, edges: np.ndarray):
         return window[..., ::-j, ::step]
 
     rows = _scatter_cells(by_row(lattice))
-    _fold_bridge_tails(rows, alpha, by_row(wa)[:, 0], by_row(wb)[:, -1])
+    h = delta * (j + 1)
+    _fold_bridge_tails(rows, alpha, by_row(wa)[:, 0], by_row(wb)[:, -1], h)
     return rows
 
 
@@ -321,7 +325,7 @@ def _sliced_member(
     The wavefront is carried as a slow envelope against the exact free
     kernel from the start point (bridge factoring): each intermediate
     integration is a complex-Gaussian bridge contracted with exact
-    damped-chirp cell moments plus analytic constant-continuation tails,
+    damped-chirp cell moments plus analytic linear-continuation tails,
     so no grid oscillation is ever sampled pointwise.  Step j weighs the
     envelope by the left-point potential e^{-i V(x_j) dt}; the rows of
     an intermediate step come from one offset lattice (_bridge_rows),
@@ -350,8 +354,9 @@ def _sliced_member(
         if j == n - 1:  # final step: bridge to the exact end point
             lam = a / (a + dt)
             center = lam * q.xi + (1.0 - lam) * q.xi_prime
-            row = damped_chirp_filon_weights(alpha, center, edges)[1]
-            _fold_bridge_tails(row, alpha, edges[0] - center, edges[-1] - center)
+            wa, wb = edges[:-1] - center, edges[1:] - center
+            row = _scatter_cells(_damped_cell_weights(alpha, wa, wb))
+            _fold_bridge_tails(row, alpha, wa[0], wb[-1], nodes[1] - nodes[0])
             return psi0_closed(q, mass=mass) * complex(pref_b * np.sum(row * g))
         chi = pref_b * (_bridge_rows(alpha, j, q.xi_prime, edges) @ g)
 

@@ -28,6 +28,7 @@ from gaugeint.errors import (
     AssociationError,
     DimensionCapError,
     IntegrandError,
+    NoConvergenceError,
     ScheduleError,
 )
 from gaugeint.fresnel import IncrementSchedule, incremental_distribution
@@ -447,6 +448,18 @@ def test_reduce_free_characteristic_function():
     v = reduce_cylinder_integral(f, TimeSet((tau / 2.0, tau)), sched, 1e-6)
     want = cmath.exp(1j * a * xi) * cmath.exp(-1j * a * a * tau / 2.0)
     assert abs(v - want) < 1e-6
+
+
+def test_damped_reduction_names_its_level_cap(monkeypatch):
+    import gaugeint.cylinder as cylinder
+
+    # one level never has a pair to compare, so the level cap stops it
+    monkeypatch.setattr(cylinder, "_MAX_LEVEL", 1)
+    sched = IncrementSchedule(times=(0.5, 1.0))
+    ones = lambda p: np.ones(p.shape[0], dtype=complex)
+    with pytest.raises(NoConvergenceError, match="_MAX_LEVEL") as info:
+        cylinder._damped_reduction(ones, sched, 5e-2, 1e-6)
+    assert info.value.cap == "_MAX_LEVEL"
 
 
 def test_reduce_marginal_consistency():

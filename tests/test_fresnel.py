@@ -19,14 +19,13 @@ from gaugeint.fresnel import (
     FigureND,
     IncrementSchedule,
     free_increment_factor,
-    fresnel_axis_integral,
     fresnel_cell_mass,
     fresnel_distribution,
     incremental_density,
     incremental_distribution,
     quadratic_phase,
 )
-from gaugeint.oscquad import ROOT_MINUS_I_OVER_2PI
+from gaugeint.oscquad import FRESNEL_LIMIT, ROOT_MINUS_I_OVER_2PI, fresnel_integral
 
 ROOT = complex(ROOT_MINUS_I_OVER_2PI)
 
@@ -88,8 +87,8 @@ def test_cell_mass_mixed_tags_use_integral_branch():
     factors = (Cell1D.bounded(-1.0, 2.0), Cell1D.pos_tail(3.0))
     cell = CellND(tags=(2.0, math.inf), factors=factors)
     got = fresnel_cell_mass(cell)
-    want = (ROOT * fresnel_axis_integral(factors[0])) * (
-        ROOT * fresnel_axis_integral(factors[1])
+    want = (ROOT * (fresnel_integral(2.0) - fresnel_integral(-1.0))) * (
+        ROOT * (FRESNEL_LIMIT - fresnel_integral(3.0))
     )
     assert got == want
     # and that equals the distribution of the one-cell figure

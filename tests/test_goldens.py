@@ -55,15 +55,15 @@ GOLDEN = {
     'fresnel': (
         'format_version,1\n'
         'quantity,numeric,reference,abs_diff\n'
-        'full_line_exp_ix2_over_2,1.77245385091+1.77245385091j,1.77245385091+1.77245385091j,6.77872758924e-15\n'
-        'full_line_exp_iy2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.61650912418e-15\n'
-        'halfline_cos_u2,0.626657068658+0j,0.626657068658+0j,7.77156117238e-16\n'
-        'halfline_sin_u2,0.626657068658+0j,0.626657068658+0j,1.11022302463e-16\n'
+        'full_line_exp_ix2_over_2,1.77245385091+1.77245385091j,1.77245385091+1.77245385091j,3.14018491737e-16\n'
+        'full_line_exp_iy2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.89714993611e-15\n'
+        'halfline_cos_u2,0.626657068658+0j,0.626657068658+0j,8.881784197e-16\n'
+        'halfline_sin_u2,0.626657068658+0j,0.626657068658+0j,2.22044604925e-16\n'
     ),
     'fresnel_c': (
         'format_version,1\n'
         'quantity,numeric,reference,abs_diff\n'
-        'full_line_exp_half_c_x2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.61650912418e-15\n'
+        'full_line_exp_half_c_x2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.89714993611e-15\n'
     ),
     'perturb_const': (
         'format_version,1\n'
@@ -89,13 +89,13 @@ GOLDEN = {
         'format_version,1\n'
         'quantity,value,abs_diff_vs_closed\n'
         'constant_closed,0.129424727797-0.377364787608j,0\n'
-        'psi_sliced,0.129424727915-0.377364787568j,1.24748026993e-10\n'
+        'psi_sliced,0.129424727915-0.377364787568j,1.24748545168e-10\n'
     ),
     'kernel_harmonic3': (
         'format_version,1\n'
         'quantity,value,abs_diff_vs_closed\n'
         'harmonic_closed,0.518037043997-0.237782312358j,0\n'
-        'psi_sliced,0.517810080651-0.236618611847j,0.00118562693957\n'
+        'psi_sliced,0.517843013969-0.236666486621j,0.00113256996603\n'
     ),
     'exchange_const': (
         '{\n'
@@ -116,8 +116,8 @@ GOLDEN = {
         '2,-0.121869636873-0.429058819363j,-0.0673374322343-0.393218276931j,0.0652556957254\n'
         '3,-0.0770164306656-0.37997561924j,-0.0673374322343-0.393218276931j,0.016402773953\n'
         '4,-0.0647456306347-0.391188920791j,-0.0673374322343-0.393218276931j,0.00329176576799\n'
-        '5,-0.066988290945-0.393643080798j,-0.0673374322343-0.393218276931j,0.000549870862334\n'
-        '6,-0.0673973176127-0.393269304079j,-0.0673374322343-0.393218276931j,7.86767338399e-05\n'
+        '5,-0.066988290945-0.393643080798j,-0.0673374322343-0.393218276931j,0.000549870862333\n'
+        '6,-0.0673973176127-0.393269304079j,-0.0673374322343-0.393218276931j,7.86767338401e-05\n'
     ),
     'exchange_const/growth.csv': (
         'format_version,1\n'
@@ -154,11 +154,11 @@ GOLDEN = {
     'exchange_harmonic/comparison.csv': (
         'format_version,1\n'
         'm,partial_sum,sliced,abs_difference\n'
-        '0,0.433184007856-0.361471301104j,0.434645378537-0.363125214222j,0.00220704165579\n'
-        '1,0.434762415874-0.364166184145j,0.434645378537-0.363125214222j,0.00104752857671\n'
-        '2,0.434765876212-0.364181988292j,0.434645378537-0.363125214222j,0.00106362170171\n'
-        '3,0.434765871566-0.364182081316j,0.434645378537-0.363125214222j,0.00106371360092\n'
-        '4,0.434765871413-0.364182081875j,0.434645378537-0.363125214222j,0.00106371413911\n'
+        '0,0.433184007856-0.361471301104j,0.434628935314-0.36319917801j,0.00225241513972\n'
+        '1,0.434762415874-0.364166184145j,0.434628935314-0.36319917801j,0.000976175151121\n'
+        '2,0.434765876212-0.364181988292j,0.434628935314-0.36319917801j,0.000992304822152\n'
+        '3,0.434765871566-0.364182081316j,0.434628935314-0.36319917801j,0.000992396315428\n'
+        '4,0.434765871413-0.364182081875j,0.434628935314-0.36319917801j,0.000992396848078\n'
     ),
     'exchange_harmonic/growth.csv': (
         'format_version,1\n'

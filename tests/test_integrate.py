@@ -31,7 +31,7 @@ from gaugeint.integrate import (
     hk_integrate_nd,
     oscillatory_improper,
 )
-from gaugeint.oscquad import FRESNEL_LIMIT, fresnel_integral, fresnel_tail
+from gaugeint.oscquad import FRESNEL_LIMIT, fresnel_integral, gauss_tail
 
 mp.mp.dps = 30
 
@@ -377,7 +377,7 @@ def test_far_lower_limit_tail():
     # a tail starting far out is small and fast; a damping ladder once
     # refused it
     v = oscillatory_improper(OscillatoryTailSpec(1j, 50.0, +1), 1e-8)
-    assert abs(v - fresnel_tail(50.0)) < 1e-8
+    assert abs(v - gauss_tail(0.5j, 50.0)[0]) < 1e-8
 
 
 def test_tiny_coefficient_hits_cut_cap(monkeypatch):
@@ -476,6 +476,20 @@ def test_nd_dimension_cap():
         hk_integrate_nd(
             lambda p: np.ones(p.shape[0], dtype=complex), [(0, 1)] * 5, 1e-6
         )
+
+
+@pytest.mark.parametrize(
+    "constant, value, cap",
+    [("_ND_MAX_LEVELS", 1, "_ND_MAX_LEVELS"), ("_ND_MAX_POINTS", 17**2, "_ND_MAX_POINTS")],
+)
+def test_nd_names_the_cap_that_stopped_it(monkeypatch, constant, value, cap):
+    import gaugeint.integrate as integrate
+
+    monkeypatch.setattr(integrate, constant, value)
+    rough = lambda p: np.sqrt(np.abs(p[:, 0] - 0.3)).astype(complex)
+    with pytest.raises(NoConvergenceError, match=cap) as info:
+        hk_integrate_nd(rough, [(0.0, 1.0), (0.0, 1.0)], 1e-12)
+    assert info.value.cap == cap
 
 
 def test_nd_window_validation():

@@ -6,13 +6,14 @@ F(u) = sqrt(pi) (C(u/sqrt(pi)) + i S(u/sqrt(pi)))), and the Filon weights
 against direct high-node oscillatory quadrature.
 """
 
+import cmath
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from gaugeint.errors import IntegrandError
+from gaugeint.errors import IntegrandError, NoConvergenceError
 from gaugeint.oscquad import (
     FRESNEL_LIMIT,
     FRESNEL_SWITCH,
@@ -20,7 +21,6 @@ from gaugeint.oscquad import (
     chirp_filon_weights,
     damped_chirp_filon_weights,
     fresnel_integral,
-    fresnel_tail,
     gauss_tail,
     phase_exp,
 )
@@ -74,12 +74,19 @@ def test_fresnel_vectorized_matches_scalar():
         assert vec[i] == complex(fresnel_integral(float(u)))
 
 
+def oracle_gauss_tail(alpha, B) -> complex:
+    """Int_B^inf e^{alpha x^2} dx = sqrt(pi)/(2 s) erfc(s B), s = sqrt(-alpha)."""
+    mpmath.mp.dps = 30
+    s = mpmath.sqrt(-mpmath.mpc(alpha))
+    return complex(mpmath.sqrt(mpmath.pi) / (2 * s) * mpmath.erfc(s * B))
+
+
 def test_fresnel_tail_consistency():
-    # joint floor at the switch is the asymptotic min term ~ e^{-u^2/2}
-    for u, tol in [(6.0, 5e-8), (8.0, 1e-12), (15.0, 1e-14), (50.0, 1e-15)]:
-        t = complex(fresnel_tail(u))
-        assert abs(t - (FRESNEL_LIMIT - complex(fresnel_integral(u)))) < tol
-        assert abs(t - (complex(FRESNEL_LIMIT) - oracle_F(u))) < 5e-9
+    # the far branch of F is F(inf) minus the by-parts tail at alpha = i/2
+    for u in (8.0, 15.0, 50.0):
+        t = complex(gauss_tail(0.5j, u)[0])
+        assert abs(t - oracle_gauss_tail(0.5j, u)) < 1e-14
+        assert abs(t - (FRESNEL_LIMIT - complex(fresnel_integral(u)))) < 1e-14
 
 
 def oracle_chirp(g, beta, center, lo, hi):
@@ -197,6 +204,40 @@ def test_gauss_tail_rejects_growth():
         gauss_tail(0.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_gauss_tail_rejects_arrays_with_bad_cuts(bad):
+    with pytest.raises(ValueError, match="B must be positive"):
+        gauss_tail(0.5j, np.array([1.0, bad, 9.0]))
+    with pytest.raises(ValueError, match="B must be positive"):
+        gauss_tail(0.5j, bad)
+
+
+CUTS = np.array([0.5, 0.9, 1.7, 3.0, 6.0, 7.5, 9.0, 12.0, 20.0, 33.0, 50.0])
+
+
+@pytest.mark.parametrize("alpha", [0.5j, complex(-0.1, 0.6), 0.005j])
+def test_gauss_tail_vectorized_matches_scalar(alpha):
+    values, bounds = gauss_tail(alpha, CUTS)
+    assert values.shape == bounds.shape == CUTS.shape
+    grid = gauss_tail(alpha, CUTS[:10].reshape(2, 5))
+    assert np.array_equal(grid[0], values[:10].reshape(2, 5))
+    for i, B in enumerate(CUTS):
+        value, bound = gauss_tail(alpha, float(B))
+        assert np.ndim(value) == np.ndim(bound) == 0
+        assert values[i] == value and bounds[i] == bound
+
+
+@pytest.mark.parametrize("alpha", [0.5j, complex(-0.1, 0.6), 0.005j])
+def test_gauss_tail_bound_dominates_error(alpha):
+    values, bounds = gauss_tail(alpha, CUTS)
+    for B, value, bound in zip(CUTS, values, bounds):
+        err = abs(value - oracle_gauss_tail(alpha, float(B)))
+        # the bound is rigorous; on top of it comes the round-off of the
+        # phase alpha B^2 in exp(alpha B^2) and of the kept sum
+        roundoff = 4 * 2.0**-52 * (1.0 + abs(alpha) * B * B) * abs(value)
+        assert err <= bound + roundoff, (B, err, bound)
+
+
 def test_adaptive_chirp_integral_converges():
     beta, center = 0.5, 0.0
     g = lambda x: np.exp(-0.5 * np.asarray(x) ** 2)
@@ -218,6 +259,13 @@ def test_adaptive_chirp_integral_rejects_bad_envelopes():
     with pytest.raises(IntegrandError) as info:
         adaptive_chirp_integral(raising, 0.5, 0.0, (-1.0, 1.0), 1e-8)
     assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def test_adaptive_chirp_integral_names_its_level_cap():
+    g = lambda x: np.sign(np.asarray(x) - 0.3)  # a jump: first order at best
+    with pytest.raises(NoConvergenceError, match="max_levels") as info:
+        adaptive_chirp_integral(g, 0.5, 0.0, (-1.0, 1.0), 1e-12, max_levels=3)
+    assert info.value.cap == "max_levels"
 
 
 def test_phase_exp():
@@ -348,10 +396,20 @@ def _reference_bridge_rows(alpha, centers, edges):
     ])
     mu = np.stack([mu[0], mu[1] / hw, mu[2] / (hw * hw), mu[3] / hw**3])
     rows = _reference_scatter(np.einsum("kqc,kj->jqc", mu, _FILON_VINV))
+    # linear continuation past each edge, one centre at a time: the
+    # envelope g(e) + g'(e) (w - e) with g' the one-sided 3-point slope
     s = np.sqrt(-alpha)
     pref = math.sqrt(math.pi) / (2.0 * s)
-    rows[:, 0] += pref * erfc(s * (centers - edges[0]))
-    rows[:, -1] += pref * erfc(s * (edges[-1] - centers))
+    h = (edges[-1] - edges[0]) / (3 * (edges.size - 1))
+    for q, c in enumerate(centers):
+        lo, hi = edges[0] - c, edges[-1] - c
+        t_lo = pref * erfc(-s * lo)  # Int_-inf^lo e^{alpha w^2} dw
+        t_hi = pref * erfc(s * hi)  # Int_hi^inf e^{alpha w^2} dw
+        # Int_-inf^lo (w - lo) e^{alpha w^2} dw and its right-hand mirror
+        m_lo = cmath.exp(alpha * lo * lo) / (2 * alpha) - lo * t_lo
+        m_hi = -cmath.exp(alpha * hi * hi) / (2 * alpha) - hi * t_hi
+        rows[q, :3] += t_lo * np.array([1, 0, 0]) + m_lo * np.array([-3, 4, -1]) / (2 * h)
+        rows[q, -3:] += t_hi * np.array([0, 0, 1]) + m_hi * np.array([1, -4, 3]) / (2 * h)
     return rows
 
 

@@ -20,6 +20,7 @@ from numpy.polynomial import polynomial as _poly
 from scipy.linalg import solve_banded
 
 from gaugeint.errors import (
+    GaugeIntError,
     GridTooCoarseError,
     IntegrandError,
     ResourceLimitError,
@@ -207,6 +208,63 @@ def _riemann_two_slice(q, grid, eps, mass=1.0):
 # ---------------------------------------------------------------------------
 # domain-type validation
 # ---------------------------------------------------------------------------
+
+
+def _harmonic_left_point(xi_prime, xi, tau, slices, omega):
+    """Exact left-point time-sliced harmonic kernel from tau' = 0, mass 1.
+
+    The product of slices free kernels and the weights e^{-i V(x_j) dt},
+    j = 0 .. slices - 1, integrated over the interior points: a Gaussian
+    integral (i/2) y^T A y + i b^T y with A tridiagonal, so the value is
+    (2 pi)^{k/2} / sqrt(det(-i A)) e^{-(i/2) b^T A^{-1} b} times the
+    prefactors, sqrt(det) the product of the eigenvalues' principal roots.
+    """
+    dt = tau / slices
+    log_val = slices * cmath.log(cmath.sqrt(1.0 / (2j * math.pi * dt)))
+    log_val -= 0.5j * omega * omega * xi_prime * xi_prime * dt
+    k = slices - 1
+    a = (
+        np.diag(np.full(k, 2.0 / dt - dt * omega * omega))
+        - np.diag(np.full(k - 1, 1.0 / dt), 1)
+        - np.diag(np.full(k - 1, 1.0 / dt), -1)
+    )
+    b = np.zeros(k)
+    b[0] -= xi_prime / dt
+    b[-1] -= xi / dt
+    log_sqrt_det = 0.5 * complex(np.sum(np.log(-1j * np.linalg.eigvalsh(a))))
+    return cmath.exp(
+        log_val + 0.5 * k * math.log(2.0 * math.pi) - log_sqrt_det
+        + 0.5j * (xi_prime**2 + xi**2) / dt - 0.5j * float(b @ np.linalg.solve(a, b))
+    )
+
+
+def _harmonic_sweep(seed, count, slice_counts):
+    """Seeded (query, grid, omega) harmonic cases on the default grid."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        tau, omega = rng.uniform(0.8, 0.98), rng.uniform(0.6, 0.8)
+        xi_prime, xi = rng.uniform(-1.0, 1.0, 2)
+        q = PropagatorQuery(
+            xi_prime, 0.0, xi, tau, slices=int(rng.choice(slice_counts)),
+            potential=Potential.harmonic(omega),
+        )
+        cases.append((q, GRID, omega))
+    return cases
+
+
+# Each query of a sweep must raise or land within rtol of its exact
+# discrete value.  A constant continuation of the envelope past the window
+# returned 10 of 60 two-slice values and 4 of 40 three- and four-slice
+# values off by up to 1.6e-3 with no error raised.
+HARMONIC_SWEEPS = {
+    "2 slices": _harmonic_sweep(7, 60, (2,)),
+    "3-4 slices": _harmonic_sweep(8, 40, (3, 4)) + [(
+        PropagatorQuery(0.0, 0.0, 1.0, 0.5, slices=16, potential=Potential.harmonic(0.5)),
+        SliceGrid(extent=1.5, points=48, damping=1e-3),
+        0.5,
+    )],
+}
 
 
 class TestDomainTypes:
@@ -516,12 +574,26 @@ class TestSlicedPotentials:
         vc = psi_sliced(q, GRID)
         assert abs(vr - vc) / abs(vc) < 2e-3
 
+    @pytest.mark.parametrize("sweep", sorted(HARMONIC_SWEEPS))
+    def test_returned_values_are_within_rtol(self, sweep):
+        off = []
+        for q, grid, omega in HARMONIC_SWEEPS[sweep]:
+            try:
+                v = psi_sliced(q, grid, rtol=1e-3)
+            except GaugeIntError:
+                continue
+            want = _harmonic_left_point(q.xi_prime, q.xi, q.tau, q.slices, omega)
+            if abs(v - want) > 1e-3 * abs(want):
+                off.append((q, abs(v - want) / abs(want)))
+        assert not off, off
+
     def test_window_too_small_is_refused(self):
+        # unprobed, this window leaves the value 3.8e-3 off
         q = PropagatorQuery(
-            0.0, 0.0, 1.0, 0.5, slices=16, potential=Potential.harmonic(0.5)
+            0.0, 0.0, 2.0, 0.5, slices=16, potential=Potential.harmonic(0.5)
         )
         with pytest.raises(GridTooCoarseError):
-            psi_sliced(q, SliceGrid(extent=1.5, points=48, damping=1e-3))
+            psi_sliced(q, SliceGrid(extent=0.5, points=16, damping=1e-3))
 
     def test_unresolved_envelope_is_refused(self):
         q = PropagatorQuery(
