@@ -530,16 +530,17 @@ def oscillatory_improper(spec: OscillatoryTailSpec, tol: float = 1e-8) -> comple
     # mirror x -> -x maps the (-inf, L) tail onto (-L, inf)
     lower = spec.direction * spec.lower_limit
     inner_tol = max(tol * 1e-2, 1e-11)  # floor: the windowed chirp core bottoms out
-    cuts = (max(lower, 0.0) + _CUT_START) * 2.0 ** np.arange(_CUT_POINTS)
-    tails, bounds = gauss_tail(alpha, cuts)
-    far_enough = np.flatnonzero(bounds <= 0.1 * inner_tol)
-    if not far_enough.size:
+    for k in range(_CUT_POINTS):
+        cut = (max(lower, 0.0) + _CUT_START) * 2.0**k
+        tail, bound = gauss_tail(alpha, cut)
+        if bound <= 0.1 * inner_tol:
+            break
+    else:
         raise NoConvergenceError(
-            f"tail bound {bounds[-1]:.3e} exceeds {0.1 * inner_tol:.3e} at the "
-            f"ladder's cap, cut {cuts[-1]:.6g}",
+            f"tail bound {bound:.3e} exceeds {0.1 * inner_tol:.3e} at the "
+            f"ladder's cap, cut {cut:.6g}",
             cap="_CUT_POINTS",
         )
-    cut, tail = float(cuts[far_enough[0]]), tails[far_enough[0]]
     envelope = lambda x: np.exp(alpha.real * np.square(x))
     if alpha.imag > 0.0:
         core, _ = adaptive_chirp_integral(

@@ -36,6 +36,7 @@ __all__ = [
     "ROOT_MINUS_I_OVER_2PI",
     "FRESNEL_SWITCH",
     "fresnel_integral",
+    "fresnel_tail",
     "phase_exp",
     "chirp_filon_weights",
     "gauss_tail",
@@ -81,15 +82,23 @@ def fresnel_integral(u):
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    out = np.empty(u.shape, dtype=complex)
+    out = np.full(u.shape, complex(math.nan, math.nan))  # NaN u stays NaN
     au = np.abs(u)
     near = au <= FRESNEL_SWITCH
     if near.any():
         out[near] = _fresnel_series(u[near])
-    far = ~near
+    far = au > FRESNEL_SWITCH
     if far.any():
         out[far] = np.sign(u[far]) * (FRESNEL_LIMIT - gauss_tail(0.5j, au[far])[0])
     return out[0] if scalar else out
+
+
+def fresnel_tail(u):
+    """Int_u^inf exp(i y^2/2) dy, u >= FRESNEL_SWITCH (unused by the package)."""
+    u = np.asarray(u, dtype=float)
+    if u.size and np.min(u) < FRESNEL_SWITCH:
+        raise ValueError("fresnel_tail needs u >= FRESNEL_SWITCH")
+    return gauss_tail(0.5j, u)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,8 @@ def _bridge_rows(alpha: complex, j: int, xi_prime: float, edges: np.ndarray):
     ncell = edges.size - 1
     npts = 3 * ncell + 1
     step = 3 * (j + 1)  # lattice entries per cell width
-    delta = (edges[-1] - edges[0]) / (npts - 1) / (j + 1)
+    h = (edges[-1] - edges[0]) / (npts - 1)
+    delta = h / (j + 1)
     w0 = (edges[0] - xi_prime) / (j + 1)
     # L runs from -j (npts - 1) (first edge, last centre) to step ncell
     offsets = w0 + delta * np.arange(-j * (npts - 1), step * ncell + 1)
@@ -312,7 +313,6 @@ def _bridge_rows(alpha: complex, j: int, xi_prime: float, edges: np.ndarray):
         return window[..., ::-j, ::step]
 
     rows = _scatter_cells(by_row(lattice))
-    h = delta * (j + 1)
     _fold_bridge_tails(rows, alpha, by_row(wa)[:, 0], by_row(wb)[:, -1], h)
     return rows
 
@@ -356,7 +356,8 @@ def _sliced_member(
             center = lam * q.xi + (1.0 - lam) * q.xi_prime
             wa, wb = edges[:-1] - center, edges[1:] - center
             row = _scatter_cells(_damped_cell_weights(alpha, wa, wb))
-            _fold_bridge_tails(row, alpha, wa[0], wb[-1], nodes[1] - nodes[0])
+            h = (edges[-1] - edges[0]) / (nodes.size - 1)  # as in _bridge_rows
+            _fold_bridge_tails(row, alpha, wa[0], wb[-1], h)
             return psi0_closed(q, mass=mass) * complex(pref_b * np.sum(row * g))
         chi = pref_b * (_bridge_rows(alpha, j, q.xi_prime, edges) @ g)
 

@@ -21,6 +21,7 @@ from gaugeint.oscquad import (
     chirp_filon_weights,
     damped_chirp_filon_weights,
     fresnel_integral,
+    fresnel_tail,
     gauss_tail,
     phase_exp,
 )
@@ -87,6 +88,16 @@ def test_fresnel_tail_consistency():
         t = complex(gauss_tail(0.5j, u)[0])
         assert abs(t - oracle_gauss_tail(0.5j, u)) < 1e-14
         assert abs(t - (FRESNEL_LIMIT - complex(fresnel_integral(u)))) < 1e-14
+        assert fresnel_tail(u) == t
+    with pytest.raises(ValueError, match="FRESNEL_SWITCH"):
+        fresnel_tail(np.array([8.0, 5.0]))
+
+
+def test_fresnel_integral_keeps_nan():
+    assert cmath.isnan(fresnel_integral(math.nan))
+    out = fresnel_integral(np.array([1.0, math.nan, -7.0]))
+    assert cmath.isnan(out[1])
+    assert out[0] == fresnel_integral(1.0) and out[2] == fresnel_integral(-7.0)
 
 
 def oracle_chirp(g, beta, center, lo, hi):
