@@ -31,12 +31,7 @@ from .cells import (
     fsum_complex,
 )
 from .errors import AssociationError, ScheduleError, _require_number
-from .oscquad import (
-    FRESNEL_LIMIT,
-    ROOT_MINUS_I_OVER_2PI,
-    adaptive_chirp_integral,
-    fresnel_integral,
-)
+from .oscquad import ROOT_MINUS_I_OVER_2PI, adaptive_chirp_integral, fresnel_integral
 
 __all__ = [
     "FigureND",
@@ -150,15 +145,10 @@ def free_increment_factor(cell: Cell1D, shift, dt: float):
         raise ScheduleError("increment must be positive")
     shift_arr = np.asarray(shift, dtype=float)
     s = math.sqrt(dt)
-    if cell.hi == math.inf:
-        fhi = np.full(shift_arr.shape, FRESNEL_LIMIT)
-    else:
-        fhi = fresnel_integral((cell.hi - shift_arr) / s)
-    if cell.lo == -math.inf:
-        flo = np.full(shift_arr.shape, -FRESNEL_LIMIT)
-    else:
-        flo = fresnel_integral((cell.lo - shift_arr) / s)
-    out = ROOT_MINUS_I_OVER_2PI * (fhi - flo)
+    out = ROOT_MINUS_I_OVER_2PI * (
+        fresnel_integral((cell.hi - shift_arr) / s)
+        - fresnel_integral((cell.lo - shift_arr) / s)
+    )
     return out if shift_arr.ndim else complex(out)
 
 

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, _require_number, guarded_values
+from .errors import (
+    NoConvergenceError,
+    _require_complex,
+    _require_count,
+    _require_finite,
+    _require_positive,
+    guarded_values,
+)
 
 __all__ = [
     "FRESNEL_LIMIT",
@@ -78,7 +85,7 @@ def _fresnel_series(u):
 
 
 def fresnel_integral(u):
-    """F(u) = Int_0^u exp(i y^2 / 2) dy, odd in u, vectorized."""
+    """F(u) = Int_0^u exp(i y^2 / 2) dy, odd in u, vectorized, F(+-inf) = +-F(inf)."""
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
@@ -87,7 +94,9 @@ def fresnel_integral(u):
     near = au <= FRESNEL_SWITCH
     if near.any():
         out[near] = _fresnel_series(u[near])
-    far = au > FRESNEL_SWITCH
+    inf = au == math.inf
+    out[inf] = np.sign(u[inf]) * FRESNEL_LIMIT
+    far = (au > FRESNEL_SWITCH) & ~inf
     if far.any():
         out[far] = np.sign(u[far]) * (FRESNEL_LIMIT - gauss_tail(0.5j, au[far])[0])
     return out[0] if scalar else out
@@ -212,6 +221,19 @@ def _moments_far(ua, ub):
     return E_mid * mu
 
 
+def _require_edges(edges) -> np.ndarray:
+    """edges as a float array: 1-D, finite and strictly increasing, >= 2 entries."""
+    edges = np.asarray(edges, dtype=float)
+    if (
+        edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
+        or np.any(np.diff(edges) <= 0)
+    ):
+        raise ValueError(
+            "edges must be finite and strictly increasing with >= 2 entries"
+        )
+    return edges
+
+
 def _split_far_edges(uedges):
     """Insert edges so cells with |u_mid| > _NEAR_LIMIT have width <= _FAR_WIDTH."""
     out = [uedges[0]]
@@ -234,11 +256,9 @@ def chirp_filon_weights(beta: float, center: float, edges):
     exact moments.  beta > 0.  Far cells are split internally so the centered
     moments stay stable; the returned nodes reflect the refined cells.
     """
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
+    beta = _require_positive("beta", beta)
+    center = _require_finite("center", center)
+    edges = _require_edges(edges)
     s = math.sqrt(2.0 * beta)
     ue = (edges - center) * s
     ue = _split_far_edges(ue)
@@ -327,14 +347,13 @@ def damped_chirp_filon_weights(alpha: complex, center: float, edges):
     equally spaced nodes.  Because the quadratic kernel is exact, cells may
     be wide wherever g itself is smooth — no oscillation-scale splitting.
     """
-    alpha = complex(alpha)
+    alpha = _require_complex("alpha", alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if alpha.real > 0.0:
         raise ValueError("Re(alpha) must be <= 0")
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
+    center = _require_finite("center", center)
+    edges = _require_edges(edges)
     wa = edges[:-1] - center
     wb = edges[1:] - center
     um = 0.5 * (wa + wb)
@@ -347,22 +366,22 @@ def damped_chirp_filon_weights(alpha: complex, center: float, edges):
 def gauss_tail(alpha: complex, B):
     """(value, bound) for Int_B^inf exp(alpha x^2) dx, Re(alpha) <= 0.
 
-    Vectorized over B > 0 (numpy scalars for a scalar B).  By parts, the
-    value is exp(alpha B^2) sum_k t_k, t_0 = -1/(2 alpha B) and t_k =
+    Vectorized over finite B > 0 (numpy scalars for a scalar B).  By parts,
+    the value is exp(alpha B^2) sum_k t_k, t_0 = -1/(2 alpha B) and t_k =
     t_(k-1) (2k-1) / (2 alpha B^2), cut at the minimum term or after
     _TAIL_MAX_TERMS.  After K terms the remainder is (2K-1)!!/(2 alpha)^K
     Int_B^inf e^{alpha x^2} x^{-2K} dx, at most e^{Re(alpha) B^2} |t_(K-1)|:
     the returned bound.
     """
-    alpha = complex(alpha)
+    alpha = _require_complex("alpha", alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if alpha.real > 1e-15:
         raise ValueError("Re(alpha) must be <= 0")
     shape = np.shape(B)
     B = np.ravel(np.asarray(B, dtype=float))  # one arithmetic path for any shape
-    if not np.all(B > 0.0):  # NaN fails too
-        raise ValueError("B must be positive")
+    if not np.all((B > 0.0) & (B < math.inf)):  # NaN fails too
+        raise ValueError("B must be positive and finite")
     ratio = 1.0 / (2.0 * alpha * B[:, None] ** 2)
     term = -1.0 / (2.0 * alpha * B)  # t_0
     odd = 2.0 * np.arange(1, _TAIL_MAX_TERMS) - 1.0  # t_k = t_(k-1) (2k-1) ratio
@@ -390,22 +409,25 @@ def adaptive_chirp_integral(
     """Adaptive Filon evaluation of Int e^{i beta (x-c)^2} g(x) dx on window.
 
     g must accept numpy arrays (a raising or non-finite g raises
-    IntegrandError).  Cells are refined globally (doubling) until
-    two successive levels agree within tol.  Returns (value,
-    error_estimate).
+    IntegrandError).  beta, tol > 0 and the window is finite.  Cells are
+    refined globally (doubling) until two successive levels agree within
+    tol.  Returns (value, error_estimate).
     """
-    lo, hi = (_require_number("window", x) for x in window)
+    beta = _require_positive("beta", beta)
+    center = _require_finite("center", center)
+    lo, hi = (_require_finite("window", x) for x in window)
     if not lo < hi:
         raise ValueError("window must have lo < hi")
+    tol = _require_positive("tol", tol)
+    max_levels = _require_count("max_levels", max_levels, 1)
     ncell = _CHIRP_MIN_CELLS
-    if beta != 0.0:
-        # the near/far moment split must not hide inside coarse cells:
-        # if the near zone intersects the window, start fine enough that
-        # level doubling actually refines it (otherwise early levels can
-        # share one effective rule and agree without measuring anything)
-        nh = math.sqrt(_NEAR_LIMIT / abs(beta))
-        if lo < center + nh and hi > center - nh:
-            ncell = max(ncell, min(4096, int(math.ceil((hi - lo) / nh))))
+    # the near/far moment split must not hide inside coarse cells: if the
+    # near zone intersects the window, start fine enough that level
+    # doubling actually refines it (otherwise early levels can share one
+    # effective rule and agree without measuring anything)
+    nh = math.sqrt(_NEAR_LIMIT / beta)
+    if lo < center + nh and hi > center - nh:
+        ncell = max(ncell, min(4096, int(math.ceil((hi - lo) / nh))))
     prev = None
     prev_drift = None
     for _ in range(max_levels):

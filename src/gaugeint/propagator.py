@@ -2,16 +2,16 @@
 
 Closed-form free and harmonic kernels, time-sliced kernels with a
 potential (iterated one-step damped Fresnel convolutions on a spatial
-grid, each slice a dense bridge-weight matrix applied to the envelope),
+grid, each slice exact Filon cell weights contracted with the envelope),
 and the perturbation expansion in interaction vertices (an exact
 complex-Gaussian bridge recursion on polynomial envelopes).  Units
 hbar = 1; the particle mass enters every kernel and defaults to 1.
 
-The bridge-weight matrix of a slice is built on an offset lattice: with
+The cell weights of a slice are built on an offset lattice: with
 uniform slices the bridge centres are the nodes scaled by j / (j + 1)
 about the start point, so every (centre, cell) offset is a multiple of
 h / (j + 1) from one origin, and the exact cell moments are computed once
-per lattice offset (O(j N) of them) and gathered into the N rows.
+per lattice offset (O(j N) of them) and read off it by the N centres.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     _require_positive,
 )
 from .integrate import _neville_at_zero, _vectorized, fresnel_line_integral
-from .oscquad import _damped_cell_weights, _erfc_tail, _scatter_cells
+from .oscquad import _damped_cell_weights, _erfc_tail
 
 __all__ = [
     "Potential",
@@ -232,8 +232,8 @@ def closed_kernel(q: PropagatorQuery, *, mass: float = 1.0) -> complex | None:
 
 
 _LATTICE_CHUNK = 1 << 14  # lattice entries per moment block (bounds peak memory)
-# lattice moments plus bridge-row entries one psi_sliced call may compute;
-# criterion 5 (16 slices, 768 points, five members) needs about 3.2e7
+# lattice moments plus cell weights one psi_sliced call may compute;
+# criterion 5 (16 slices, 768 points, five members) needs about 4.2e7
 _WORK_CAP = 10**10
 
 
@@ -243,60 +243,58 @@ def _cell_count(points: int) -> int:
 
 
 def _member_work(slices: int, points: int) -> int:
-    """Lattice moments plus bridge-row entries one _sliced_member computes.
+    """Lattice moments plus cell weights one _sliced_member computes.
 
     Slice j = 1 .. slices - 2 builds a lattice of j (npts - 1) +
-    3 (j + 1) (ncell - 1) + 1 cells (_bridge_rows) and npts^2 row entries;
-    the final step builds one row (ncell cells, npts entries).
+    3 (j + 1) (ncell - 1) + 1 cells (_lattice_step) and reads 4 ncell
+    weights per centre; the final step ncell cells and 4 ncell weights.
     """
     ncell = _cell_count(points)
     npts = 3 * ncell + 1
     inner = max(0, slices - 2)
     jsum = inner * (inner + 1) // 2
     lattice = jsum * (npts - 1) + 3 * (jsum + inner) * (ncell - 1) + inner
-    return lattice + inner * npts * npts + ncell + npts
+    return lattice + inner * 4 * npts * ncell + 5 * ncell
 
 
-def _fold_bridge_tails(rows: np.ndarray, alpha: complex, lo, hi, h: float) -> None:
-    """Add the beyond-mesh tails of Int e^{alpha w^2} g(w) dw to the end nodes.
+def _contract_cells(cellw, g: np.ndarray, alpha: complex, lo, hi, h: float):
+    """Int e^{alpha w^2} g(w) dw per bridge centre: Filon cells plus tails.
 
-    lo and hi are the offsets of the first and last node from each row's
-    bridge centre, h the node spacing.  Past an edge e the envelope goes on
-    as g(e) + g'(e) (w - e), g' the one-sided three-point slope.  On the
-    right T = Int_hi^inf e^{alpha w^2} dw and M = Int_hi^inf (w - hi)
-    e^{alpha w^2} dw = -e^{alpha hi^2} / (2 alpha) - hi T (proper, as
-    Re(alpha) < 0), mirrored on the left; T and M / (2 h) fold in place
-    into the three end nodes of each row.
+    cellw (4, ..., ncell) are the per-cell node weights; weight k of cell i
+    meets node 3 i + k of g.  lo and hi are the offsets of the first and
+    last node from each bridge centre, h the node spacing.  Past an edge e
+    the envelope goes on as g(e) + g'(e) (w - e), g' the one-sided
+    three-point slope.  On the right T = Int_hi^inf e^{alpha w^2} dw and
+    M = Int_hi^inf (w - hi) e^{alpha w^2} dw = -e^{alpha hi^2} / (2 alpha)
+    - hi T (proper, as Re(alpha) < 0), mirrored on the left.
     """
+    ncell = cellw.shape[-1]
+    cells = sum(cellw[k] @ g[k : k + 3 * ncell : 3] for k in range(4))
     t_lo, t_hi = _erfc_tail(alpha, -lo), _erfc_tail(alpha, hi)
     m_lo = np.exp(alpha * lo * lo) / (2.0 * alpha) - lo * t_lo
     m_hi = -np.exp(alpha * hi * hi) / (2.0 * alpha) - hi * t_hi
     # g'(lo) from g_0, g_1, g_2; g'(hi) from g_-3, g_-2, g_-1 is its mirror image
     slope = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-    rows[..., 0] += t_lo
-    rows[..., -1] += t_hi
-    rows[..., :3] += np.multiply.outer(m_lo, slope)
-    rows[..., -3:] -= np.multiply.outer(m_hi, slope[::-1])
+    return (cells + t_lo * g[0] + t_hi * g[-1]
+            + m_lo * (slope @ g[:3]) - m_hi * (slope[::-1] @ g[-3:]))
 
 
-def _bridge_rows(alpha: complex, j: int, xi_prime: float, edges: np.ndarray):
-    """Full-line bridge rows for every centre c_q = (j x_q + xi') / (j + 1).
+def _lattice_step(alpha: complex, j: int, xi_prime: float, edges, h: float, g):
+    """Int e^{alpha (x - c_q)^2} g dx for each c_q = (j x_q + xi') / (j + 1).
 
-    Row q is the damped Filon rule of e^{alpha (x - c_q)^2} on edges plus
-    the tails.
-    x_q = edges[0] + h q are the 3 ncell + 1 nodes, h the node spacing.
+    Each is one _contract_cells row; x_q = edges[0] + h q are the
+    3 ncell + 1 nodes, h the node spacing.
     The offset of edge e_i from centre c_q is w0 + delta L with
     w0 = (edges[0] - xi') / (j + 1), delta = h / (j + 1) and the integer
-    L = 3 (j + 1) i - j q, so every cell of every row is one cell of a
+    L = 3 (j + 1) i - j q, so every cell of every centre is one cell of a
     single 1-D lattice of offsets.  Its Filon cell weights are computed
     once per lattice entry, about 6 j ncell of them (in bounded chunks),
-    not once per (centre, cell) pair, and each row reads its cells off
+    not once per (centre, cell) pair, and each centre reads its cells off
     the lattice as a strided view.
     """
     ncell = edges.size - 1
     npts = 3 * ncell + 1
     step = 3 * (j + 1)  # lattice entries per cell width
-    h = (edges[-1] - edges[0]) / (npts - 1)
     delta = h / (j + 1)
     w0 = (edges[0] - xi_prime) / (j + 1)
     # L runs from -j (npts - 1) (first edge, last centre) to step ncell
@@ -308,13 +306,12 @@ def _bridge_rows(alpha: complex, j: int, xi_prime: float, edges: np.ndarray):
         lattice[:, part] = _damped_cell_weights(alpha, wa[part], wb[part])
 
     def by_row(a):
-        # cell i of row q is lattice entry step i + j (npts - 1 - q)
+        # cell i of centre q is lattice entry step i + j (npts - 1 - q)
         window = sliding_window_view(a, step * (ncell - 1) + 1, axis=-1)
         return window[..., ::-j, ::step]
 
-    rows = _scatter_cells(by_row(lattice))
-    _fold_bridge_tails(rows, alpha, by_row(wa)[:, 0], by_row(wb)[:, -1], h)
-    return rows
+    lo, hi = by_row(wa)[:, 0], by_row(wb)[:, -1]
+    return _contract_cells(by_row(lattice), g, alpha, lo, hi, h)
 
 
 def _sliced_member(
@@ -327,10 +324,10 @@ def _sliced_member(
     integration is a complex-Gaussian bridge contracted with exact
     damped-chirp cell moments plus analytic linear-continuation tails,
     so no grid oscillation is ever sampled pointwise.  Step j weighs the
-    envelope by the left-point potential e^{-i V(x_j) dt}; the rows of
-    an intermediate step come from one offset lattice (_bridge_rows),
+    envelope by the left-point potential e^{-i V(x_j) dt}; the cells of
+    an intermediate step come from one offset lattice (_lattice_step),
     O(j ncell) moments for slice j, and the final step to the end point
-    contracts a single row.
+    has one centre; both contract their cells with g (_contract_cells).
     """
     n = q.slices
     dt = q.duration / n
@@ -341,6 +338,7 @@ def _sliced_member(
     ncell = _cell_count(points)
     edges = np.linspace(c - extent, c + extent, ncell + 1)
     nodes = np.linspace(c - extent, c + extent, 3 * ncell + 1)
+    h = (edges[-1] - edges[0]) / (3 * ncell)  # node spacing
 
     # envelope after slice 1: phi_1(z) = K(z - xi'; dt) * chi(z)
     v0 = float(pot.values(np.array([q.xi_prime]), times[0])[0])
@@ -355,11 +353,10 @@ def _sliced_member(
             lam = a / (a + dt)
             center = lam * q.xi + (1.0 - lam) * q.xi_prime
             wa, wb = edges[:-1] - center, edges[1:] - center
-            row = _scatter_cells(_damped_cell_weights(alpha, wa, wb))
-            h = (edges[-1] - edges[0]) / (nodes.size - 1)  # as in _bridge_rows
-            _fold_bridge_tails(row, alpha, wa[0], wb[-1], h)
-            return psi0_closed(q, mass=mass) * complex(pref_b * np.sum(row * g))
-        chi = pref_b * (_bridge_rows(alpha, j, q.xi_prime, edges) @ g)
+            cellw = _damped_cell_weights(alpha, wa, wb)
+            value = _contract_cells(cellw, g, alpha, wa[0], wb[-1], h)
+            return psi0_closed(q, mass=mass) * complex(pref_b * value)
+        chi = pref_b * _lattice_step(alpha, j, q.xi_prime, edges, h, g)
 
 
 def psi_sliced(
@@ -401,7 +398,7 @@ def psi_sliced(
     if work > _WORK_CAP:
         raise ResourceLimitError(
             f"{q.slices} slices at {grid.points} points need about {work:.3e} "
-            f"lattice moments and bridge-row entries, over the budget "
+            f"lattice moments and cell weights, over the budget "
             f"{_WORK_CAP:.3e}; use fewer slices or points"
         )
 

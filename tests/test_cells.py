@@ -212,6 +212,26 @@ def test_validator_flags_bad_divisions():
     assert validate_division(d).ok
 
 
+def test_validator_flags_a_full_line_cell_beside_others():
+    d = Division1D(
+        (
+            TaggedCell1D(inf, Cell1D.full_line()),
+            TaggedCell1D(0.0, Cell1D.bounded(0.0, 1.0)),
+        )
+    )
+    kinds = [v.kind for v in validate_division(d).violations]
+    assert "structure" in kinds
+
+
+def test_validator_flags_a_coarser_gauge():
+    d = cousin_division(Gauge1D(lambda x: 0.5))
+    assert validate_division(d, Gauge1D(lambda x: 0.5)).ok
+    rep = validate_division(d, Gauge1D(lambda x: 0.1))
+    assert rep.violations
+    assert {v.kind for v in rep.violations} == {"fineness"}
+    assert all(v.detail == f"item {v.index} is not delta-fine" for v in rep.violations)
+
+
 def test_riemann_sum_matches_closed_form():
     g = Gauge1D(lambda x: 0.5)
     d = cousin_division(g, tails=(-3.0, 3.0))

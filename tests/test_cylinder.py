@@ -462,6 +462,20 @@ def test_damped_reduction_names_its_level_cap(monkeypatch):
     assert info.value.cap == "_MAX_LEVEL"
 
 
+def test_damped_extrapolation_refuses_an_unstable_ladder(monkeypatch):
+    import gaugeint.cylinder as cylinder
+
+    # members growing like 1/eps have no limit at eps = 0
+    def growing(fv, sched, eps, tol, start_cells):
+        return 1.0 / eps
+
+    monkeypatch.setattr(cylinder, "_damped_reduction", growing)
+    sched = IncrementSchedule(times=(0.5, 1.0))
+    with pytest.raises(NoConvergenceError, match="extrapolation unstable") as info:
+        cylinder._damped_extrapolation(None, sched, 1e-6)
+    assert info.value.cap is None
+
+
 def test_reduce_marginal_consistency():
     # f depends only on the first coordinate: integrating the second out
     # must reproduce the one-dimensional reduction on the truncated schedule

@@ -380,6 +380,31 @@ def test_far_lower_limit_tail():
     assert abs(v - gauss_tail(0.5j, 50.0)[0]) < 1e-8
 
 
+def _reciprocal_about(pole):
+    """1 / |x - pole|, with the value 0 at the pole itself."""
+
+    def f(x):
+        d = np.abs(np.asarray(x, dtype=float) - pole)
+        return np.divide(1.0, d, out=np.zeros_like(d), where=d != 0.0)
+
+    return f
+
+
+def test_endpoint_pole_stops_at_the_peel_cap():
+    # 1/x is not integrable at 0: the peeled prefix sums grow like log
+    with pytest.raises(NoConvergenceError, match="_MAX_PEELS") as info:
+        hk_integrate_1d(_reciprocal_about(0.0), (0.0, 1.0), 1e-3)
+    assert info.value.cap == "_MAX_PEELS"
+
+
+def test_interior_pole_stops_at_the_level_cap():
+    # an interior singularity is no endpoint stall, so nothing is peeled
+    stopped = r"window after \d+ levels stopped at _MAX_LEVELS"
+    with pytest.raises(NoConvergenceError, match=stopped) as info:
+        hk_integrate_1d(_reciprocal_about(0.3), (0.0, 1.0), 1e-3)
+    assert info.value.cap == "_MAX_LEVELS"
+
+
 def test_tiny_coefficient_hits_cut_cap(monkeypatch):
     # no cut on the ladder bounds the tail of so slow a chirp: the cap
     # error names the bound before any window is integrated

@@ -33,7 +33,7 @@ from gaugeint.oscquad import (
     _moments_far,
     _split_far_edges,
 )
-from gaugeint.propagator import _bridge_rows
+from gaugeint.propagator import _lattice_step
 
 
 def oracle_F(u: float) -> complex:
@@ -98,6 +98,14 @@ def test_fresnel_integral_keeps_nan():
     out = fresnel_integral(np.array([1.0, math.nan, -7.0]))
     assert cmath.isnan(out[1])
     assert out[0] == fresnel_integral(1.0) and out[2] == fresnel_integral(-7.0)
+
+
+def test_fresnel_integral_at_infinity_is_the_limit():
+    assert fresnel_integral(math.inf) == FRESNEL_LIMIT
+    assert fresnel_integral(-math.inf) == -FRESNEL_LIMIT
+    out = fresnel_integral(np.array([-math.inf, 1.0, math.inf]))
+    assert out[0] == -FRESNEL_LIMIT and out[2] == FRESNEL_LIMIT
+    assert out[1] == fresnel_integral(1.0)
 
 
 def oracle_chirp(g, beta, center, lo, hi):
@@ -223,6 +231,20 @@ def test_gauss_tail_rejects_arrays_with_bad_cuts(bad):
         gauss_tail(0.5j, bad)
 
 
+@pytest.mark.parametrize(
+    "alpha, B",
+    [
+        (complex(math.nan, 1.0), 2.0),
+        (complex(-math.inf, 1.0), 2.0),
+        (0.5j, math.inf),
+        (0.5j, np.array([1.0, math.inf])),
+    ],
+)
+def test_gauss_tail_checks_its_numbers(alpha, B):
+    with pytest.raises(ValueError):
+        gauss_tail(alpha, B)
+
+
 CUTS = np.array([0.5, 0.9, 1.7, 3.0, 6.0, 7.5, 9.0, 12.0, 20.0, 33.0, 50.0])
 
 
@@ -277,6 +299,27 @@ def test_adaptive_chirp_integral_names_its_level_cap():
     with pytest.raises(NoConvergenceError, match="max_levels") as info:
         adaptive_chirp_integral(g, 0.5, 0.0, (-1.0, 1.0), 1e-12, max_levels=3)
     assert info.value.cap == "max_levels"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"tol": 0.0},
+        {"tol": -1e-8},
+        {"tol": math.nan},
+        {"beta": "0.5"},
+        {"beta": math.inf},
+        {"center": math.nan},
+        {"window": (0.0, math.inf)},
+        {"max_levels": 0},
+        {"max_levels": 2.5},
+    ],
+)
+def test_adaptive_chirp_integral_checks_its_numbers(change):
+    args = {"beta": 0.5, "center": 0.0, "window": (-1.0, 1.0), "tol": 1e-8}
+    g = lambda x: np.exp(-np.square(np.asarray(x)))
+    with pytest.raises(ValueError):
+        adaptive_chirp_integral(g, **{**args, "max_levels": 12, **change})
 
 
 def test_phase_exp():
@@ -372,6 +415,40 @@ def test_damped_weights_validation():
         damped_chirp_filon_weights(0j, 0.0, [0.0, 1.0])
     with pytest.raises(ValueError):
         damped_chirp_filon_weights(1j, 0.0, [1.0, 0.0])
+
+
+EDGES = np.linspace(-2.0, 2.0, 9)
+
+
+@pytest.mark.parametrize(
+    "alpha, center, edges",
+    [
+        (complex(math.nan, 1.0), 0.0, EDGES),
+        (complex(-math.inf, 1.0), 0.0, EDGES),
+        ("-0.1+1j", 0.0, EDGES),
+        (complex(-0.1, 1.0), math.nan, EDGES),
+        (complex(-0.1, 1.0), 0.0, [0.0, 1.0, math.inf]),
+        (complex(-0.1, 1.0), 0.0, [-math.inf, 0.0, 1.0]),
+    ],
+)
+def test_damped_weights_check_their_numbers(alpha, center, edges):
+    with pytest.raises(ValueError):
+        damped_chirp_filon_weights(alpha, center, edges)
+
+
+@pytest.mark.parametrize(
+    "beta, center, edges",
+    [
+        (math.inf, 0.0, EDGES),
+        ("1", 0.0, EDGES),
+        (1.0, math.nan, EDGES),
+        (1.0, math.inf, EDGES),
+        (1.0, 0.0, [0.0, 1.0, math.inf]),
+    ],
+)
+def test_chirp_weights_check_their_numbers(beta, center, edges):
+    with pytest.raises(ValueError):
+        chirp_filon_weights(beta, center, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +570,12 @@ def _assert_within(got, want, bound):
     assert dev <= bound, (dev, bound)
 
 
-# The dense bridge step builds its rows on the offset lattice; the per-centre
-# construction above is its oracle.  Single weights are not compared: the
-# binomial shift of far cells (|u_m| / hw ~ 500) leaves round-off up to
-# ~1e-5 max|w| in both constructions, which the contraction with a smooth
-# envelope averages out.
+# The lattice bridge step contracts cell weights read off the offset lattice
+# with the envelope; the per-centre rows above, applied to the same
+# envelope, are its oracle.  Single weights are not compared: the binomial
+# shift of far cells (|u_m| / hw ~ 500) leaves round-off up to ~1e-5 max|w|
+# in both constructions, which the contraction with a smooth envelope
+# averages out.
 
 
 def _sliced_geometry(j, xi_prime, c, ncell=255, extent=16.0, dt=0.125, eps=1e-3):
@@ -512,24 +590,16 @@ def _sliced_geometry(j, xi_prime, c, ncell=255, extent=16.0, dt=0.125, eps=1e-3)
 def test_lattice_bridge_rows_match_per_centre_oracle(j):
     dt, omega = 0.125, 0.7
     alpha, edges, nodes, centers = _sliced_geometry(j, 0.37, -0.41, dt=dt)
-    got = _bridge_rows(alpha, j, 0.37, edges)
-    want = _reference_bridge_rows(alpha, centers, edges)
-
-    def harmonic_phase(x):
-        return np.exp(-0.5j * omega**2 * np.square(x) * dt)
-
-    vmid = harmonic_phase(0.5 * (nodes[None, :] + nodes[:, None]))
+    h = (edges[-1] - edges[0]) / (nodes.size - 1)
+    rows = _reference_bridge_rows(alpha, centers, edges)
     for g in (
         np.ones(nodes.size, dtype=complex),
         np.exp(-0.02 * np.square(nodes - 1.0)) * (1.0 + 0.3j * np.sin(nodes)),
-        harmonic_phase(nodes),
+        np.exp(-0.5j * omega**2 * np.square(nodes) * dt),
     ):
-        for contract in (
-            lambda rows: rows @ g,
-            lambda rows: np.einsum("qn,qn->q", rows, vmid * g[None, :]),
-        ):
-            a, b = contract(got), contract(want)
-            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+        got = _lattice_step(alpha, j, 0.37, edges, h, g)
+        want = rows @ g
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("j", [1, 2, 8])
@@ -545,8 +615,9 @@ def test_lattice_bridge_step_moment_count(j, monkeypatch):
 
     monkeypatch.setattr(oscquad, "_damped_raw_moments", counting)
     ncell = 255
-    alpha, edges, _, _ = _sliced_geometry(j, 0.2, 0.1, ncell=ncell)
-    _bridge_rows(alpha, j, 0.2, edges)
+    alpha, edges, nodes, _ = _sliced_geometry(j, 0.2, 0.1, ncell=ncell)
+    h = (edges[-1] - edges[0]) / (nodes.size - 1)
+    _lattice_step(alpha, j, 0.2, edges, h, np.ones(nodes.size, dtype=complex))
     # one cell moment per lattice offset, not one per (centre, cell) pair
     assert sum(counted) <= 3 * (j + 1) * ncell + j * (3 * ncell + 1)
 

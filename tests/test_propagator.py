@@ -603,6 +603,16 @@ class TestSlicedPotentials:
         with pytest.raises(GridTooCoarseError):
             psi_sliced(q, SliceGrid(extent=10.0, points=60, damping=1e-3))
 
+    @pytest.mark.parametrize("omega, tau, slices", [(4.0, 0.5, 4), (2.8, 1.0, 2)])
+    def test_stiff_harmonic_query_is_refused(self, omega, tau, slices):
+        # the damping members disagree at omega tau near pi; the refusal
+        # is a GaugeIntError whichever check makes it
+        q = PropagatorQuery(
+            0.1, 0.0, -0.3, tau, slices=slices, potential=Potential.harmonic(omega)
+        )
+        with pytest.raises(GaugeIntError):
+            psi_sliced(q, GRID)
+
     def test_arguments_are_checked_before_any_member(self):
         calls = []
 
