@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from math import fsum, inf, isfinite, isnan
+from math import fsum, inf, isfinite, isinf, isnan
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,6 +64,8 @@ KIND_NEG_TAIL = "neg_tail"
 KIND_BOUNDED = "bounded"
 KIND_POS_TAIL = "pos_tail"
 KIND_FULL_LINE = "full_line"
+
+_MAX_DEPTH = 60  # bisection levels of cousin_division
 
 
 def _check_extended(x: float, what: str) -> float:
@@ -123,7 +125,7 @@ class Cell1D:
 
     @property
     def is_bounded(self) -> bool:
-        return self.kind == KIND_BOUNDED
+        return isfinite(self.lo) and isfinite(self.hi)
 
     def contains(self, x: float) -> bool:
         """Membership in the point set: (lo, hi] restricted to finite x."""
@@ -140,17 +142,31 @@ def cell_volume(cell: Cell1D) -> float:
     return 0.0
 
 
+def _is_associated(tag: float, cell: Cell1D) -> bool:
+    """The association rule of every shape: the tag is an edge of its cell,
+    and that edge is infinite unless the cell is bounded."""
+    return (tag == cell.lo or tag == cell.hi) and (isinf(tag) or cell.is_bounded)
+
+
+def _require_associated(tag: float, cell: Cell1D) -> Cell1D:
+    """The cell, or AssociationError when tag is not associated with it."""
+    if not _is_associated(tag, cell):
+        raise AssociationError(f"tag {tag} is not an associated point of {cell!r}")
+    return cell
+
+
+def _is_fine(cell: Cell1D, d: float) -> bool:
+    """The fineness rule of every shape under the width bound d."""
+    if cell.lo == -inf:
+        return cell.hi == inf or cell.hi < -1.0 / d
+    if cell.hi == inf:
+        return cell.lo > 1.0 / d
+    return cell.hi - cell.lo < d
+
+
 def tag_is_associated(tag: float, cell: Cell1D) -> bool:
     """Whether tag is an admissible associated point of the cell."""
-    tag = _check_extended(tag, "tag")
-    kind = cell.kind
-    if kind == KIND_BOUNDED:
-        return tag == cell.lo or tag == cell.hi
-    if kind == KIND_NEG_TAIL:
-        return tag == -inf
-    if kind == KIND_POS_TAIL:
-        return tag == inf
-    return tag == -inf or tag == inf
+    return _is_associated(_check_extended(tag, "tag"), cell)
 
 
 @dataclass(frozen=True)
@@ -237,7 +253,7 @@ class CellND:
         return vol
 
     def is_associated(self) -> bool:
-        return all(tag_is_associated(t, c) for t, c in zip(self.tags, self.factors))
+        return all(_is_associated(t, c) for t, c in zip(self.tags, self.factors))
 
 
 def is_delta_fine(item: TaggedCell1D, gauge: Gauge1D) -> bool:
@@ -246,26 +262,13 @@ def is_delta_fine(item: TaggedCell1D, gauge: Gauge1D) -> bool:
     The gauge is evaluated once, at the tag.  Raises AssociationError if
     the tag is not associated with the cell.
     """
-    if not tag_is_associated(item.tag, item.cell):
-        raise AssociationError(
-            f"tag {item.tag} is not an associated point of {item.cell!r}"
-        )
-    kind = item.cell.kind
-    if kind == KIND_FULL_LINE:
-        return True
-    d = gauge(item.tag)
-    if kind == KIND_BOUNDED:
-        return (item.cell.hi - item.cell.lo) < d
-    if kind == KIND_NEG_TAIL:
-        return item.cell.hi < -1.0 / d
-    return item.cell.lo > 1.0 / d
+    return _is_fine(_require_associated(item.tag, item.cell), gauge(item.tag))
 
 
 def cousin_division(
     gauge: Gauge1D,
     *,
     tails: tuple[float, float] | None = None,
-    max_depth: int = 60,
 ) -> Division1D:
     """Construct a delta-fine division of the line for the given gauge.
 
@@ -273,8 +276,9 @@ def cousin_division(
     two tail cells are fine; pass explicit tails to pin them.  The bounded
     middle is bisected until each piece (u, v] is shorter than delta at one
     of its endpoints, tagging at the certifying endpoint and preferring the
-    left endpoint when both certify.  Bisection deeper than max_depth raises
-    ResourceLimitError.
+    left endpoint when both certify.  The gauge is asked once per point:
+    each piece carries the gauge values at its two edges.  Bisection deeper
+    than _MAX_DEPTH raises ResourceLimitError.
     """
     if tails is None:
         a = -(1.0 / gauge(-inf) + 1.0)
@@ -290,27 +294,28 @@ def cousin_division(
 
     items: list[TaggedCell1D] = [TaggedCell1D(-inf, Cell1D.neg_tail(a))]
     # Depth-first, left to right, so the output is ordered and deterministic.
-    stack: list[tuple[float, float, int]] = [(a, b, 0)]
+    stack = [(a, b, gauge(a), gauge(b), 0)]
     while stack:
-        u, v, depth = stack.pop()
-        if depth > max_depth:
+        u, v, du, dv, depth = stack.pop()
+        if depth > _MAX_DEPTH:
             raise ResourceLimitError(
-                f"bisection exceeded depth {max_depth} near ({u}, {v}]"
+                f"bisection exceeded depth {_MAX_DEPTH} near ({u}, {v}]"
             )
         w = v - u
-        if w < gauge(u):
-            items.append(TaggedCell1D(u, Cell1D.bounded(u, v)))
-        elif w < gauge(v):
-            items.append(TaggedCell1D(v, Cell1D.bounded(u, v)))
+        if w < du:
+            items.append(TaggedCell1D(u, Cell1D(u, v)))
+        elif w < dv:
+            items.append(TaggedCell1D(v, Cell1D(u, v)))
         else:
             mid = 0.5 * (u + v)
             if not (u < mid < v):
                 raise ResourceLimitError(
                     f"cell ({u}, {v}] cannot be split further; gauge too small"
                 )
+            dm = gauge(mid)
             # push right first so the left half is processed first
-            stack.append((mid, v, depth + 1))
-            stack.append((u, mid, depth + 1))
+            stack.append((mid, v, dm, dv, depth + 1))
+            stack.append((u, mid, du, dm, depth + 1))
     items.append(TaggedCell1D(inf, Cell1D.pos_tail(b)))
     return Division1D(tuple(items))
 
@@ -340,8 +345,9 @@ def validate_division(division: Division1D, gauge: Gauge1D | None = None) -> Div
     the division is a valid (and, with a gauge, delta-fine) division.
     """
     bad: list[Violation] = []
-    for i, it in enumerate(division):
-        if not tag_is_associated(it.tag, it.cell):
+    associated = [_is_associated(it.tag, it.cell) for it in division]
+    for i, (it, ok) in enumerate(zip(division, associated)):
+        if not ok:
             bad.append(
                 Violation("association", f"tag {it.tag} not associated with {it.cell!r}", i)
             )
@@ -375,10 +381,8 @@ def validate_division(division: Division1D, gauge: Gauge1D | None = None) -> Div
                 )
 
     if gauge is not None:
-        for i, it in enumerate(division):
-            if not tag_is_associated(it.tag, it.cell):
-                continue  # already reported; fineness undefined
-            if not is_delta_fine(it, gauge):
+        for i, (it, ok) in enumerate(zip(division, associated)):
+            if ok and not _is_fine(it.cell, gauge(it.tag)):  # unassociated: no fineness
                 bad.append(Violation("fineness", f"item {i} is not delta-fine", i))
     return DivisionReport(tuple(bad))
 
@@ -424,14 +428,8 @@ def _tag_from_json(obj) -> float:
 
 
 def _cell_bounds(cell: Cell1D) -> list[float]:
-    kind = cell.kind
-    if kind == KIND_BOUNDED:
-        return [cell.lo, cell.hi]
-    if kind == KIND_NEG_TAIL:
-        return [cell.hi]
-    if kind == KIND_POS_TAIL:
-        return [cell.lo]
-    return []
+    """The finite edges of the cell, in order."""
+    return [e for e in (cell.lo, cell.hi) if isfinite(e)]
 
 
 def _cell_from_kind_bounds(kind: str, bounds: Sequence[float]) -> Cell1D:

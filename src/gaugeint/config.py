@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .errors import _require_count, _require_positive
-from .exchange import _DEFAULT_PROBE_RADII
+from .exchange import _DEFAULT_PROBE_RADII, _require_radii
 from .propagator import SliceGrid
 
 __all__ = [
@@ -82,12 +82,7 @@ class LabConfig:
         object.__setattr__(self, "seed", _require_count("seed", self.seed, 0))
         if self.seed >= _SEED_BOUND:
             raise ValueError("seed must fit in 64 bits")
-        radii = tuple(_require_positive("radii", r) for r in self.radii)
-        object.__setattr__(self, "radii", radii)
-        if not radii:
-            raise ValueError("radii must be positive reals")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly increasing")
+        object.__setattr__(self, "radii", _require_radii(self.radii))
         object.__setattr__(self, "samples", _require_count("samples", self.samples, 1))
         object.__setattr__(self, "eps", _require_positive("eps", self.eps))
         object.__setattr__(self, "m_max", _require_count("m_max", self.m_max, 0))

@@ -21,12 +21,11 @@ import numpy as np
 from .cells import (
     Cell1D,
     CellND,
-    Gauge1D,
-    TaggedCell1D,
     _gauge_value,
+    _is_associated,
+    _is_fine,
+    _require_associated,
     fsum_complex,
-    is_delta_fine,
-    tag_is_associated,
 )
 from .errors import (
     AssociationError,
@@ -170,7 +169,7 @@ def _check_sample_matches_cell(x: PathSample, cell: CylinderCell) -> None:
             "sample and cell are defined on different time sets"
         )
     for t, v, f in zip(x.times.times, x.values, cell.factors.factors):
-        if not tag_is_associated(v, f):
+        if not _is_associated(v, f):
             raise AssociationError(
                 f"value {v} at time {t} is not an associated point of {f!r}"
             )
@@ -182,8 +181,9 @@ def is_gamma_fine(x: PathSample, cell: CylinderCell, gauge: GaugeRT) -> bool:
     The gauge is evaluated once for the item: first the time-set clause
     (the required times must lie inside the cell's time set), then one
     width bound applied to every factor.  Raises AssociationError when the
-    sample does not tag the cell, and IntegrandError when a gauge callback
-    raises or the width is not a finite real.
+    sample does not tag the cell or a factor's own tag is not associated
+    with it, and IntegrandError when a gauge callback raises or the width
+    is not a finite real.
     """
     _check_sample_matches_cell(x, cell)
     required = guarded_call(gauge.required_times, x, what="gauge")
@@ -192,9 +192,8 @@ def is_gamma_fine(x: PathSample, cell: CylinderCell, gauge: GaugeRT) -> bool:
     d = _gauge_value(gauge.delta, x, cell.times)
     if not d > 0.0:
         raise ValueError(f"gauge width must be strictly positive, got {d}")
-    width_gauge = Gauge1D(lambda _x, _d=d: _d)
     return all(
-        is_delta_fine(TaggedCell1D(tag, f), width_gauge)
+        _is_fine(_require_associated(tag, f), d)
         for tag, f in zip(cell.factors.tags, cell.factors.factors)
     )
 

@@ -114,6 +114,14 @@ def _require_finite(name: str, value) -> float:
     return value
 
 
+def _require_finite_values(name: str, values) -> np.ndarray:
+    """values as a float array (a 0-d array for a scalar); every entry finite."""
+    out = np.asarray(values, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    return out
+
+
 def _require_positive(name: str, value) -> float:
     """value as a float; a number, finite and > 0."""
     value = _require_number(name, value)

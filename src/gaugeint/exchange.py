@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import Cell1D, CellND
-from .errors import NoMFoundError, _require_count, _require_positive, guarded_values
+from .errors import (
+    NoMFoundError,
+    _require_count,
+    _require_finite,
+    _require_positive,
+    guarded_values,
+)
 from .fresnel import IncrementSchedule, incremental_density
 from .integrate import hk_integrate_1d
 from .propagator import (
@@ -53,6 +59,16 @@ _SAMPLE_WINDOW = 8.0  # finite tags of the diagnostic lie in [-8, 8]
 # ---------------------------------------------------------------------------
 
 
+def _require_radii(radii) -> tuple[float, ...]:
+    """radii as a tuple of positive reals, nonempty and strictly increasing."""
+    radii = tuple(_require_positive("radii", r) for r in radii)
+    if not radii:
+        raise ValueError("at least one radius required")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly increasing")
+    return radii
+
+
 @dataclass(frozen=True)
 class GrowthTable:
     """Window sums of a nonnegative envelope over expanding radii.
@@ -67,7 +83,7 @@ class GrowthTable:
     dimension: int = 1
 
     def __post_init__(self) -> None:
-        radii = tuple(float(r) for r in self.radii)
+        radii = _require_radii(self.radii)
         values = tuple(float(v) for v in self.values)
         levels = tuple(int(k) for k in self.levels)
         object.__setattr__(self, "radii", radii)
@@ -75,12 +91,6 @@ class GrowthTable:
         object.__setattr__(self, "levels", levels)
         if not (len(radii) == len(values) == len(levels)):
             raise ValueError("one value and one level per radius required")
-        if len(radii) < 1:
-            raise ValueError("at least one radius required")
-        if any(not (math.isfinite(r) and r > 0.0) for r in radii):
-            raise ValueError("radii must be positive reals")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly increasing")
         object.__setattr__(
             self, "dimension", _require_count("dimension", self.dimension, 1)
         )
@@ -104,9 +114,9 @@ def abs_g0_growth(
     if n > 4:
         raise ValueError("growth tables are limited to dimension <= 4")
     cells_per_axis = _require_count("cells_per_axis", cells_per_axis, 1)
+    radii = _require_radii(radii)
     values = []
-    for raw_r in radii:
-        r = float(raw_r)
+    for r in radii:
         edges = np.linspace(-r, r, cells_per_axis + 1)
         total = 0.0
         for multi in np.ndindex(*([cells_per_axis] * n)):
@@ -116,12 +126,7 @@ def abs_g0_growth(
             tags = tuple(edges[k] for k in multi)  # corner association
             total += abs(incremental_density(CellND(tags, factors), sched))
         values.append(total)
-    return GrowthTable(
-        tuple(float(r) for r in radii),
-        tuple(values),
-        (cells_per_axis,) * len(values),
-        n,
-    )
+    return GrowthTable(radii, tuple(values), (cells_per_axis,) * len(values), n)
 
 
 def envelope_growth_table(
@@ -131,20 +136,18 @@ def envelope_growth_table(
     tol: float = 1e-9,
 ) -> GrowthTable:
     """Window integrals of |envelope| over [-R, R] for each radius."""
+    radii = _require_radii(radii)
 
     def absolute(x):
         return np.abs(np.asarray(envelope(np.asarray(x, dtype=float))))
 
     values = []
     levels = []
-    for raw_r in radii:
-        r = float(raw_r)
+    for r in radii:
         report = hk_integrate_1d(absolute, (-r, r), tol)
         values.append(float(report.value.real))
         levels.append(int(report.refinements))
-    return GrowthTable(
-        tuple(float(r) for r in radii), tuple(values), tuple(levels), 1
-    )
+    return GrowthTable(radii, tuple(values), tuple(levels), 1)
 
 
 def growth_verdict(table: GrowthTable) -> str:
@@ -221,6 +224,7 @@ def bounded_convergence_diagnostic(
     """
     samples = _require_count("samples", samples, 1)
     eps = _require_positive("eps", eps)
+    probe_radii = _require_radii(probe_radii)
     rng = np.random.default_rng(seed)
     finite = rng.uniform(-_SAMPLE_WINDOW, _SAMPLE_WINDOW, size=samples)
     points = np.concatenate([finite, [-np.inf, np.inf]])
@@ -274,6 +278,7 @@ def partial_sum_family(c: float, tau: float, *, mass: float = 1.0):
     common quadratic phase is dropped — every comparison this family
     enters is phase-invariant.
     """
+    c = _require_finite("c", c)
     tau = _require_positive("tau", tau)
     beta = free_modulus_envelope(tau, mass=mass)
 
@@ -298,6 +303,8 @@ def partial_sum_family(c: float, tau: float, *, mass: float = 1.0):
 
 def free_modulus_envelope(tau: float, *, mass: float = 1.0):
     """The constant envelope |g0| = (2 pi tau / mass)^{-1/2}."""
+    tau = _require_positive("tau", tau)
+    mass = _require_positive("mass", mass)
     modulus = 1.0 / math.sqrt(2.0 * math.pi * tau / mass)
 
     def beta(x: np.ndarray) -> np.ndarray:

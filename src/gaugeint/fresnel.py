@@ -30,7 +30,13 @@ from .cells import (
     CellND,
     fsum_complex,
 )
-from .errors import AssociationError, ScheduleError, _require_number
+from .errors import (
+    AssociationError,
+    ScheduleError,
+    _require_finite_values,
+    _require_number,
+    _require_positive,
+)
 from .oscquad import ROOT_MINUS_I_OVER_2PI, adaptive_chirp_integral, fresnel_integral
 
 __all__ = [
@@ -128,9 +134,7 @@ class IncrementSchedule:
 
 def quadratic_phase(x) -> complex:
     """Unit-modulus phase e^{(i/2)(x_1^2 + ... + x_n^2)} of a finite point."""
-    xs = np.asarray(x, dtype=float).ravel()
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("finite coordinates required")
+    xs = _require_finite_values("coordinates", x).ravel()
     return complex(np.exp(0.5j * float(np.dot(xs, xs))))
 
 
@@ -141,9 +145,11 @@ def free_increment_factor(cell: Cell1D, shift, dt: float):
     sqrt(-i/2pi) (F(u_hi) - F(u_lo)); the sqrt(dt) Jacobian cancels the
     normalizer's 1/sqrt(dt).
     """
-    if not dt > 0.0:
-        raise ScheduleError("increment must be positive")
-    shift_arr = np.asarray(shift, dtype=float)
+    try:
+        dt = _require_positive("increment", dt)
+    except ValueError as exc:
+        raise ScheduleError(str(exc)) from None
+    shift_arr = _require_finite_values("shift", shift)
     s = math.sqrt(dt)
     out = ROOT_MINUS_I_OVER_2PI * (
         fresnel_integral((cell.hi - shift_arr) / s)

@@ -33,6 +33,7 @@ from .errors import (
     ResourceLimitError,
     _require_count,
     _require_finite,
+    _require_finite_values,
     _require_positive,
 )
 from .integrate import _neville_at_zero, _vectorized, fresnel_line_integral
@@ -177,7 +178,7 @@ def free_kernel(displacement, dt: float, *, mass: float = 1.0) -> complex:
     """
     dt = _require_positive("dt", dt)
     mass = _require_positive("mass", mass)
-    u = np.asarray(displacement, dtype=float)
+    u = _require_finite_values("displacement", displacement)
     pref = np.sqrt(mass / (2j * math.pi * dt))
     out = pref * np.exp(0.5j * mass * np.square(u) / dt)
     if out.shape == ():
@@ -199,6 +200,7 @@ def harmonic_kernel_closed(
     - 2 xi xi') / (2 sin wT)), principal branch.
     """
     omega = _require_positive("omega", omega)
+    mass = _require_positive("mass", mass)
     wt = omega * q.duration
     if not 0.0 < wt < math.pi:
         raise ValueError("queries are restricted to 0 < omega*duration < pi")
@@ -468,6 +470,7 @@ def free_kernel_semigroup_residual(
     """
     s, t = _require_positive("s", s), _require_positive("t", t)
     mass = _require_positive("mass", mass)
+    xi_prime, xi = _require_finite("xi_prime", xi_prime), _require_finite("xi", xi)
     a = 0.5 * mass * (1.0 / s + 1.0 / t)
     z0 = (t * xi_prime + s * xi) / (s + t)
     const_phase = 0.5 * mass * (xi - xi_prime) ** 2 / (s + t)

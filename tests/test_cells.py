@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaugeint.cells
 from gaugeint.cells import (
     Cell1D,
     Division1D,
@@ -65,12 +66,15 @@ def test_association_rules():
     assert tag_is_associated(1.0, b)
     assert not tag_is_associated(0.5, b)
     assert not tag_is_associated(inf, b)
+    assert not tag_is_associated(-inf, b)
     nt = Cell1D.neg_tail(-2.0)
     assert tag_is_associated(-inf, nt)
     assert not tag_is_associated(-2.0, nt)
+    assert not tag_is_associated(inf, nt)
     pt = Cell1D.pos_tail(3.0)
     assert tag_is_associated(inf, pt)
     assert not tag_is_associated(3.0, pt)
+    assert not tag_is_associated(-inf, pt)
     fl = Cell1D.full_line()
     assert tag_is_associated(inf, fl) and tag_is_associated(-inf, fl)
     assert not tag_is_associated(0.0, fl)
@@ -160,10 +164,26 @@ def test_cousin_left_endpoint_preference():
             assert it.tag == it.cell.lo
 
 
-def test_cousin_depth_cap():
+def test_cousin_depth_cap(monkeypatch):
+    monkeypatch.setattr(gaugeint.cells, "_MAX_DEPTH", 40)
     g = Gauge1D(lambda x: 1e-30 if not math.isinf(x) else 1.0)
     with pytest.raises(ResourceLimitError):
-        cousin_division(g, tails=(-2.0, 2.0), max_depth=40)
+        cousin_division(g, tails=(-2.0, 2.0))
+
+
+def test_cousin_asks_the_gauge_once_per_point():
+    rng = np.random.default_rng(5)
+    a, b = float(rng.uniform(0.05, 0.1)), float(rng.uniform(1.0, 4.0))
+    asked = []
+
+    def delta(x):
+        asked.append(x)
+        return a if math.isinf(x) else a + b / (1.0 + x * x)
+
+    d = cousin_division(Gauge1D(delta))
+    edges = {e for it in d for e in (it.cell.lo, it.cell.hi)}
+    assert len(asked) == len(set(asked)) == len(edges)
+    assert set(asked) == edges
 
 
 def test_validator_flags_bad_divisions():
@@ -210,6 +230,19 @@ def test_validator_flags_bad_divisions():
     # single full-line cell is a valid division
     d = Division1D((TaggedCell1D(inf, Cell1D.full_line()),))
     assert validate_division(d).ok
+
+
+def test_validator_reports_an_unassociated_item_once_with_a_gauge():
+    d = Division1D(
+        (
+            TaggedCell1D(-inf, Cell1D.neg_tail(-1.0)),
+            TaggedCell1D(0.0, Cell1D.bounded(-1.0, 1.0)),
+            TaggedCell1D(inf, Cell1D.pos_tail(1.0)),
+        )
+    )
+    # the tails are fine; the bounded cell would be coarse under either edge tag
+    rep = validate_division(d, Gauge1D(lambda x: 10.0 if math.isinf(x) else 0.01))
+    assert [(v.kind, v.index) for v in rep.violations] == [("association", 1)]
 
 
 def test_validator_flags_a_full_line_cell_beside_others():

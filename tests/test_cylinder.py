@@ -140,6 +140,19 @@ def test_gamma_fine_rejects_unassociated_sample():
         is_gamma_fine(wrong_tag, cell, gauge)
 
 
+def test_gamma_fine_rejects_an_unassociated_factor_tag():
+    # the sample tags the cell, but the cell's own second tag is interior
+    factors = (Cell1D.bounded(0.0, 0.25), Cell1D.bounded(0.5, 0.75))
+    cell = cell_on((0.5, 1.0), factors, (0.25, 0.6))
+    x = sample_on((0.5, 1.0), (0.25, 0.5))
+    gauge = GaugeRT(lambda _x: TimeSet((1.0,)), lambda _x, _n: 1.0)
+    with pytest.raises(
+        AssociationError,
+        match=r"^tag 0\.6 is not an associated point of Cell1D\(0\.5, 0\.75\]$",
+    ):
+        is_gamma_fine(x, cell, gauge)
+
+
 def test_gamma_fine_gauge_errors_are_integrand_errors():
     x, cell = narrow_cell_pair()
 

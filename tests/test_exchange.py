@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from gaugeint.config import LabConfig
 from gaugeint.errors import IntegrandError, NoMFoundError
 from gaugeint.exchange import (
     ConvergenceWitness,
@@ -59,6 +60,92 @@ class TestGrowthTable:
     def test_single_row_is_indeterminate(self):
         table = GrowthTable((1.0,), (1.0,), (4,))
         assert growth_verdict(table) == "INDETERMINATE"
+
+
+def _counted(calls, func):
+    def wrapped(*args):
+        calls.append(args)
+        return func(*args)
+
+    return wrapped
+
+
+def _bad_radii_cases():
+    """(call, message) pairs, one per function that takes radii; each call
+    records the work it does in the list it is given."""
+    family, limit, beta = partial_sum_family(1.0, 1.0)
+    return {
+        "LabConfig": (lambda calls: LabConfig(radii=()), "at least one radius"),
+        "GrowthTable": (
+            lambda calls: GrowthTable(("1", "2"), (1.0, 2.0), (1, 1)),
+            "radii must be a number",
+        ),
+        "abs_g0_growth_inf": (
+            lambda calls: abs_g0_growth(IncrementSchedule((1.0,)), [math.inf]),
+            "radii must be a positive real",
+        ),
+        "abs_g0_growth_negative": (
+            lambda calls: abs_g0_growth(IncrementSchedule((1.0,)), [-1.0]),
+            "radii must be a positive real",
+        ),
+        "envelope_growth_table_zero": (
+            lambda calls: envelope_growth_table(
+                _counted(calls, gaussian_envelope()), [0.0]
+            ),
+            "radii must be a positive real",
+        ),
+        "envelope_growth_table_unsorted": (
+            lambda calls: envelope_growth_table(
+                _counted(calls, gaussian_envelope()), [2.0, 1.0]
+            ),
+            "radii must be strictly increasing",
+        ),
+        "bounded_convergence_diagnostic": (
+            lambda calls: bounded_convergence_diagnostic(
+                _counted(calls, family), limit, beta, 5, 1e-3,
+                probe_radii=(2.0, 1.0),
+            ),
+            "radii must be strictly increasing",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_radii_cases()))
+def test_radii_are_refused_before_any_work(case):
+    call, message = _bad_radii_cases()[case]
+    calls = []
+    with pytest.raises(ValueError, match=message):
+        call(calls)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tau": 0.0}, "tau"),
+        ({"tau": -1.0}, "tau"),
+        ({"tau": math.nan}, "tau"),
+        ({"tau": 1.0, "mass": -1.0}, "mass"),
+        ({"tau": 1.0, "mass": math.inf}, "mass"),
+    ],
+)
+def test_free_modulus_envelope_checks_its_numbers(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        free_modulus_envelope(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((math.nan, 1.0), {}, "c must be finite"),
+        ((math.inf, 1.0), {}, "c must be finite"),
+        ((1.0, 1.0), {"mass": math.nan}, "mass"),
+        ((1.0, 1.0), {"mass": 0.0}, "mass"),
+    ],
+)
+def test_partial_sum_family_checks_its_numbers(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        partial_sum_family(*args, **kwargs)
 
 
 class TestAbsG0Growth:

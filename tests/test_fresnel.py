@@ -340,6 +340,20 @@ def test_incremental_distribution_rejects_interior_tails():
         )
 
 
+@pytest.mark.parametrize(
+    "shift, dt, error, text",
+    [
+        (math.nan, 1.0, ValueError, "shift must be finite"),
+        (np.array([0.0, math.inf]), 1.0, ValueError, "shift must be finite"),
+        (0.0, math.inf, ScheduleError, "increment must be a positive real"),
+        (0.0, "1", ScheduleError, "increment must be a number"),
+    ],
+)
+def test_free_increment_factor_checks_its_numbers(shift, dt, error, text):
+    with pytest.raises(error, match=text):
+        free_increment_factor(Cell1D.bounded(0.0, 1.0), shift, dt)
+
+
 def test_free_increment_factor_vectorized():
     cell = Cell1D.bounded(-1.0, 2.0)
     xs = np.array([-0.5, 0.0, 1.0])

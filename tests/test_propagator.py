@@ -430,6 +430,32 @@ class TestClosedForms:
             with pytest.raises(ValueError, match="positive"):
                 call()
 
+    @pytest.mark.parametrize("mass", [-1.0, 0.0, math.nan, math.inf])
+    def test_harmonic_kernel_closed_checks_its_mass(self, mass):
+        q = PropagatorQuery(0.2, 0.0, -0.7, 0.5)
+        with pytest.raises(ValueError, match="mass"):
+            harmonic_kernel_closed(q, 0.5, mass=mass)
+
+    @pytest.mark.parametrize("mass", [-1.0, math.nan])
+    def test_closed_kernel_checks_its_mass(self, mass):
+        q = PropagatorQuery(0.2, 0.0, -0.7, 0.5, potential=Potential.harmonic(0.5))
+        with pytest.raises(ValueError, match="mass"):
+            closed_kernel(q, mass=mass)
+
+    @pytest.mark.parametrize(
+        "displacement", [math.inf, -math.inf, math.nan, np.array([0.0, math.inf])]
+    )
+    def test_free_kernel_checks_its_displacement(self, displacement):
+        with pytest.raises(ValueError, match="displacement must be finite"):
+            free_kernel(displacement, 1.0)
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
+    )
+    def test_semigroup_residual_checks_its_endpoints(self, args):
+        with pytest.raises(ValueError, match="xi"):
+            free_kernel_semigroup_residual(*args, 1.0, 1.0)
+
     def test_closed_kernel_is_the_closed_form_of_each_potential(self):
         def query(potential):
             return PropagatorQuery(0.2, 0.1, -0.7, 1.3, potential=potential)
