@@ -7,9 +7,9 @@ The package is organized bottom-up:
                 distributions on product cells, incremental kernels
     oscquad     analytic chirp quadrature (Filon cells with exact moments)
     integrate   adaptive gauge integration on windows, tensorized n-dim
-                refinement, regularized improper oscillatory integrals
-    cylinder    time sets, cylinder cells over path space, reduction of
-                cylinder integrals to finite dimension
+                refinement, undamped improper oscillatory integrals
+    cylinder    time sets, cylinder cells over path space, undamped
+                reduction of cylinder integrals to finite dimension
     propagator  closed-form and time-sliced propagators, perturbation
                 series terms
     exchange    growth tables, bounded-convergence diagnostics and the

@@ -5,8 +5,9 @@ product cell and leaves it free elsewhere.  Gauges on path space pair a
 time-set requirement with a width requirement; divisions are finitely many
 tagged cylinder cells that tile path space.  Integrals of functionals that
 depend on finitely many coordinates reduce to weighted finite-dimensional
-oscillatory integrals, evaluated here with damped kernels and polynomial
-extrapolation of the damping to zero.
+oscillatory integrals, evaluated here with no damping: exact chirp Filon
+cells on a window and a Taylor tail of the integrand against the tails'
+improper (Abel-limit) moments past it.
 """
 
 from __future__ import annotations
@@ -40,12 +41,15 @@ from .errors import (
 from .fresnel import ROOT_MINUS_I_OVER_2PI, IncrementSchedule
 from .integrate import (
     _DIMENSION_CAP,
-    _neville_at_zero,
     _tensor_sum,
     _vectorized_nd,
     hk_integrate_1d,
 )
-from .oscquad import adaptive_chirp_integral, damped_chirp_filon_weights
+from .oscquad import (
+    _tail_moments,
+    adaptive_chirp_integral,
+    damped_chirp_filon_weights,
+)
 
 __all__ = [
     "TimeSet",
@@ -317,116 +321,98 @@ def cylinder_riemann_sum(
 # ---------------------------------------------------------------------------
 
 
-def _graded_edges(eps: float, radius: float, ncells: int) -> np.ndarray:
-    """Cell edges graded to the damping scale 1/sqrt(eps): uniform in
-    asinh(u sqrt(eps)), so cells are narrow where the damped envelope
-    varies and widen geometrically in the tail — while every width still
-    shrinks proportionally when ncells doubles (unlike equal-mass grading,
-    whose outermost cell never narrows)."""
-    s = math.sqrt(eps)
-    t = math.asinh(radius * s)
-    ts = np.linspace(-t, t, ncells + 1)
-    return np.sinh(ts) / s
+_RADIUS = 8.0  # half-width R of the first window [-R, R] of each increment
+_MAX_RADIUS = 64.0  # widest window of the tail check
+_START_CELLS = 16  # Filon cells per increment on the first tensor level
+_MAX_POINTS = 1 << 24  # tensor points of one level (n >= 2)
+_TAIL_STEP = 2.0**-6  # stencil spacing of the n = 1 tail
+# row k maps f(R - j h), j = 0..5, to h^k f^(k)(R) / k!: the one-sided
+# six-point stencil, differentiating the quintic through those samples
+_STENCIL = np.linalg.inv(np.vander(-np.arange(6.0), 6, increasing=True))[:4]
 
 
-_MAX_LEVEL = 9  # cell doublings of one damped tensor reduction
-_EPS0 = 5e-2  # widest damping of the reduction's schedule
-_MEMBERS = 6  # damped members of the reduction's schedule
+def _tail_weights(dt: float, radius: float, h: float) -> np.ndarray:
+    """Weights on f(R - j h), j = 0..5, for Int_R^inf e^{i w^2 / (2 dt)} f dw:
+    the cubic Taylor polynomial of f at R (derivatives from _STENCIL)
+    against the Abel-limit _tail_moments.  The mirror image serves -R."""
+    return (_tail_moments(0.5j / dt, radius, 3) / h ** np.arange(4)) @ _STENCIL
 
 
-def _damped_reduction(fv, sched: IncrementSchedule, eps: float, tol: float,
-                      start_cells: int = 24) -> complex:
-    """One damped member: integral of f times the damped incremental
-    kernel, all oscillation and damping carried by exact per-cell moments.
-    """
-    dts = sched.increments
-    n = len(dts)
-    radius = math.sqrt(34.0 / eps)
-    norm = 1.0 + 0j
-    for dt in dts:
-        norm *= ROOT_MINUS_I_OVER_2PI / math.sqrt(dt)
-
-    if n == 1:
-        dt = dts[0]
-        beta = 0.5 / dt
-
-        def genv(u):
-            pts = sched.origin_point + np.asarray(u, dtype=float)[:, None]
-            return fv(pts) * np.exp(-eps * np.square(np.asarray(u)))
-
-        try:
-            core, _ = adaptive_chirp_integral(
-                genv, beta, 0.0, (-radius, radius), tol, max_levels=10
-            )
-        except NoConvergenceError:
-            # the global Filon ladder is first order on a non-smooth
-            # envelope (e.g. an indicator); the tag-adaptive window rule
-            # bisects a jump chain down to machine width instead
-            def whole(u):
-                ua = np.asarray(u, dtype=float)
-                pts = sched.origin_point + ua[:, None]
-                return fv(pts) * np.exp((-eps + 1j * beta) * np.square(ua))
-
-            report = hk_integrate_1d(whole, (-radius, radius), tol)
-            core = report.value
-        return norm * core
-
-    def fv_increments(incs):
-        # grid points are increments; coordinates are their prefix sums
-        return fv(np.cumsum(incs, axis=1) + sched.origin_point)
-
-    prev = None
-    ncells = start_cells
-    for _level in range(_MAX_LEVEL):
-        nodes_list = []
-        wfold_list = []
-        for dt in dts:
-            alpha = complex(-eps, 0.5 / dt)
-            edges = _graded_edges(eps, radius, ncells)
-            nodes, w = damped_chirp_filon_weights(alpha, 0.0, edges)
-            nodes_list.append(nodes)
-            wfold_list.append(w)
-        value = norm * _tensor_sum(fv_increments, nodes_list, wfold_list, 1 << 17)
-        if prev is not None:
-            # the rule is fourth order: Richardson-extrapolate the pair
-            ext = value + (value - prev) / 15.0
-            if abs(value - prev) <= 15.0 * tol:
-                return ext
-        prev = value
-        ncells *= 2
-    raise NoConvergenceError(
-        f"tensor reduction did not stabilize to {tol:.3e}, stopped at "
-        f"_MAX_LEVEL ({_MAX_LEVEL} refinement levels)",
-        cap="_MAX_LEVEL",
-    )
+def _extended_rule(dt: float, radius: float, cells: int):
+    """Nodes and weights for Int e^{i u^2 / (2 dt)} g(u) du over the line:
+    Filon cells on [-R, R], the tail weights on the six end nodes."""
+    edges = np.linspace(-radius, radius, cells + 1)
+    nodes, w = damped_chirp_filon_weights(0.5j / dt, 0.0, edges)
+    tail = _tail_weights(dt, radius, nodes[1] - nodes[0])
+    w[:6] += tail
+    w[:-7:-1] += tail
+    return nodes, w
 
 
-def _damped_extrapolation(fv, sched: IncrementSchedule, tol: float) -> complex:
-    """Extrapolate damped reductions to zero damping.
+def _window_value(fv, sched: IncrementSchedule, radius: float, tol: float) -> complex:
+    """n = 1: the adaptive Filon window on [-R, R] plus the tail weights."""
+    dt = sched.increments[0]
+    g = lambda u: fv(sched.origin_point + np.asarray(u, dtype=float)[:, None])
+    try:
+        core = adaptive_chirp_integral(g, 0.5 / dt, 0.0, (-radius, radius), tol,
+                                       max_levels=10)[0]
+    except NoConvergenceError:
+        # the Filon ladder is first order on a jump; the tag-adaptive
+        # window rule bisects a jump chain down to machine width instead
+        whole = lambda u: g(u) * np.exp(0.5j / dt * np.square(u))
+        core = hk_integrate_1d(whole, (-radius, radius), tol).value
+    u = radius - _TAIL_STEP * np.arange(6)
+    return core + _tail_weights(dt, radius, _TAIL_STEP) @ (g(u) + g(-u))
 
-    _damped_reduction is evaluated on the schedule eps = _EPS0 2^-k,
-    k < _MEMBERS, with inner_tol = max(tol 1e-2, 1e-11), and the values are
-    extrapolated polynomially to eps = 0.  The extrapolant must move by
-    less than tol when the last member is added, else NoConvergenceError.
+
+def _tensor_value(fv, sched: IncrementSchedule, radius: float, cells: int) -> complex:
+    """n >= 2: the tensor product of the increments' extended rules."""
+    if (3 * cells + 1) ** sched.dim > _MAX_POINTS:
+        raise NoConvergenceError(
+            f"tensor reduction needs {3 * cells + 1}^{sched.dim} points, over "
+            f"_MAX_POINTS ({_MAX_POINTS})", cap="_MAX_POINTS")
+    rules = (_extended_rule(dt, radius, cells) for dt in sched.increments)
+    nodes, weights = zip(*rules)
+    # grid points are increments; coordinates are their prefix sums
+    incs = lambda p: fv(np.cumsum(p, axis=1) + sched.origin_point)
+    return _tensor_sum(incs, nodes, weights, 1 << 17)
+
+
+def _reduction(fv, sched: IncrementSchedule, tol: float) -> complex:
+    """The undamped reduction, its mesh and its radius each checked.
+
+    Mesh: n = 1 runs adaptive_chirp_integral on the window at inner_tol =
+    max(tol 1e-2, 1e-11); n >= 2 doubles the cells until two levels agree
+    within 15 inner_tol (the rule is fourth order) and adds their
+    Richardson correction.  Tail: R grows by half at the same cell width
+    until two radii agree within tol.  NoConvergenceError names the cap,
+    _MAX_POINTS or _MAX_RADIUS, that stops a run.
     """
     tol = _require_positive("tol", tol)
-    eps_values = [_EPS0 * 0.5**k for k in range(_MEMBERS)]
     inner_tol = max(tol * 1e-2, 1e-11)  # floor: the windowed chirp core bottoms out
-    # the damping radius grows like 1/sqrt(eps), so later schedule members
-    # need proportionally more cells to resolve the envelope; start them
-    # deeper in the ladder rather than re-climbing the coarse levels
-    vals = [
-        _damped_reduction(fv, sched, eps, inner_tol, start_cells=24 * 2 ** (k // 2))
-        for k, eps in enumerate(eps_values)
-    ]
-    prev_extrap = _neville_at_zero(eps_values[:-1], vals[:-1])
-    extrap = _neville_at_zero(eps_values, vals)
-    if abs(extrap - prev_extrap) > tol:
-        raise NoConvergenceError(
-            f"damping extrapolation unstable: moved {abs(extrap - prev_extrap):.3e} "
-            f"between the last two schedule points (tol {tol:.3e})"
-        )
-    return complex(extrap)
+    norm = math.prod(ROOT_MINUS_I_OVER_2PI / math.sqrt(dt) for dt in sched.increments)
+    if sched.dim == 1:
+        value_at = lambda r: norm * _window_value(fv, sched, r, inner_tol)
+        value, correction = value_at(_RADIUS), 0.0
+    else:
+        cells, prev = _START_CELLS, None
+        value = norm * _tensor_value(fv, sched, _RADIUS, cells)
+        while prev is None or abs(value - prev) > 15.0 * inner_tol:
+            prev, cells = value, 2 * cells
+            value = norm * _tensor_value(fv, sched, _RADIUS, cells)
+        correction = (value - prev) / 15.0
+        value_at = lambda r: norm * _tensor_value(
+            fv, sched, r, round(cells * r / _RADIUS))
+    radius = _RADIUS
+    while 1.5 * radius <= _MAX_RADIUS:
+        radius *= 1.5
+        wider = value_at(radius)
+        if abs(wider - value) <= tol:
+            return complex(wider + correction)
+        value = wider
+    raise NoConvergenceError(
+        f"tail did not settle to {tol:.3e} by _MAX_RADIUS ({_MAX_RADIUS})",
+        cap="_MAX_RADIUS")
 
 
 def reduce_cylinder_integral(
@@ -439,20 +425,18 @@ def reduce_cylinder_integral(
     against the free incremental kernel, reduced to finite dimension.
 
     f maps an (m, n) array of coordinate points (values at the sample
-    times, in order) to m complex values.  The unbounded oscillatory
-    n-dimensional integral is damped by exp(-eps |increments|^2) over a
-    geometric schedule in eps and extrapolated polynomially to eps = 0
-    (_damped_extrapolation).  Discontinuous f is supported for
-    n = 1 (the adaptive path); for n >= 2 the tensor rule assumes f smooth.
+    times, in order) to m complex values.  The improper oscillatory
+    integral is taken with no damping (_reduction): per increment, exact
+    chirp Filon cells on a window [-R, R] and a cubic Taylor tail of f
+    past +-R against Abel-limit tail moments, as a tensor product for
+    n >= 2.  Discontinuous f is supported for n = 1 (the adaptive path);
+    for n >= 2 the tensor rule assumes f smooth.
     """
     if tuple(times.times) != tuple(sched.times):
-        raise ScheduleError(
-            "the time set must equal the schedule's sample times"
-        )
-    n = sched.dim
-    if n > _DIMENSION_CAP:
-        raise DimensionCapError(f"dimension {n} exceeds cap {_DIMENSION_CAP}")
-    return _damped_extrapolation(_vectorized_nd(f), sched, tol)
+        raise ScheduleError("the time set must equal the schedule's sample times")
+    if sched.dim > _DIMENSION_CAP:
+        raise DimensionCapError(f"dimension {sched.dim} exceeds cap {_DIMENSION_CAP}")
+    return _reduction(_vectorized_nd(f), sched, tol)
 
 
 # ---------------------------------------------------------------------------

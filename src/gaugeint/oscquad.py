@@ -19,7 +19,7 @@ through a plane-wave expansion to avoid catastrophic cancellation.
 
 A Gaussian tail Int_B^inf exp(alpha x^2) dx, Re(alpha) <= 0, is either
 gauss_tail's by-parts series with a rigorous bound or _erfc_tail's complex
-erfc; one by-parts recurrence gives every kernel's m_1..m_3 from m_0.
+erfc; by parts, each kernel's m_1..m_3 and _tail_moments' M_k follow from it.
 """
 
 from __future__ import annotations
@@ -186,6 +186,20 @@ def _erfc_tail(alpha: complex, x):
 
     s = np.sqrt(-alpha)  # principal branch, Re s >= 0
     return math.sqrt(math.pi) / (2.0 * s) * erfc(s * np.asarray(x, dtype=float))
+
+
+def _tail_moments(alpha: complex, x, order: int) -> list:
+    """M_k = Int_x^inf (w - x)^k e^{alpha w^2} dw for k = 0..order >= 1.
+
+    M_0 is _erfc_tail; by parts, M_1 = -e^{alpha x^2} / (2 alpha) - x M_0 and
+    M_k = -x M_(k-1) - (k-1) M_(k-2) / (2 alpha).  At Re(alpha) = 0 each is
+    the improper (Abel) limit.  Vectorized over real x.
+    """
+    m = [_erfc_tail(alpha, x)]
+    m.append(-np.exp(alpha * x * x) / (2.0 * alpha) - x * m[0])
+    for k in range(2, order + 1):
+        m.append(-x * m[k - 1] - (k - 1) * m[k - 2] / (2.0 * alpha))
+    return m
 
 
 def _moments_far(ua, ub):

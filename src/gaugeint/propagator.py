@@ -37,7 +37,7 @@ from .errors import (
     _require_positive,
 )
 from .integrate import _neville_at_zero, _vectorized, fresnel_line_integral
-from .oscquad import _damped_cell_weights, _erfc_tail
+from .oscquad import _damped_cell_weights, _tail_moments
 
 __all__ = [
     "Potential",
@@ -267,18 +267,17 @@ def _contract_cells(cellw, g: np.ndarray, alpha: complex, lo, hi, h: float):
     last node from each bridge centre, h the node spacing.  Past an edge e
     the envelope goes on as g(e) + g'(e) (w - e), g' the one-sided
     three-point slope.  On the right T = Int_hi^inf e^{alpha w^2} dw and
-    M = Int_hi^inf (w - hi) e^{alpha w^2} dw = -e^{alpha hi^2} / (2 alpha)
-    - hi T (proper, as Re(alpha) < 0), mirrored on the left.
+    M = Int_hi^inf (w - hi) e^{alpha w^2} dw are _tail_moments at hi,
+    and their mirror images at -lo serve the left.
     """
     ncell = cellw.shape[-1]
     cells = sum(cellw[k] @ g[k : k + 3 * ncell : 3] for k in range(4))
-    t_lo, t_hi = _erfc_tail(alpha, -lo), _erfc_tail(alpha, hi)
-    m_lo = np.exp(alpha * lo * lo) / (2.0 * alpha) - lo * t_lo
-    m_hi = -np.exp(alpha * hi * hi) / (2.0 * alpha) - hi * t_hi
+    t_lo, m_lo = _tail_moments(alpha, -lo, 1)
+    t_hi, m_hi = _tail_moments(alpha, hi, 1)
     # g'(lo) from g_0, g_1, g_2; g'(hi) from g_-3, g_-2, g_-1 is its mirror image
     slope = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
     return (cells + t_lo * g[0] + t_hi * g[-1]
-            + m_lo * (slope @ g[:3]) - m_hi * (slope[::-1] @ g[-3:]))
+            - m_lo * (slope @ g[:3]) - m_hi * (slope[::-1] @ g[-3:]))
 
 
 def _lattice_step(alpha: complex, j: int, xi_prime: float, edges, h: float, g):

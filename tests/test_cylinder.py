@@ -3,6 +3,7 @@ path integrals of finitely-based functionals to finite dimension."""
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gaugeint.cylinder import (
 from gaugeint.errors import (
     AssociationError,
     DimensionCapError,
+    GaugeIntError,
     IntegrandError,
     NoConvergenceError,
     ScheduleError,
@@ -463,30 +465,75 @@ def test_reduce_free_characteristic_function():
     assert abs(v - want) < 1e-6
 
 
-def test_damped_reduction_names_its_level_cap(monkeypatch):
+@pytest.mark.parametrize("times", [(0.7,), (0.3, 0.7), (0.2, 0.5, 0.7)])
+def test_reduce_polynomial_moments_of_the_free_kernel(times):
+    # f = x_n^k grows, so only the improper (Abel) tails give the moments
+    # E[x^2] = x0^2 + i tau and E[x^3] = x0^3 + 3 i tau x0
+    x0, tau = 0.4, times[-1]
+    sched = IncrementSchedule(times=times, origin_point=x0)
+    for k, want in ((2, x0**2 + 1j * tau), (3, x0**3 + 3j * tau * x0)):
+        f = lambda p, k=k: p[:, -1] ** k
+        v = reduce_cylinder_integral(f, TimeSet(times), sched, 1e-6)
+        assert abs(v - want) < 1e-6, (times, k, v)
+
+
+def test_tensor_reduction_names_its_point_cap(monkeypatch):
     import gaugeint.cylinder as cylinder
 
-    # one level never has a pair to compare, so the level cap stops it
-    monkeypatch.setattr(cylinder, "_MAX_LEVEL", 1)
+    # the first level (49^2 points) is already over the budget
+    monkeypatch.setattr(cylinder, "_MAX_POINTS", 48**2)
     sched = IncrementSchedule(times=(0.5, 1.0))
     ones = lambda p: np.ones(p.shape[0], dtype=complex)
-    with pytest.raises(NoConvergenceError, match="_MAX_LEVEL") as info:
-        cylinder._damped_reduction(ones, sched, 5e-2, 1e-6)
-    assert info.value.cap == "_MAX_LEVEL"
+    with pytest.raises(NoConvergenceError, match="_MAX_POINTS") as info:
+        reduce_cylinder_integral(ones, TimeSet((0.5, 1.0)), sched, 1e-6)
+    assert info.value.cap == "_MAX_POINTS"
 
 
-def test_damped_extrapolation_refuses_an_unstable_ladder(monkeypatch):
+def test_tensor_reduction_of_a_jump_stops_at_its_point_budget():
+    # the tensor rule is first order across a jump, so its mesh ladder
+    # never settles; the point budget stops it within seconds
+    sched = IncrementSchedule(times=(0.5, 1.0))
+    f = lambda p: (p[:, 0] <= 0.3).astype(complex)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergenceError, match="_MAX_POINTS") as info:
+        reduce_cylinder_integral(f, TimeSet((0.5, 1.0)), sched, 1e-6)
+    assert info.value.cap == "_MAX_POINTS"
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("times", [(1.5,), (0.75, 1.5)])
+def test_reduction_names_its_radius_cap(monkeypatch, times):
     import gaugeint.cylinder as cylinder
 
-    # members growing like 1/eps have no limit at eps = 0
-    def growing(fv, sched, eps, tol, start_cells):
-        return 1.0 / eps
+    # e^{2ix} does not decay: at tau = 1.5 its Taylor tail is off by far
+    # more than tol at R = 8, so the one check R = 8 against 12 fails
+    monkeypatch.setattr(cylinder, "_MAX_RADIUS", 12.0)
+    sched = IncrementSchedule(times=times)
+    f = lambda p: np.exp(2j * p[:, -1])
+    with pytest.raises(NoConvergenceError, match="_MAX_RADIUS") as info:
+        reduce_cylinder_integral(f, TimeSet(times), sched, 1e-6)
+    assert info.value.cap == "_MAX_RADIUS"
 
-    monkeypatch.setattr(cylinder, "_damped_reduction", growing)
-    sched = IncrementSchedule(times=(0.5, 1.0))
-    with pytest.raises(NoConvergenceError, match="extrapolation unstable") as info:
-        cylinder._damped_extrapolation(None, sched, 1e-6)
-    assert info.value.cap is None
+
+def test_reduce_plane_waves_land_within_tol_or_name_a_cap():
+    # f = e^{i a x_n} does not decay, the hardest tail: its reduction is
+    # the free characteristic function e^{i a xi} e^{-i a^2 tau / 2}
+    rng = np.random.default_rng(20261019)
+    tol = 1e-6
+    for n in (1, 2) * 6:
+        a = float(rng.uniform(-2.0, 2.0))
+        tau = float(rng.uniform(0.3, 1.5))
+        xi = float(rng.uniform(-1.0, 1.0))
+        times = (tau,) if n == 1 else (tau * float(rng.uniform(0.2, 0.8)), tau)
+        sched = IncrementSchedule(times=times, origin_point=xi)
+        f = lambda p, a=a: np.exp(1j * a * p[:, -1])
+        want = cmath.exp(1j * a * xi) * cmath.exp(-1j * a * a * tau / 2.0)
+        try:
+            v = reduce_cylinder_integral(f, TimeSet(times), sched, tol)
+        except GaugeIntError as exc:
+            assert getattr(exc, "cap", None) is not None, (n, a, tau, exc)
+        else:
+            assert abs(v - want) < tol, (n, a, tau, abs(v - want))
 
 
 def test_reduce_marginal_consistency():

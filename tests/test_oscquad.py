@@ -32,6 +32,7 @@ from gaugeint.oscquad import (
     _damped_raw_moments,
     _moments_far,
     _split_far_edges,
+    _tail_moments,
 )
 from gaugeint.propagator import _lattice_step
 
@@ -91,6 +92,22 @@ def test_fresnel_tail_consistency():
         assert fresnel_tail(u) == t
     with pytest.raises(ValueError, match="FRESNEL_SWITCH"):
         fresnel_tail(np.array([8.0, 5.0]))
+
+
+@pytest.mark.parametrize("alpha", [complex(-0.4, 0.7), 0.5j, 1j / 3.0])
+@pytest.mark.parametrize("x", [0.0, 1.5, 8.0])
+def test_tail_moments_against_a_rotated_contour(alpha, x):
+    # on w = x + t e^{i pi/4} each tail decays like e^{-Im(alpha) t^2}, so
+    # mpmath integrates even the Abel limits at Re(alpha) = 0 absolutely
+    mpmath.mp.dps = 30
+    rot = mpmath.exp(0.25j * mpmath.pi)
+    got = _tail_moments(alpha, x, 3)
+    for k in range(4):
+        want = complex(rot ** (k + 1) * mpmath.quad(
+            lambda t: t**k * mpmath.exp(alpha * (x + t * rot) ** 2), [0, mpmath.inf]))
+        # the forward recurrence cancels terms of size x^k |M_0|
+        slack = 1e-10 * abs(want) + 1e-13 * (1.0 + x) ** k * abs(got[0])
+        assert abs(got[k] - want) <= slack, (k, got[k], want)
 
 
 def test_fresnel_integral_keeps_nan():
