@@ -10,7 +10,7 @@ The package is organized bottom-up:
                 refinement, undamped improper oscillatory integrals
     cylinder    time sets, cylinder cells over path space, undamped
                 reduction of cylinder integrals to finite dimension
-    propagator  closed-form and time-sliced propagators, perturbation
+    propagator  closed-form and undamped time-sliced propagators, perturbation
                 series terms
     exchange    growth tables, bounded-convergence diagnostics and the
                 series/integral exchange experiment

@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--points", type=int, default=None, help="slice-grid node count"
     )
     parser.add_argument(
-        "--damping", type=float, default=None, help="base damping strength"
+        "--damping", type=float, default=None, help="accepted but unused"
     )
     parser.add_argument("--mass", type=float, default=None, help="particle mass")
     parser.add_argument("--seed", type=int, default=None, help="lab RNG seed")

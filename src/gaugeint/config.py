@@ -36,7 +36,7 @@ _SEED_BOUND = 1 << 64
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration tolerance and the base of the damping schedule."""
+    """Integration tolerance; damping is checked but unused (no damping ladder)."""
 
     tol: float = 1e-8
     damping: float = 1e-3
@@ -62,7 +62,7 @@ class PathintConfig:
         object.__setattr__(
             self, "extent", _require_positive("extent", self.extent)
         )
-        object.__setattr__(self, "points", _require_count("points", self.points, 8))
+        object.__setattr__(self, "points", _require_count("points", self.points, 16))
         object.__setattr__(self, "slices", _require_count("slices", self.slices, 1))
         if self.points % 2:
             raise ValueError("points must be even")
@@ -98,7 +98,7 @@ class RunConfig:
     output_dir: str = "."
 
     def slice_grid(self) -> SliceGrid:
-        """The default slice grid: pathint extent and points, integrator damping."""
+        """The default slice grid: pathint extent and points (damping unused)."""
         return SliceGrid(
             extent=self.pathint.extent,
             points=self.pathint.points,

@@ -44,7 +44,24 @@ class DimensionCapError(GaugeIntError):
 
 
 class GridTooCoarseError(GaugeIntError):
-    """A slice grid cannot resolve the state it is asked to carry."""
+    """A slice grid cannot resolve the state it is asked to carry.
+
+    mesh_gap and window_gap are the relative moves of the value under the
+    half-mesh and three-quarter-window probes, rtol the bound their rule
+    broke; each is None when the error is raised without probes.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        mesh_gap: float | None = None,
+        window_gap: float | None = None,
+        rtol: float | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.mesh_gap = mesh_gap
+        self.window_gap = window_gap
+        self.rtol = rtol
 
 
 class NoMFoundError(GaugeIntError):

@@ -553,16 +553,6 @@ def oscillatory_improper(spec: OscillatoryTailSpec, tol: float = 1e-8) -> comple
     return value.conjugate() if flip else value
 
 
-def _neville_at_zero(xs, ys) -> complex:
-    table = list(map(complex, ys))
-    n = len(table)
-    for k in range(1, n):
-        for i in range(n - k):
-            x0, xk = xs[i], xs[i + k]
-            table[i] = (xk * table[i] - x0 * table[i + 1]) / (xk - x0)
-    return table[0]
-
-
 def fresnel_line_integral(c: complex, tol: float = 1e-8) -> complex:
     """Full-line integral of exp(c x^2/2) by evenness: two equal tails."""
     spec = OscillatoryTailSpec(

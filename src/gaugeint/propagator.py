@@ -1,7 +1,7 @@
 """Quantum propagators built on the oscillatory gauge-integration engine.
 
 Closed-form free and harmonic kernels, time-sliced kernels with a
-potential (iterated one-step damped Fresnel convolutions on a spatial
+potential (iterated one-step undamped Fresnel convolutions on a spatial
 grid, each slice exact Filon cell weights contracted with the envelope),
 and the perturbation expansion in interaction vertices (an exact
 complex-Gaussian bridge recursion on polynomial envelopes).  Units
@@ -29,14 +29,13 @@ from numpy.polynomial import polynomial as _poly
 from .errors import (
     GridTooCoarseError,
     IntegrandError,
-    NoConvergenceError,
     ResourceLimitError,
     _require_count,
     _require_finite,
     _require_finite_values,
     _require_positive,
 )
-from .integrate import _neville_at_zero, _vectorized, fresnel_line_integral
+from .integrate import _vectorized, fresnel_line_integral
 from .oscquad import _damped_cell_weights, _tail_moments
 
 __all__ = [
@@ -149,9 +148,9 @@ class SliceGrid:
     """Discretization controls for sliced kernels.
 
     extent: half-width R of the spatial window per intermediate slice;
-    points: grid points per slice (even, >= 8); damping: the smallest
-    increment-damping epsilon (the extrapolation ladder uses eps, 2 eps,
-    4 eps so the most weakly damped member is exactly this value).
+    points: grid points per slice (even, >= 16: psi_sliced probes half
+    the mesh); damping: checked positive but unused (psi_sliced runs
+    undamped), kept for callers that still pass it.
     """
 
     extent: float
@@ -160,7 +159,7 @@ class SliceGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "extent", _require_positive("extent", self.extent))
-        object.__setattr__(self, "points", _require_count("points", self.points, 8))
+        object.__setattr__(self, "points", _require_count("points", self.points, 16))
         if self.points % 2:
             raise ValueError("points must be even")
         object.__setattr__(self, "damping", _require_positive("damping", self.damping))
@@ -235,7 +234,7 @@ def closed_kernel(q: PropagatorQuery, *, mass: float = 1.0) -> complex | None:
 
 _LATTICE_CHUNK = 1 << 14  # lattice entries per moment block (bounds peak memory)
 # lattice moments plus cell weights one psi_sliced call may compute;
-# criterion 5 (16 slices, 768 points, five members) needs about 4.2e7
+# criterion 5 (16 slices, 768 points, one member and two probes) needs 2.0e7
 _WORK_CAP = 10**10
 
 
@@ -316,19 +315,21 @@ def _lattice_step(alpha: complex, j: int, xi_prime: float, edges, h: float, g):
 
 
 def _sliced_member(
-    q: PropagatorQuery, extent: float, points: int, eps: float, mass: float
+    q: PropagatorQuery, extent: float, points: int, mass: float
 ) -> complex:
-    """One damped sliced-kernel evaluation, slices >= 2 (checked by psi_sliced).
+    """One undamped sliced-kernel evaluation, slices >= 2 (checked by psi_sliced).
 
     The wavefront is carried as a slow envelope against the exact free
     kernel from the start point (bridge factoring): each intermediate
-    integration is a complex-Gaussian bridge contracted with exact
-    damped-chirp cell moments plus analytic linear-continuation tails,
-    so no grid oscillation is ever sampled pointwise.  Step j weighs the
-    envelope by the left-point potential e^{-i V(x_j) dt}; the cells of
-    an intermediate step come from one offset lattice (_lattice_step),
-    O(j ncell) moments for slice j, and the final step to the end point
-    has one centre; both contract their cells with g (_contract_cells).
+    integration is a chirp bridge at Re alpha = 0 contracted with exact
+    chirp cell moments plus linear-continuation tails, whose moments are
+    the Abel limits (an asymptotic Filon endpoint correction, not a
+    regularisation), so no grid oscillation is ever sampled pointwise.
+    Step j weighs the envelope by the left-point potential
+    e^{-i V(x_j) dt}; the cells of an intermediate step come from one
+    offset lattice (_lattice_step), O(j ncell) moments for slice j, and
+    the final step to the end point has one centre; both contract their
+    cells with g (_contract_cells).
     """
     n = q.slices
     dt = q.duration / n
@@ -347,7 +348,7 @@ def _sliced_member(
     for j in range(1, n):
         a = times[j] - q.tau_prime
         big_a = 1.0 / dt + 1.0 / a
-        alpha = complex(-eps, 0.5 * mass * big_a)
+        alpha = complex(0.0, 0.5 * mass * big_a)
         pref_b = complex(np.sqrt(mass * big_a / (2j * math.pi)))
         g = np.exp(-1j * pot.values(nodes, times[j]) * dt) * chi
         if j == n - 1:  # final step: bridge to the exact end point
@@ -369,14 +370,14 @@ def psi_sliced(
 ) -> complex:
     """Time-sliced propagator with the query's potential.
 
-    Iterated one-step damped Fresnel convolutions over the query's
-    slices; per-slice potential weight e^{-i V(x_{j-1}) dt} at the LEFT
-    increment endpoint.  One slice is that weight times the closed-form
-    free kernel.  Otherwise the damping ladder (eps, 2 eps, 4 eps) is
-    extrapolated polynomially to zero; the result must be stable under
-    dropping the widest member (else NoConvergenceError), under halving
-    the mesh, and under shrinking the window to three quarters (else
-    GridTooCoarseError) — three independent failure probes.
+    Iterated one-step Fresnel convolutions over the query's slices, taken
+    undamped as Henstock integrals (_sliced_member); per-slice potential
+    weight e^{-i V(x_{j-1}) dt} at the LEFT increment endpoint.  One slice
+    is that weight times the closed-form free kernel.  Otherwise two probe
+    members check the value: the half mesh and the window shrunk to three
+    quarters.  The member is fourth order in the mesh, so the half-mesh
+    gap over (cell ratio)^4 - 1 (about 15) estimates the mesh error;
+    GridTooCoarseError when that plus window_gap > rtol (relative).
     """
     rtol = _require_positive("rtol", rtol)
     mass = _require_positive("mass", mass)
@@ -384,17 +385,11 @@ def psi_sliced(
         v = float(q.potential.values(np.array([q.xi_prime]), q.tau_prime)[0])
         return complex(np.exp(-1j * v * q.duration)) * psi0_closed(q, mass=mass)
 
-    # probes of the weakest member: half the mesh (when that keeps >= 8
-    # points) and the window shrunk to 3/4 at similar resolution
-    half_points = (grid.points // 2) & ~1
-    probes = [
-        (grid.extent, half_points, "halving the mesh", "increase points per slice"),
-        (0.75 * grid.extent, max(8, (3 * grid.points // 4) & ~1),
-         "shrinking the window to three quarters", "increase the spatial extent"),
-    ]
-    if half_points < 8:
-        del probes[0]
-    member_points = [grid.points] * 3 + [points for _, points, _, _ in probes]
+    probes = {
+        "mesh": (grid.extent, (grid.points // 2) & ~1),
+        "window": (0.75 * grid.extent, (3 * grid.points // 4) & ~1),
+    }
+    member_points = [grid.points] + [points for _, points in probes.values()]
     work = sum(_member_work(q.slices, points) for points in member_points)
     if work > _WORK_CAP:
         raise ResourceLimitError(
@@ -403,28 +398,26 @@ def psi_sliced(
             f"{_WORK_CAP:.3e}; use fewer slices or points"
         )
 
-    eps_members = [grid.damping, 2.0 * grid.damping, 4.0 * grid.damping]
-    vals = [
-        _sliced_member(q, grid.extent, grid.points, eps, mass)
-        for eps in eps_members
-    ]
-    extrap = _neville_at_zero(eps_members, vals)
-    partial = _neville_at_zero(eps_members[:2], vals[:2])
-    scale = max(abs(extrap), 1e-300)
-    if abs(extrap - partial) > 0.5 * rtol * scale:
-        raise NoConvergenceError(
-            f"damping extrapolation moved {abs(extrap - partial):.3e} "
-            f"(relative {abs(extrap - partial) / scale:.3e}) when adding "
-            f"the third member; tighten the grid or damping"
+    value = _sliced_member(q, grid.extent, grid.points, mass)
+    scale = max(abs(value), 1e-300)
+    gaps = {
+        name: abs(_sliced_member(q, extent, points, mass) - value) / scale
+        for name, (extent, points) in probes.items()
+    }
+    # fourth order in the mesh: the mesh gap is the member's error times
+    # (ncell / probe ncell)^4 - 1, which is 15.25 on the default grid
+    ratio = (_cell_count(grid.points) / _cell_count(probes["mesh"][1])) ** 4 - 1.0
+    if gaps["mesh"] / ratio + gaps["window"] > rtol:
+        remedy = (
+            "increase points per slice" if gaps["mesh"] / ratio > gaps["window"]
+            else "increase the spatial extent"
         )
-    for extent, points, change, remedy in probes:
-        v = _sliced_member(q, extent, points, eps_members[0], mass)
-        if abs(v - vals[0]) > 2.0 * rtol * scale:
-            raise GridTooCoarseError(
-                f"{change} moved the weakest member by "
-                f"{abs(v - vals[0]) / scale:.3e} relative; {remedy}"
-            )
-    return complex(extrap)
+        raise GridTooCoarseError(
+            f"half-mesh gap {gaps['mesh']:.3e} / {ratio:.4g} + three-quarter-window "
+            f"gap {gaps['window']:.3e} (relative) exceeds rtol {rtol:.3e}; {remedy}",
+            mesh_gap=gaps["mesh"], window_gap=gaps["window"], rtol=rtol,
+        )
+    return complex(value)
 
 
 def psi0_sliced(

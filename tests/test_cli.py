@@ -61,8 +61,9 @@ class TestConfig:
     def test_validates_values(self):
         with pytest.raises(ValueError):
             IntegratorConfig(tol=-1.0)
-        with pytest.raises(ValueError):
-            PathintConfig(points=7)
+        for points in (7, 14):
+            with pytest.raises(ValueError):
+                PathintConfig(points=points)
         with pytest.raises(ValueError):
             PathintConfig(slices=0)
         with pytest.raises(ValueError):
