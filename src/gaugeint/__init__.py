@@ -6,8 +6,8 @@ The package is organized bottom-up:
     fresnel     incomplete Fresnel integral, oscillatory densities and
                 distributions on product cells, incremental kernels
     oscquad     analytic chirp quadrature (Filon cells with exact moments)
-    integrate   adaptive gauge integration on windows, tensorized n-dim
-                refinement, undamped improper oscillatory integrals
+    integrate   adaptive gauge integration on windows, undamped improper
+                oscillatory integrals
     cylinder    time sets, cylinder cells over path space, undamped
                 reduction of cylinder integrals to finite dimension
     propagator  closed-form and undamped time-sliced propagators, perturbation
@@ -61,7 +61,6 @@ from .integrate import (
     alexiewicz_seminorm,
     fresnel_line_integral,
     hk_integrate_1d,
-    hk_integrate_nd,
     oscillatory_improper,
 )
 from .oscquad import (

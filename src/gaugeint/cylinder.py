@@ -31,6 +31,7 @@ from .cells import (
 from .errors import (
     AssociationError,
     DimensionCapError,
+    IntegrandError,
     NoConvergenceError,
     ScheduleError,
     _require_number,
@@ -39,12 +40,7 @@ from .errors import (
     guarded_values,
 )
 from .fresnel import ROOT_MINUS_I_OVER_2PI, IncrementSchedule
-from .integrate import (
-    _DIMENSION_CAP,
-    _tensor_sum,
-    _vectorized_nd,
-    hk_integrate_1d,
-)
+from .integrate import hk_integrate_1d
 from .oscquad import (
     _tail_moments,
     adaptive_chirp_integral,
@@ -325,6 +321,8 @@ _RADIUS = 8.0  # half-width R of the first window [-R, R] of each increment
 _MAX_RADIUS = 64.0  # widest window of the tail check
 _START_CELLS = 16  # Filon cells per increment on the first tensor level
 _MAX_POINTS = 1 << 24  # tensor points of one level (n >= 2)
+_CHUNK = 1 << 17  # tensor points per integrand call
+_DIMENSION_CAP = 4  # largest schedule dimension of the reduction
 _TAIL_STEP = 2.0**-6  # stencil spacing of the n = 1 tail
 # row k maps f(R - j h), j = 0..5, to h^k f^(k)(R) / k!: the one-sided
 # six-point stencil, differentiating the quintic through those samples
@@ -365,6 +363,51 @@ def _window_value(fv, sched: IncrementSchedule, radius: float, tol: float) -> co
     return core + _tail_weights(dt, radius, _TAIL_STEP) @ (g(u) + g(-u))
 
 
+def _vectorized_nd(f):
+    """Wrap an n-D integrand: (m, n) points to m finite complex values."""
+
+    def fv(points: np.ndarray) -> np.ndarray:
+        out = guarded_values(f, points)
+        if out.shape != points.shape[:1]:
+            raise IntegrandError(
+                f"integrand must map (m, {points.shape[1]}) points to (m,) "
+                f"values, got shape {out.shape}"
+            )
+        return out
+
+    return fv
+
+
+def _tensor_sum(fv, nodes_list, weights_list) -> complex:
+    """sum over the tensor grid of prod_j w_j[i_j] * fv(x_{i_1}, ..., x_{i_n}).
+
+    n >= 2 axes; fv maps an (m, n) array of grid points to m values.
+    Streamed over chunks of the outer axes so the point buffer holds about
+    _CHUNK rows; the partial sums are added exactly.
+    """
+    n = len(nodes_list)
+    last_nodes, last_w = nodes_list[-1], weights_list[-1]
+    ln = last_nodes.size
+    outer_shape = tuple(nd.size for nd in nodes_list[:-1])
+    outer_total = math.prod(outer_shape)
+    rows_per_chunk = max(1, _CHUNK // ln)
+    partials: list[complex] = []
+    for start in range(0, outer_total, rows_per_chunk):
+        stop = min(start + rows_per_chunk, outer_total)
+        multi = np.unravel_index(np.arange(start, stop), outer_shape)
+        rows = stop - start
+        points = np.empty((rows * ln, n))
+        for axis in range(n - 1):
+            points[:, axis] = np.repeat(nodes_list[axis][multi[axis]], ln)
+        points[:, n - 1] = np.tile(last_nodes, rows)
+        row_sums = fv(points).reshape(rows, ln) @ last_w
+        wout = weights_list[0][multi[0]]
+        for axis in range(1, n - 1):
+            wout = wout * weights_list[axis][multi[axis]]
+        partials.append(fsum_complex(row_sums * wout))
+    return fsum_complex(partials)
+
+
 def _tensor_value(fv, sched: IncrementSchedule, radius: float, cells: int) -> complex:
     """n >= 2: the tensor product of the increments' extended rules."""
     if (3 * cells + 1) ** sched.dim > _MAX_POINTS:
@@ -375,7 +418,7 @@ def _tensor_value(fv, sched: IncrementSchedule, radius: float, cells: int) -> co
     nodes, weights = zip(*rules)
     # grid points are increments; coordinates are their prefix sums
     incs = lambda p: fv(np.cumsum(p, axis=1) + sched.origin_point)
-    return _tensor_sum(incs, nodes, weights, 1 << 17)
+    return _tensor_sum(incs, nodes, weights)
 
 
 def _reduction(fv, sched: IncrementSchedule, tol: float) -> complex:

@@ -1,4 +1,4 @@
-"""Adaptive gauge integration on the line and on boxes in R^n.
+"""Adaptive gauge integration on the line.
 
 The 1D engine mimics gauge refinement: cells are bisected wherever the
 two-level Riemann-sum (trapezoid) disagreement exceeds the cell's share of
@@ -34,7 +34,6 @@ import numpy as np
 
 from .cells import fsum_complex
 from .errors import (
-    DimensionCapError,
     IntegrandError,
     NoConvergenceError,
     _require_complex,
@@ -50,13 +49,10 @@ __all__ = [
     "IntegrationReport",
     "OscillatoryTailSpec",
     "hk_integrate_1d",
-    "hk_integrate_nd",
     "oscillatory_improper",
     "fresnel_line_integral",
     "alexiewicz_seminorm",
 ]
-
-_DIMENSION_CAP = 4  # largest box dimension of the direct n-D reductions
 
 # caps of hk_integrate_1d: bisection levels and live cells of one adaptive
 # run, and geometric annuli peeled off one window endpoint
@@ -73,13 +69,6 @@ _STALL_LEVELS = 4
 _STALL_FLOOR = 1 << 16
 _STALL_REACH = 0.125
 _STALL_GROWTH = 1.5
-
-# hk_integrate_nd: axis doublings, points per axis at level 0, the point
-# budget of one level, and the points evaluated per integrand call
-_ND_MAX_LEVELS = 11
-_ND_MIN_PTS = 9
-_ND_MAX_POINTS = 80_000_000
-_ND_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -151,21 +140,6 @@ def _vectorized(f):
         return guarded_values(
             lambda: [complex(f(float(v))) for v in x.ravel()]
         ).reshape(x.shape)
-
-    return fv
-
-
-def _vectorized_nd(f):
-    """Wrap an n-D integrand: (m, n) points to m finite complex values."""
-
-    def fv(points: np.ndarray) -> np.ndarray:
-        out = guarded_values(f, points)
-        if out.shape != points.shape[:1]:
-            raise IntegrandError(
-                f"integrand must map (m, {points.shape[1]}) points to (m,) "
-                f"values, got shape {out.shape}"
-            )
-        return out
 
     return fv
 
@@ -413,98 +387,6 @@ def hk_integrate_1d(
     value = fsum_complex(pieces)
     est = math.fsum(ests)
     return IntegrationReport(value, est, total_levels, est <= tol)
-
-
-def hk_integrate_nd(
-    f,
-    window,
-    tol: float = 1e-6,
-) -> IntegrationReport:
-    """Tensor-trapezoid integration with Richardson acceleration on a box.
-
-    f maps an (m, n) array of points to m complex values.  Levels double
-    each axis; a Romberg table over the level values supplies the
-    extrapolated result and its stability estimate.
-    """
-    box = [tuple(_require_number("window", x) for x in axis) for axis in window]
-    n = len(box)
-    if n < 1:
-        raise ValueError("window must have at least one axis")
-    if n > _DIMENSION_CAP:
-        raise DimensionCapError(f"dimension {n} exceeds cap {_DIMENSION_CAP}")
-    for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("each axis needs finite lower < upper")
-    tol = _require_positive("tol", tol)
-
-    feval = _vectorized_nd(f)
-
-    rows: list[list[complex]] = []
-    cap = "_ND_MAX_LEVELS"
-    for level in range(_ND_MAX_LEVELS + 1):
-        pts_per_axis = (_ND_MIN_PTS - 1) * (1 << level) + 1
-        if pts_per_axis**n > _ND_MAX_POINTS:
-            cap = "_ND_MAX_POINTS"
-            break
-        row = [_tensor_trapezoid(feval, box, pts_per_axis)]
-        if rows:
-            below = rows[-1]
-            for k in range(1, len(below) + 1):
-                row.append(row[k - 1] + (row[k - 1] - below[k - 1]) / (4.0**k - 1.0))
-            est = abs(row[-1] - below[-1])
-            if est <= tol:
-                return IntegrationReport(row[-1], est, level, True)
-        rows.append(row)
-    # 17^n points fit the budget for n <= _DIMENSION_CAP, so two levels ran
-    est = abs(rows[-1][-1] - rows[-2][-1])
-    raise NoConvergenceError(
-        f"no convergence after {len(rows) - 1} doublings, stopped at {cap}; "
-        f"estimate {est:.3e}",
-        cap=cap,
-    )
-
-
-def _tensor_trapezoid(feval, box, pts_per_axis: int) -> complex:
-    nodes_list, weights_list = [], []
-    for lo, hi in box:
-        w = np.full(pts_per_axis, (hi - lo) / (pts_per_axis - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        nodes_list.append(np.linspace(lo, hi, pts_per_axis))
-        weights_list.append(w)
-    return _tensor_sum(feval, nodes_list, weights_list, _ND_CHUNK)
-
-
-def _tensor_sum(fv, nodes_list, weights_list, chunk: int) -> complex:
-    """sum over the tensor grid of prod_j w_j[i_j] * fv(x_{i_1}, ..., x_{i_n}).
-
-    fv maps an (m, n) array of grid points to m values.  Streamed over
-    chunks of the outer axes so the point buffer holds about chunk rows;
-    the partial sums are added exactly.
-    """
-    n = len(nodes_list)
-    last_nodes, last_w = nodes_list[-1], weights_list[-1]
-    ln = last_nodes.size
-    if n == 1:
-        return fsum_complex(fv(last_nodes[:, None]) * last_w)
-    outer_shape = tuple(nd.size for nd in nodes_list[:-1])
-    outer_total = math.prod(outer_shape)
-    rows_per_chunk = max(1, chunk // ln)
-    partials: list[complex] = []
-    for start in range(0, outer_total, rows_per_chunk):
-        stop = min(start + rows_per_chunk, outer_total)
-        multi = np.unravel_index(np.arange(start, stop), outer_shape)
-        rows = stop - start
-        points = np.empty((rows * ln, n))
-        for axis in range(n - 1):
-            points[:, axis] = np.repeat(nodes_list[axis][multi[axis]], ln)
-        points[:, n - 1] = np.tile(last_nodes, rows)
-        row_sums = fv(points).reshape(rows, ln) @ last_w
-        wout = weights_list[0][multi[0]]
-        for axis in range(1, n - 1):
-            wout = wout * weights_list[axis][multi[axis]]
-        partials.append(fsum_complex(row_sums * wout))
-    return fsum_complex(partials)
 
 
 _CUT_START = 4.0  # first cut of oscillatory_improper, past max(lower, 0)

@@ -271,8 +271,7 @@ def _contract_cells(cellw, g: np.ndarray, alpha: complex, lo, hi, h: float):
     """
     ncell = cellw.shape[-1]
     cells = sum(cellw[k] @ g[k : k + 3 * ncell : 3] for k in range(4))
-    t_lo, m_lo = _tail_moments(alpha, -lo, 1)
-    t_hi, m_hi = _tail_moments(alpha, hi, 1)
+    (t_lo, t_hi), (m_lo, m_hi) = _tail_moments(alpha, np.stack([-lo, hi]), 1)
     # g'(lo) from g_0, g_1, g_2; g'(hi) from g_-3, g_-2, g_-1 is its mirror image
     slope = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
     return (cells + t_lo * g[0] + t_hi * g[-1]

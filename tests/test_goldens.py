@@ -55,15 +55,15 @@ GOLDEN = {
     'fresnel': (
         'format_version,1\n'
         'quantity,numeric,reference,abs_diff\n'
-        'full_line_exp_ix2_over_2,1.77245385091+1.77245385091j,1.77245385091+1.77245385091j,3.14018491737e-16\n'
-        'full_line_exp_iy2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.89714993611e-15\n'
+        'full_line_exp_ix2_over_2,1.77245385091+1.77245385091j,1.77245385091+1.77245385091j,6.01162958111e-15\n'
+        'full_line_exp_iy2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.83102671941e-15\n'
         'halfline_cos_u2,0.626657068658+0j,0.626657068658+0j,8.881784197e-16\n'
-        'halfline_sin_u2,0.626657068658+0j,0.626657068658+0j,2.22044604925e-16\n'
+        'halfline_sin_u2,0.626657068658+0j,0.626657068658+0j,1.11022302463e-16\n'
     ),
     'fresnel_c': (
         'format_version,1\n'
         'quantity,numeric,reference,abs_diff\n'
-        'full_line_exp_half_c_x2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.89714993611e-15\n'
+        'full_line_exp_half_c_x2,1.25331413732+1.25331413732j,1.25331413732+1.25331413732j,1.83102671941e-15\n'
     ),
     'perturb_const': (
         'format_version,1\n'
@@ -89,13 +89,13 @@ GOLDEN = {
         'format_version,1\n'
         'quantity,value,abs_diff_vs_closed\n'
         'constant_closed,0.129424727797-0.377364787608j,0\n'
-        'psi_sliced,0.129424727797-0.377364787608j,2.77556311267e-14\n'
+        'psi_sliced,0.129424727797-0.377364787608j,2.76467965192e-14\n'
     ),
     'kernel_harmonic3': (
         'format_version,1\n'
         'quantity,value,abs_diff_vs_closed\n'
         'harmonic_closed,0.518037043997-0.237782312358j,0\n'
-        'psi_sliced,0.517843009631-0.236666477981j,0.00113257922141\n'
+        'psi_sliced,0.517843009632-0.236666477978j,0.00113257922367\n'
     ),
     'exchange_const': (
         '{\n'
@@ -116,8 +116,8 @@ GOLDEN = {
         '2,-0.121869636873-0.429058819363j,-0.0673374323571-0.393218276909j,0.0652556956345\n'
         '3,-0.0770164306656-0.37997561924j,-0.0673374323571-0.393218276909j,0.0164027738632\n'
         '4,-0.0647456306347-0.391188920791j,-0.0673374323571-0.393218276909j,0.0032917658515\n'
-        '5,-0.066988290945-0.393643080798j,-0.0673374323571-0.393218276909j,0.00054987095693\n'
-        '6,-0.0673973176127-0.393269304079j,-0.0673374323571-0.393218276909j,7.86766542405e-05\n'
+        '5,-0.066988290945-0.393643080798j,-0.0673374323571-0.393218276909j,0.000549870956929\n'
+        '6,-0.0673973176127-0.393269304079j,-0.0673374323571-0.393218276909j,7.86766542407e-05\n'
     ),
     'exchange_const/growth.csv': (
         'format_version,1\n'
@@ -154,11 +154,11 @@ GOLDEN = {
     'exchange_harmonic/comparison.csv': (
         'format_version,1\n'
         'm,partial_sum,sliced,abs_difference\n'
-        '0,0.433184007856-0.361471301104j,0.434628936652-0.363199169992j,0.00225240984758\n'
-        '1,0.434762415874-0.364166184145j,0.434628936652-0.363199169992j,0.000976182910227\n'
-        '2,0.434765876212-0.364181988292j,0.434628936652-0.363199169992j,0.000992312578161\n'
-        '3,0.434765871566-0.364182081316j,0.434628936652-0.363199169992j,0.000992404071479\n'
-        '4,0.434765871413-0.364182081875j,0.434628936652-0.363199169992j,0.000992404604129\n'
+        '0,0.433184007856-0.361471301104j,0.434628936652-0.363199169993j,0.00225240984816\n'
+        '1,0.434762415874-0.364166184145j,0.434628936652-0.363199169993j,0.000976182909376\n'
+        '2,0.434765876212-0.364181988292j,0.434628936652-0.363199169993j,0.000992312577311\n'
+        '3,0.434765871566-0.364182081316j,0.434628936652-0.363199169993j,0.000992404070629\n'
+        '4,0.434765871413-0.364182081875j,0.434628936652-0.363199169993j,0.000992404603279\n'
     ),
     'exchange_harmonic/growth.csv': (
         'format_version,1\n'

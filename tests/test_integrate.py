@@ -1,4 +1,4 @@
-"""Tests for the adaptive one- and multi-dimensional integrators.
+"""Tests for the adaptive one-dimensional integrator and improper chirp tails.
 
 Oracle policy: every nontrivial expected value is produced by an
 independent route — closed forms differentiated by hand, mpmath
@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaugeint.errors import (
-    DimensionCapError,
-    IntegrandError,
-    NoConvergenceError,
-)
+from gaugeint.errors import IntegrandError, NoConvergenceError
 from gaugeint import integrate
 from gaugeint.integrate import (
     IntegrationReport,
@@ -28,7 +24,6 @@ from gaugeint.integrate import (
     alexiewicz_seminorm,
     fresnel_line_integral,
     hk_integrate_1d,
-    hk_integrate_nd,
     oscillatory_improper,
 )
 from gaugeint.oscquad import FRESNEL_LIMIT, fresnel_integral, gauss_tail
@@ -451,77 +446,6 @@ def test_tail_spec_validation():
     for direction in [True, 1.0, "1"]:
         with pytest.raises(ValueError, match="direction must be the integer"):
             OscillatoryTailSpec(1j, 0.0, direction)
-
-
-# ---------------------------------------------------------------------------
-# multi-dimensional boxes
-# ---------------------------------------------------------------------------
-
-
-def test_nd_constant_unit_box():
-    rep = hk_integrate_nd(
-        lambda p: np.ones(p.shape[0], dtype=complex), [(0, 1), (0, 1)], 1e-10
-    )
-    assert rep.converged
-    assert abs(rep.value - 1.0) < 1e-12
-
-
-def test_nd_odd_integrand_vanishes():
-    rep = hk_integrate_nd(
-        lambda p: (p[:, 0] * p[:, 1]).astype(complex), [(-1, 1), (-1, 1)], 1e-10
-    )
-    assert abs(rep.value) < 1e-12
-
-
-def test_nd_one_axis_matches_1d():
-    f1 = lambda x: np.exp(-x * x).astype(complex)
-    rep_n = hk_integrate_nd(lambda p: f1(p[:, 0]), [(-5, 5)], 1e-10)
-    rep_1 = hk_integrate_1d(f1, (-5.0, 5.0), 1e-12)
-    assert abs(rep_n.value - rep_1.value) < 1e-9
-
-
-def test_nd_damped_chirp_product_factorizes():
-    # separable integrand: the box value must equal the square of the
-    # damped line value, which itself matches sqrt(2 pi / -c)
-    eps = 0.15
-    c = complex(-2.0 * eps, 1.0)
-    line = cmath.sqrt(2.0 * math.pi / (-c))
-
-    def f2(p):
-        s = np.square(p).sum(axis=1)
-        return np.exp((0.5j - eps) * s)
-
-    rep = hk_integrate_nd(f2, [(-20, 20), (-20, 20)], 1e-8)
-    assert rep.converged
-    assert abs(rep.value - line**2) < 1e-6 * abs(line**2)
-
-
-def test_nd_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        hk_integrate_nd(
-            lambda p: np.ones(p.shape[0], dtype=complex), [(0, 1)] * 5, 1e-6
-        )
-
-
-@pytest.mark.parametrize(
-    "constant, value, cap",
-    [("_ND_MAX_LEVELS", 1, "_ND_MAX_LEVELS"), ("_ND_MAX_POINTS", 17**2, "_ND_MAX_POINTS")],
-)
-def test_nd_names_the_cap_that_stopped_it(monkeypatch, constant, value, cap):
-    import gaugeint.integrate as integrate
-
-    monkeypatch.setattr(integrate, constant, value)
-    rough = lambda p: np.sqrt(np.abs(p[:, 0] - 0.3)).astype(complex)
-    with pytest.raises(NoConvergenceError, match=cap) as info:
-        hk_integrate_nd(rough, [(0.0, 1.0), (0.0, 1.0)], 1e-12)
-    assert info.value.cap == cap
-
-
-def test_nd_window_validation():
-    with pytest.raises(ValueError):
-        hk_integrate_nd(lambda p: p[:, 0], [], 1e-6)
-    with pytest.raises(ValueError):
-        hk_integrate_nd(lambda p: p[:, 0], [(0.0, math.inf)], 1e-6)
 
 
 # ---------------------------------------------------------------------------
