@@ -21,9 +21,8 @@ and the full line is fine by convention.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from math import fsum, inf, isfinite, isinf, isnan
+from math import fsum, inf, isfinite, isnan
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,6 +33,7 @@ from .errors import (
     ResourceLimitError,
     _require_finite,
     _require_number,
+    guarded_array,
     guarded_values,
 )
 
@@ -66,6 +66,7 @@ KIND_POS_TAIL = "pos_tail"
 KIND_FULL_LINE = "full_line"
 
 _MAX_DEPTH = 60  # bisection levels of cousin_division
+_BATCH = 1 << 14  # pieces cousin_division bisects together
 
 
 def _check_extended(x: float, what: str) -> float:
@@ -113,15 +114,7 @@ class Cell1D:
 
     @property
     def kind(self) -> str:
-        lo_inf = math.isinf(self.lo)
-        hi_inf = math.isinf(self.hi)
-        if lo_inf and hi_inf:
-            return KIND_FULL_LINE
-        if lo_inf:
-            return KIND_NEG_TAIL
-        if hi_inf:
-            return KIND_POS_TAIL
-        return KIND_BOUNDED
+        return _kind(self.lo, self.hi)
 
     @property
     def is_bounded(self) -> bool:
@@ -135,6 +128,13 @@ class Cell1D:
         return f"Cell1D({self.lo}, {self.hi}]"
 
 
+def _kind(lo: float, hi: float) -> str:
+    """The shape of the cell (lo, hi]; only lo can be -inf, only hi +inf."""
+    if lo == -inf:
+        return KIND_FULL_LINE if hi == inf else KIND_NEG_TAIL
+    return KIND_POS_TAIL if hi == inf else KIND_BOUNDED
+
+
 def cell_volume(cell: Cell1D) -> float:
     """Length of a bounded cell; every unbounded shape has volume 0."""
     if cell.is_bounded:
@@ -142,31 +142,31 @@ def cell_volume(cell: Cell1D) -> float:
     return 0.0
 
 
-def _is_associated(tag: float, cell: Cell1D) -> bool:
-    """The association rule of every shape: the tag is an edge of its cell,
-    and that edge is infinite unless the cell is bounded."""
-    return (tag == cell.lo or tag == cell.hi) and (isinf(tag) or cell.is_bounded)
+def _is_associated(tag, lo, hi):
+    """The association rule of every shape, on floats or arrays: the tag is
+    an edge of its cell (lo, hi], and that edge is infinite unless the cell
+    is bounded."""
+    return ((tag == lo) | (tag == hi)) & (np.isinf(tag) | (np.isfinite(lo) & np.isfinite(hi)))
 
 
-def _require_associated(tag: float, cell: Cell1D) -> Cell1D:
-    """The cell, or AssociationError when tag is not associated with it."""
-    if not _is_associated(tag, cell):
+def _require_associated(tag: float, cell: Cell1D) -> tuple[float, float]:
+    """The cell's edges, or AssociationError when tag is not associated with it."""
+    if not _is_associated(tag, cell.lo, cell.hi):
         raise AssociationError(f"tag {tag} is not an associated point of {cell!r}")
-    return cell
+    return cell.lo, cell.hi
 
 
-def _is_fine(cell: Cell1D, d: float) -> bool:
-    """The fineness rule of every shape under the width bound d."""
-    if cell.lo == -inf:
-        return cell.hi == inf or cell.hi < -1.0 / d
-    if cell.hi == inf:
-        return cell.lo > 1.0 / d
-    return cell.hi - cell.lo < d
+def _is_fine(lo, hi, d):
+    """The fineness rule of every shape of cell (lo, hi] under the width
+    bound d, on floats or arrays."""
+    return np.where(
+        lo == -inf, (hi == inf) | (hi < -1.0 / d), np.where(hi == inf, lo > 1.0 / d, hi - lo < d)
+    )
 
 
 def tag_is_associated(tag: float, cell: Cell1D) -> bool:
     """Whether tag is an admissible associated point of the cell."""
-    return _is_associated(_check_extended(tag, "tag"), cell)
+    return bool(_is_associated(_check_extended(tag, "tag"), cell.lo, cell.hi))
 
 
 @dataclass(frozen=True)
@@ -184,45 +184,69 @@ class TaggedCell1D:
 
 @dataclass(frozen=True)
 class Gauge1D:
-    """A gauge: strictly positive delta on the extended reals."""
+    """A gauge: strictly positive delta on the extended reals.
+
+    delta may map a float array to an array of the same shape; values asks
+    it once per array, and asks a scalar-only delta point by point.
+    """
 
     delta: Callable[[float], float]
 
     def __call__(self, x: float) -> float:
-        d = _gauge_value(self.delta, x)
-        if not d > 0.0:
-            raise ValueError(f"gauge must be strictly positive, got {d} at {x}")
-        return d
+        return float(self.values(np.array([x], dtype=float))[0])
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """delta at every point of the float array x (errors.guarded_array);
+        IntegrandError if a value is complex, ValueError naming the first
+        that is not strictly positive."""
+        out = guarded_array(self.delta, x, what="gauge")
+        if out.imag.any():
+            raise IntegrandError("gauge returned a complex value")
+        if not (out.real > 0.0).all():
+            i = (~(out.real > 0.0)).argmax()
+            raise ValueError(f"gauge must be strictly positive, got {out.real.flat[i]} at {x.flat[i]}")
+        return out.real
 
 
-def _gauge_value(delta: Callable, *args) -> float:
-    """delta(*args) as a float; IntegrandError unless it is finite and real."""
-    out = guarded_values(delta, *args, what="gauge")
-    if out.imag.any():
-        raise IntegrandError("gauge returned a complex value")
-    return float(out.real)
-
-
-@dataclass(frozen=True)
 class Division1D:
-    """A finite ordered collection of tagged cells.
+    """A finite ordered collection of tagged cells, held as read-only float
+    arrays tags, lo and hi (lo = -inf, hi = +inf on the unbounded shapes).
 
-    Validity (tiling of R, association, fineness) is diagnosed by
+    Built from TaggedCell1D items or an (n, 3) array of checked rows (tag,
+    lo, hi).  Validity (tiling of R, association, fineness) is diagnosed by
     validate_division rather than enforced here.
     """
 
-    items: tuple[TaggedCell1D, ...]
+    __slots__ = ("tags", "lo", "hi")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        if len(self.items) == 0:
-            raise ValueError("a division needs at least one item")
+    def __init__(self, items: Iterable[TaggedCell1D] | np.ndarray) -> None:
+        if not isinstance(items, np.ndarray):
+            items = np.array([(it.tag, it.cell.lo, it.cell.hi) for it in items]).reshape(-1, 3)
+        if items.ndim != 2 or items.shape[1] != 3 or len(items) == 0:
+            raise ValueError("a division needs at least one item, as (tag, lo, hi) rows")
+        table = np.array(items, dtype=float).T.copy()
+        table.flags.writeable = False
+        self.tags, self.lo, self.hi = table
+
+    items = property(tuple, doc="The TaggedCell1D items, in order.")
+
+    def _rows(self) -> tuple:
+        return (*self.tags.tolist(), *self.lo.tolist(), *self.hi.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Division1D):
+            return NotImplemented
+        return self._rows() == other._rows()
+
+    def __hash__(self) -> int:
+        return hash(self._rows())
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.tags.size
 
     def __iter__(self):
-        return iter(self.items)
+        for t, u, v in zip(self.tags.tolist(), self.lo.tolist(), self.hi.tolist()):
+            yield TaggedCell1D(t, Cell1D(u, v))
 
 
 @dataclass(frozen=True)
@@ -253,7 +277,7 @@ class CellND:
         return vol
 
     def is_associated(self) -> bool:
-        return all(_is_associated(t, c) for t, c in zip(self.tags, self.factors))
+        return all(_is_associated(t, c.lo, c.hi) for t, c in zip(self.tags, self.factors))
 
 
 def is_delta_fine(item: TaggedCell1D, gauge: Gauge1D) -> bool:
@@ -262,7 +286,7 @@ def is_delta_fine(item: TaggedCell1D, gauge: Gauge1D) -> bool:
     The gauge is evaluated once, at the tag.  Raises AssociationError if
     the tag is not associated with the cell.
     """
-    return _is_fine(_require_associated(item.tag, item.cell), gauge(item.tag))
+    return bool(_is_fine(*_require_associated(item.tag, item.cell), gauge(item.tag)))
 
 
 def cousin_division(
@@ -276,9 +300,10 @@ def cousin_division(
     two tail cells are fine; pass explicit tails to pin them.  The bounded
     middle is bisected until each piece (u, v] is shorter than delta at one
     of its endpoints, tagging at the certifying endpoint and preferring the
-    left endpoint when both certify.  The gauge is asked once per point:
-    each piece carries the gauge values at its two edges.  Bisection deeper
-    than _MAX_DEPTH raises ResourceLimitError.
+    left endpoint when both certify.  A batch of pieces is bisected a level
+    at a time, the gauge asked once per level on the array of midpoints (so
+    once per point); a batch over _BATCH pieces is halved and taken depth
+    first.  Bisection deeper than _MAX_DEPTH raises ResourceLimitError.
     """
     if tails is None:
         a = -(1.0 / gauge(-inf) + 1.0)
@@ -292,32 +317,38 @@ def cousin_division(
         if not b > 1.0 / gauge(inf):
             raise ValueError(f"tail edge {b} does not certify the positive tail")
 
-    items: list[TaggedCell1D] = [TaggedCell1D(-inf, Cell1D.neg_tail(a))]
-    # Depth-first, left to right, so the output is ordered and deterministic.
-    stack = [(a, b, gauge(a), gauge(b), 0)]
+    da, db = gauge.values(np.array([a, b]))
+    stack = [(np.array([[a], [b], [da], [db]]), 0)]
+    settled = []  # rows lo, hi, dlo of the settled pieces
     while stack:
-        u, v, du, dv, depth = stack.pop()
+        piece, depth = stack.pop()  # rows lo, hi, dlo, dhi, left to right
         if depth > _MAX_DEPTH:
-            raise ResourceLimitError(
-                f"bisection exceeded depth {_MAX_DEPTH} near ({u}, {v}]"
-            )
-        w = v - u
-        if w < du:
-            items.append(TaggedCell1D(u, Cell1D(u, v)))
-        elif w < dv:
-            items.append(TaggedCell1D(v, Cell1D(u, v)))
-        else:
-            mid = 0.5 * (u + v)
-            if not (u < mid < v):
-                raise ResourceLimitError(
-                    f"cell ({u}, {v}] cannot be split further; gauge too small"
-                )
-            dm = gauge(mid)
-            # push right first so the left half is processed first
-            stack.append((mid, v, dm, dv, depth + 1))
-            stack.append((u, mid, du, dm, depth + 1))
-    items.append(TaggedCell1D(inf, Cell1D.pos_tail(b)))
-    return Division1D(tuple(items))
+            near = f"({piece[0, 0]}, {piece[1, 0]}]"
+            raise ResourceLimitError(f"bisection exceeded depth {_MAX_DEPTH} near {near}")
+        w = piece[1] - piece[0]
+        done = (w < piece[2]) | (w < piece[3])
+        settled.append(piece[:3, done])
+        piece = piece[:, ~done]
+        if piece.size == 0:
+            continue
+        lo, hi = piece[0], piece[1]
+        mid = 0.5 * (lo + hi)
+        stuck = (mid <= lo) | (mid >= hi)
+        if stuck.any():
+            i = stuck.argmax()
+            raise ResourceLimitError(f"cell ({lo[i]}, {hi[i]}] cannot be split further; gauge too small")
+        # each piece becomes its left half then its right: the left ends at
+        # mid (rows hi, dhi) and the right starts there (rows lo, dlo)
+        halves = np.repeat(piece, 2, axis=1)
+        halves[1::2, 0::2] = halves[0::2, 1::2] = (mid, gauge.values(mid))
+        if halves.shape[1] > _BATCH:  # the right batch waits, so the left is bisected first
+            stack.append((halves[:, piece.shape[1]:], depth + 1))
+            halves = halves[:, : piece.shape[1]]
+        stack.append((halves, depth + 1))
+    table = np.concatenate(settled, axis=1)
+    lo, hi, dlo = table[:, np.argsort(table[0])]
+    middle = np.stack((np.where(hi - lo < dlo, lo, hi), lo, hi), axis=1)  # left tag first
+    return Division1D(np.concatenate(([(-inf, -inf, a)], middle, [(inf, b, inf)])))
 
 
 @dataclass(frozen=True)
@@ -342,48 +373,39 @@ def validate_division(division: Division1D, gauge: Gauge1D | None = None) -> Div
     """Check association, exact tiling of R and (optionally) fineness.
 
     Returns a report listing every violation found; an empty report means
-    the division is a valid (and, with a gauge, delta-fine) division.
+    the division is a valid (and, with a gauge, delta-fine) division.  The
+    gauge is asked once, on the array of associated tags.
     """
     bad: list[Violation] = []
-    associated = [_is_associated(it.tag, it.cell) for it in division]
-    for i, (it, ok) in enumerate(zip(division, associated)):
-        if not ok:
-            bad.append(
-                Violation("association", f"tag {it.tag} not associated with {it.cell!r}", i)
-            )
+    tags, lo, hi = division.tags, division.lo, division.hi
+    associated = _is_associated(tags, lo, hi)
+    for i in np.flatnonzero(~associated).tolist():
+        cell = Cell1D(lo[i], hi[i])
+        bad.append(Violation("association", f"tag {tags[i]} not associated with {cell!r}", i))
 
-    order = sorted(range(len(division)), key=lambda i: (division.items[i].cell.lo, division.items[i].cell.hi))
-    cells = [division.items[i].cell for i in order]
+    order = np.lexsort((hi, lo))  # by lower edge, then upper, stably
+    slo, shi = lo[order], hi[order]
+    full = (slo == -inf) & (shi == inf)
+    if not (order.size == 1 and full[0]):  # else a single full-line cell covers R
+        bad += [Violation("structure", "full-line cell mixed with others", None)] * int(full.sum())
+        if slo[0] != -inf:
+            bad.append(Violation("coverage", f"no negative tail; line starts at {slo[0]}", int(order[0])))
+        if shi[-1] != inf:
+            bad.append(Violation("coverage", f"no positive tail; line ends at {shi[-1]}", int(order[-1])))
+        for k in np.flatnonzero(shi[:-1] != slo[1:]).tolist():
+            index = int(order[k + 1])
+            if shi[k] < slo[k + 1]:
+                bad.append(Violation("gap", f"({shi[k]}, {slo[k + 1]}] is uncovered", index))
+            else:
+                left, right = Cell1D(slo[k], shi[k]), Cell1D(slo[k + 1], shi[k + 1])
+                on = f"({right.lo}, {min(left.hi, right.hi)}]"
+                bad.append(Violation("overlap", f"{left!r} and {right!r} overlap on {on}", index))
 
-    if len(cells) == 1 and cells[0].kind == KIND_FULL_LINE:
-        pass  # single full-line cell covers R
-    else:
-        for c in cells:
-            if c.kind == KIND_FULL_LINE:
-                bad.append(Violation("structure", "full-line cell mixed with others", None))
-        if cells[0].lo != -inf:
-            bad.append(Violation("coverage", f"no negative tail; line starts at {cells[0].lo}", order[0]))
-        if cells[-1].hi != inf:
-            bad.append(Violation("coverage", f"no positive tail; line ends at {cells[-1].hi}", order[-1]))
-        for k in range(len(cells) - 1):
-            left, right = cells[k], cells[k + 1]
-            if left.hi < right.lo:
-                bad.append(
-                    Violation("gap", f"({left.hi}, {right.lo}] is uncovered", order[k + 1])
-                )
-            elif left.hi > right.lo:
-                bad.append(
-                    Violation(
-                        "overlap",
-                        f"{left!r} and {right!r} overlap on ({right.lo}, {min(left.hi, right.hi)}]",
-                        order[k + 1],
-                    )
-                )
-
-    if gauge is not None:
-        for i, (it, ok) in enumerate(zip(division, associated)):
-            if ok and not _is_fine(it.cell, gauge(it.tag)):  # unassociated: no fineness
-                bad.append(Violation("fineness", f"item {i} is not delta-fine", i))
+    if gauge is not None:  # unassociated items get no fineness check
+        where = np.flatnonzero(associated)
+        fine = _is_fine(lo[where], hi[where], gauge.values(tags[where]))
+        for i in where[~fine].tolist():
+            bad.append(Violation("fineness", f"item {i} is not delta-fine", i))
     return DivisionReport(tuple(bad))
 
 
@@ -413,55 +435,37 @@ def riemann_sum(
 # JSON serialization.  Field names are fixed by schemas/division.schema.json.
 
 
-def _tag_to_json(tag: float):
-    if tag == inf:
-        return "inf"
-    if tag == -inf:
-        return "-inf"
-    return tag
+_TAG_JSON = {inf: "inf", -inf: "-inf"}
 
 
-def _tag_from_json(obj) -> float:
-    if obj in ("inf", "-inf"):
-        return float(obj)
-    return _require_number("tag", obj)
-
-
-def _cell_bounds(cell: Cell1D) -> list[float]:
-    """The finite edges of the cell, in order."""
-    return [e for e in (cell.lo, cell.hi) if isfinite(e)]
-
-
-def _cell_from_kind_bounds(kind: str, bounds: Sequence[float]) -> Cell1D:
+def _edges_from_json(kind: str, bounds: Sequence[float]) -> tuple[float, float]:
+    """The edges (lo, hi) of the cell that a JSON item's kind and bounds name."""
     bounds = [_require_number("bound", b) for b in bounds]
+    if kind == KIND_FULL_LINE:
+        if bounds:
+            raise ValueError("full_line cell takes no bounds")
+        return -inf, inf
     if kind == KIND_BOUNDED:
         if len(bounds) != 2:
             raise ValueError("bounded cell needs bounds [u, v]")
-        return Cell1D.bounded(bounds[0], bounds[1])
-    if kind == KIND_NEG_TAIL:
+        lo, hi = (_require_finite("edge", e) for e in bounds)
+        if not lo < hi:
+            raise ValueError(f"cell edges must satisfy lo < hi, got ({lo}, {hi})")
+        return lo, hi
+    if kind in (KIND_NEG_TAIL, KIND_POS_TAIL):
         if len(bounds) != 1:
-            raise ValueError("neg_tail cell needs bounds [a]")
-        return Cell1D.neg_tail(bounds[0])
-    if kind == KIND_POS_TAIL:
-        if len(bounds) != 1:
-            raise ValueError("pos_tail cell needs bounds [b]")
-        return Cell1D.pos_tail(bounds[0])
-    if kind == KIND_FULL_LINE:
-        if len(bounds) != 0:
-            raise ValueError("full_line cell takes no bounds")
-        return Cell1D.full_line()
+            raise ValueError(f"{kind} cell needs bounds [{'a' if kind == KIND_NEG_TAIL else 'b'}]")
+        e = _require_finite("edge", bounds[0])
+        return (-inf, e) if kind == KIND_NEG_TAIL else (e, inf)
     raise ValueError(f"unknown cell kind {kind!r}")
 
 
 def division_to_json(division: Division1D) -> str:
     """Serialize a division as a JSON array of {tag, kind, bounds} objects."""
+    rows = zip(division.tags.tolist(), division.lo.tolist(), division.hi.tolist())
     arr = [
-        {
-            "tag": _tag_to_json(it.tag),
-            "kind": it.cell.kind,
-            "bounds": _cell_bounds(it.cell),
-        }
-        for it in division
+        {"tag": _TAG_JSON.get(t, t), "kind": _kind(u, v), "bounds": [e for e in (u, v) if isfinite(e)]}
+        for t, u, v in rows
     ]
     return json.dumps(arr, sort_keys=True)
 
@@ -476,7 +480,7 @@ def division_from_json(text: str) -> Division1D:
     arr = json.loads(text)
     if not isinstance(arr, list):
         raise ValueError("division JSON must be an array")
-    items = []
+    rows = []
     for index, obj in enumerate(arr):
         if not isinstance(obj, dict) or obj.keys() != {"tag", "kind", "bounds"}:
             raise ValueError(
@@ -484,8 +488,9 @@ def division_from_json(text: str) -> Division1D:
                 f"keys tag, kind and bounds, got {obj!r}"
             )
         try:
-            cell = _cell_from_kind_bounds(obj["kind"], obj["bounds"])
-            items.append(TaggedCell1D(_tag_from_json(obj["tag"]), cell))
+            lo, hi = _edges_from_json(obj["kind"], obj["bounds"])
+            tag = obj["tag"]
+            rows.append((float(tag) if tag in ("inf", "-inf") else _check_extended(tag, "tag"), lo, hi))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"division item {index}: {exc}") from exc
-    return Division1D(tuple(items))
+    return Division1D(np.array(rows).reshape(-1, 3))

@@ -22,7 +22,6 @@ import numpy as np
 from .cells import (
     Cell1D,
     CellND,
-    _gauge_value,
     _is_associated,
     _is_fine,
     _require_associated,
@@ -169,7 +168,7 @@ def _check_sample_matches_cell(x: PathSample, cell: CylinderCell) -> None:
             "sample and cell are defined on different time sets"
         )
     for t, v, f in zip(x.times.times, x.values, cell.factors.factors):
-        if not _is_associated(v, f):
+        if not _is_associated(v, f.lo, f.hi):
             raise AssociationError(
                 f"value {v} at time {t} is not an associated point of {f!r}"
             )
@@ -189,11 +188,14 @@ def is_gamma_fine(x: PathSample, cell: CylinderCell, gauge: GaugeRT) -> bool:
     required = guarded_call(gauge.required_times, x, what="gauge")
     if not required.issubset(cell.times):
         return False
-    d = _gauge_value(gauge.delta, x, cell.times)
+    out = guarded_values(gauge.delta, x, cell.times, what="gauge")
+    if out.imag.any():
+        raise IntegrandError("gauge returned a complex value")
+    d = float(out.real)
     if not d > 0.0:
         raise ValueError(f"gauge width must be strictly positive, got {d}")
     return all(
-        _is_fine(_require_associated(tag, f), d)
+        _is_fine(*_require_associated(tag, f), d)
         for tag, f in zip(cell.factors.tags, cell.factors.factors)
     )
 

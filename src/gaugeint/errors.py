@@ -96,6 +96,26 @@ def guarded_values(callback, *args, what: str = "integrand") -> np.ndarray:
     return out
 
 
+def guarded_array(callback, x: np.ndarray, what: str = "integrand") -> np.ndarray:
+    """callback(x) on a float array, as a complex array of x's shape.
+
+    A call on the array that raises (other than a GaugeIntError) or returns
+    another shape marks a scalar-only callback, which is then called once
+    per point inside the same guard; a non-finite array result raises at
+    once.
+    """
+    try:
+        out = guarded_values(callback, x, what=what)
+        if out.shape == x.shape:
+            return out
+    except IntegrandError as exc:
+        if exc.__cause__ is None:  # non-finite, or the callback's own error
+            raise
+    points = x.ravel().tolist()
+    out = guarded_values(lambda: [complex(callback(v)) for v in points], what=what)
+    return out.reshape(x.shape)
+
+
 def _require_count(name: str, value, minimum: int) -> int:
     """value as an int; any integer type but bool, and at least minimum."""
     if (
@@ -109,6 +129,8 @@ def _require_count(name: str, value, minimum: int) -> int:
 
 def _require_number(name: str, value) -> float:
     """value as a float; any real number type but bool (so no strings)."""
+    if type(value) in (float, int):  # the common case, before the ABC check
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)

@@ -29,19 +29,19 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cells import fsum_complex
 from .errors import (
-    IntegrandError,
     NoConvergenceError,
     _require_complex,
     _require_count,
     _require_finite,
     _require_number,
     _require_positive,
-    guarded_values,
+    guarded_array,
 )
 from .oscquad import adaptive_chirp_integral, gauss_tail
 
@@ -63,10 +63,8 @@ _MAX_PEELS = 48
 _MAX_ROUNDS = 16
 # stall exit of _adaptive_core: this many levels in a row with the live
 # cells all within _STALL_REACH of the width from one window endpoint,
-# growing by _STALL_GROWTH and closing in on it, taken once at least
-# _STALL_FLOOR cells are live
+# growing by _STALL_GROWTH and closing in on it
 _STALL_LEVELS = 4
-_STALL_FLOOR = 1 << 16
 _STALL_REACH = 0.125
 _STALL_GROWTH = 1.5
 
@@ -121,29 +119,6 @@ class OscillatoryTailSpec:
             raise ValueError(f"direction must be the integer +1 or -1, got {d!r}")
 
 
-def _vectorized(f):
-    """Wrap an evaluator so it maps float arrays to finite complex arrays.
-
-    An array call that raises (other than a GaugeIntError) or returns the
-    wrong shape marks a scalar-only evaluator, which is looped point by
-    point; a non-finite array result raises at once.
-    """
-
-    def fv(x: np.ndarray) -> np.ndarray:
-        try:
-            out = guarded_values(f, x)
-            if out.shape == x.shape:
-                return out
-        except IntegrandError as exc:
-            if exc.__cause__ is None:  # non-finite, or the evaluator's own error
-                raise
-        return guarded_values(
-            lambda: [complex(f(float(v))) for v in x.ravel()]
-        ).reshape(x.shape)
-
-    return fv
-
-
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(a.size + b.size, dtype=a.dtype)
     out[0::2] = a
@@ -160,8 +135,9 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
     share.  Refinement stops early at a stall: for _STALL_LEVELS levels in
     a row the live cells hug one window endpoint (all within _STALL_REACH
     of the width), their count grows by _STALL_GROWTH or more and their
-    far edge moves toward the endpoint, and now at least _STALL_FLOOR of
-    them carry indicators that sum above tol.
+    far edge moves toward the endpoint, and their indicators now sum
+    above tol.  The peel restarts from the endpoint on its own, so the
+    stalled run's value is never used and it stops at the first stall.
 
     Returns (value, est, levels, cap, fail_lo, fail_hi).  cap is None when
     every cell settled, else the name of the limit that stopped
@@ -223,11 +199,7 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
         )
         stall_levels = stall_levels + 1 if closing else 0
         prev_live, prev_extent = lo.size, extent
-        if (
-            stall_levels >= _STALL_LEVELS
-            and lo.size >= _STALL_FLOOR
-            and np.sum(ind, where=keep) > tol
-        ):
+        if stall_levels >= _STALL_LEVELS and np.sum(ind, where=keep) > tol:
             cap = "_STALL_LEVELS"
             break
         lo, hi = _interleave(lo, m), _interleave(m, hi)
@@ -315,7 +287,7 @@ def hk_integrate_1d(
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("window must be finite with lower < upper")
     tol = _require_positive("tol", tol)
-    fv = _vectorized(f)
+    fv = partial(guarded_array, f)
 
     value, est, levels, cap, fail_lo, fail_hi = _adaptive_verified(fv, a, b, tol)
     if cap is None:

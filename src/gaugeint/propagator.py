@@ -34,8 +34,9 @@ from .errors import (
     _require_finite,
     _require_finite_values,
     _require_positive,
+    guarded_array,
 )
-from .integrate import _vectorized, fresnel_line_integral
+from .integrate import fresnel_line_integral
 from .oscquad import _damped_cell_weights, _tail_moments
 
 __all__ = [
@@ -112,9 +113,7 @@ class Potential:
     def values(self, x: np.ndarray, t: float) -> np.ndarray:
         """V(x, t), shaped like x; IntegrandError unless finite and real."""
         t = float(t)
-        out = _vectorized(lambda xa: self.evaluate(xa, t))(
-            np.asarray(x, dtype=float)
-        )
+        out = guarded_array(lambda xa: self.evaluate(xa, t), np.asarray(x, dtype=float))
         if np.any(out.imag):
             raise IntegrandError("potential returned a complex value")
         return out.real.copy()

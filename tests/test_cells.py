@@ -1,6 +1,7 @@
 """Core cell/division semantics: volumes, association, fineness, Cousin
 construction, validation, Riemann sums and JSON round-trips."""
 
+import json
 import math
 from fractions import Fraction
 from math import inf
@@ -176,9 +177,12 @@ def test_cousin_asks_the_gauge_once_per_point():
     a, b = float(rng.uniform(0.05, 0.1)), float(rng.uniform(1.0, 4.0))
     asked = []
 
+    # scalar-only: math.isinf refuses the array the builder tries first,
+    # so only the points this delta answers are recorded
     def delta(x):
+        d = a if math.isinf(x) else a + b / (1.0 + x * x)
         asked.append(x)
-        return a if math.isinf(x) else a + b / (1.0 + x * x)
+        return d
 
     d = cousin_division(Gauge1D(delta))
     edges = {e for it in d for e in (it.cell.lo, it.cell.hi)}
@@ -400,3 +404,206 @@ def test_cousin_output_always_validates(scale, floor):
     g = Gauge1D(lambda x, s=scale, f=floor: f if math.isinf(x) else max(abs(x) * s * 0.1, f * 0.1))
     d = cousin_division(g)
     assert validate_division(d, g).ok
+
+
+# -- the array-backed builder, validator and JSON against scalar references --
+
+
+def _depth_first_rows(delta, tails):
+    """The (tag, lo, hi) rows the depth-first construction gives, asking
+    delta one float at a time: the builder's specification."""
+    if tails is None:
+        a, b = -(1.0 / delta(-inf) + 1.0), 1.0 / delta(inf) + 1.0
+    else:
+        a, b = tails
+    rows = [(-inf, -inf, a)]
+    stack = [(a, b, delta(a), delta(b))]
+    while stack:
+        u, v, du, dv = stack.pop()
+        if v - u < du:
+            rows.append((u, u, v))
+        elif v - u < dv:
+            rows.append((v, u, v))
+        else:
+            mid = 0.5 * (u + v)
+            dm = delta(mid)
+            stack += [(mid, v, dm, dv), (u, mid, du, dm)]
+    return rows + [(inf, b, inf)]
+
+
+def _rows_of(division):
+    return np.stack((division.tags, division.lo, division.hi), axis=1)
+
+
+def _peak_gauge(a, b, c, vectorised):
+    """a + b / (1 + (x - c)^2), a at +-inf; scalar-only (math.isinf refuses
+    arrays) or written for arrays.  Both give the same bits at a float."""
+    if vectorised:
+        return lambda x: a + b / (1.0 + (x - c) * (x - c))
+    return lambda x: a if math.isinf(x) else a + b / (1.0 + (x - c) * (x - c))
+
+
+def test_cousin_matches_the_depth_first_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for k in range(200):
+        a = float(10.0 ** rng.uniform(-1.3, 0.2))
+        b, c = float(rng.uniform(0.0, 4.0)), float(rng.uniform(-2.0, 2.0))
+        delta = _peak_gauge(a, b, c, vectorised=k % 2 == 1)
+        tails = None if k % 3 else (-(1.0 / a + 1.5), 1.0 / a + 2.5)
+        got = _rows_of(cousin_division(Gauge1D(delta), tails=tails))
+        want = np.array(_depth_first_rows(delta, tails))
+        assert got.tobytes() == want.tobytes(), k
+
+
+def test_cousin_halves_a_batch_over_the_cap_and_keeps_the_order():
+    # 2^16 cells of width 2^-14: level 15 bisects more than _BATCH pieces
+    delta = lambda x: 1.0 if math.isinf(x) else 1e-4  # noqa: E731
+    d = cousin_division(Gauge1D(delta), tails=(-2.0, 2.0))
+    assert len(d) == 2 + 2**16 > 2 + gaugeint.cells._BATCH
+    want = np.array(_depth_first_rows(delta, (-2.0, 2.0)))
+    assert _rows_of(d).tobytes() == want.tobytes()
+
+
+def test_cousin_asks_an_array_gauge_once_per_point_and_once_per_level():
+    calls, asked = [], []
+
+    def delta(x):
+        calls.append(x.size)
+        asked.extend(x.tolist())
+        return 0.05 + 3.0 / (1.0 + x * x)
+
+    d = cousin_division(Gauge1D(delta))
+    edges = set(d.lo.tolist()) | set(d.hi.tolist())
+    assert len(asked) == len(set(asked)) == len(edges)
+    assert set(asked) == edges
+    # -inf, +inf, the two tail edges, then the midpoints of each level
+    width = d.hi[1:-1] - d.lo[1:-1]
+    levels = round(math.log2((d.lo[-1] - d.hi[0]) / width.min()))
+    assert calls[:3] == [1, 1, 2] and len(calls) == 3 + levels
+
+
+def test_division_equality_is_a_bool_and_hash_agrees():
+    d = cousin_division(Gauge1D(lambda x: 0.3), tails=(-4.0, 4.0))
+    same = division_from_json(division_to_json(d))
+    items = list(d)
+    items[3] = TaggedCell1D(items[3].cell.hi, items[3].cell)  # the other edge
+    moved = Division1D(items)
+    shorter = Division1D(items[:-1])
+    for other, equal in ((same, True), (moved, False), (shorter, False)):
+        assert (d == other) is equal
+        assert (d != other) is (not equal)
+    assert hash(d) == hash(same)
+    assert len({d, same, moved, shorter}) == 3
+    assert d != "not a division"
+    assert d.items == tuple(d) and isinstance(d.items[0], TaggedCell1D)
+    with pytest.raises(ValueError):
+        d.tags[0] = 0.0  # read-only
+
+
+@pytest.mark.parametrize("vectorised", [False, True])
+def test_cousin_refuses_bad_gauges(vectorised):
+    def gauge(inner, at_inf=0.5):
+        if vectorised:
+            return Gauge1D(lambda x: np.where(np.isinf(x), at_inf, inner(np.where(np.isinf(x), 0.0, x))))
+        return Gauge1D(lambda x: at_inf if math.isinf(x) else inner(x))
+
+    with pytest.raises(ResourceLimitError):
+        cousin_division(gauge(lambda x: 1e-30 + 0.0 * x), tails=(-3.0, 3.0))
+    with pytest.raises(ValueError, match="strictly positive, got 0.0 at 0.25"):
+        cousin_division(gauge(lambda x: abs(x - 0.25)), tails=(-3.0, 3.0))
+    with pytest.raises(ValueError, match="strictly positive"):
+        cousin_division(gauge(lambda x: 1.0 + 0.0 * x, at_inf=-1.0))
+    with pytest.raises(IntegrandError, match="complex"):
+        cousin_division(gauge(lambda x: 0.5 + 0.1j + 0.0 * x))
+
+
+def _reference_violations(division, delta=None):
+    """(kind, detail, index) of every violation, from the item-by-item
+    scalar rules, in the validator's order."""
+    items = division.items
+
+    def associated(it):
+        bounded = math.isfinite(it.cell.lo) and math.isfinite(it.cell.hi)
+        return it.tag in (it.cell.lo, it.cell.hi) and (math.isinf(it.tag) or bounded)
+
+    def fine(it, d):
+        lo, hi = it.cell.lo, it.cell.hi
+        if lo == -inf:
+            return hi == inf or hi < -1.0 / d
+        return lo > 1.0 / d if hi == inf else hi - lo < d
+
+    bad = [
+        ("association", f"tag {it.tag} not associated with {it.cell!r}", i)
+        for i, it in enumerate(items)
+        if not associated(it)
+    ]
+    order = sorted(range(len(items)), key=lambda i: (items[i].cell.lo, items[i].cell.hi))
+    cells = [items[i].cell for i in order]
+    if not (len(cells) == 1 and cells[0].lo == -inf and cells[0].hi == inf):
+        bad += [("structure", "full-line cell mixed with others", None)
+                for c in cells if c.lo == -inf and c.hi == inf]
+        if cells[0].lo != -inf:
+            bad.append(("coverage", f"no negative tail; line starts at {cells[0].lo}", order[0]))
+        if cells[-1].hi != inf:
+            bad.append(("coverage", f"no positive tail; line ends at {cells[-1].hi}", order[-1]))
+        for k, (left, right) in enumerate(zip(cells, cells[1:])):
+            if left.hi < right.lo:
+                bad.append(("gap", f"({left.hi}, {right.lo}] is uncovered", order[k + 1]))
+            elif left.hi > right.lo:
+                on = f"({right.lo}, {min(left.hi, right.hi)}]"
+                bad.append(("overlap", f"{left!r} and {right!r} overlap on {on}", order[k + 1]))
+    if delta is not None:
+        bad += [("fineness", f"item {i} is not delta-fine", i)
+                for i, it in enumerate(items) if associated(it) and not fine(it, delta(it.tag))]
+    return bad
+
+
+quarter = st.integers(min_value=-8, max_value=8).map(lambda k: k / 4)
+
+
+@st.composite
+def item_lists(draw):
+    """Short lists of cells of every shape on a coarse grid (so edges often
+    touch, overlap or leave gaps), tagged at an edge, inside or at +-inf."""
+    items = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        u, v = sorted(draw(st.lists(quarter, min_size=2, max_size=2, unique=True)))
+        lo, hi = draw(st.sampled_from([(u, v), (-inf, u), (u, inf), (-inf, inf)]))
+        tag = draw(st.sampled_from([lo, hi, 0.5 * (u + v), -inf, inf]))
+        items.append(TaggedCell1D(tag, Cell1D(lo, hi)))
+    return items
+
+
+@settings(max_examples=300, deadline=None)
+@given(item_lists(), st.sampled_from([None, 0.3, 0.6, 2.0]))
+def test_validator_matches_the_scalar_rules(items, width):
+    d = Division1D(items)
+    delta = None if width is None else (lambda x: width)
+    got = validate_division(d, None if delta is None else Gauge1D(delta)).violations
+    assert [(v.kind, v.detail, v.index) for v in got] == _reference_violations(d, delta)
+    assert all(type(v.index) in (int, type(None)) for v in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(item_lists())
+def test_json_bytes_match_the_item_by_item_encoding(items):
+    d = Division1D(items)
+
+    def kind(c):
+        if c.lo == -inf:
+            return "full_line" if c.hi == inf else "neg_tail"
+        return "pos_tail" if c.hi == inf else "bounded"
+
+    want = json.dumps(
+        [
+            {
+                "tag": {inf: "inf", -inf: "-inf"}.get(it.tag, it.tag),
+                "kind": kind(it.cell),
+                "bounds": [e for e in (it.cell.lo, it.cell.hi) if math.isfinite(e)],
+            }
+            for it in items
+        ],
+        sort_keys=True,
+    )
+    assert division_to_json(d) == want
+    assert division_from_json(want) == d

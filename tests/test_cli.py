@@ -1,8 +1,10 @@
 """Tests for configuration handling, input checks, report rendering and the CLI."""
 
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from gaugeint.config import (
     load_config,
 )
 from gaugeint.cylinder import PathSample, TimeSet
+from gaugeint.errors import _require_number
 from gaugeint.exchange import abs_g0_growth
 from gaugeint.fresnel import IncrementSchedule
 from gaugeint.integrate import (
@@ -206,6 +209,15 @@ class TestParsing:
         # float() once turned strings and bools into numbers
         with pytest.raises(ValueError, match="must be a number"):
             build()
+
+    def test_number_check_accepts_real_types_but_bool(self):
+        # the exact-type fast path must not change which inputs pass
+        for value in (0.5, 3, np.float64(0.25), np.int64(7), Fraction(1, 3), -math.inf):
+            assert _require_number("x", value) == float(value)
+            assert type(_require_number("x", value)) is float
+        for value in (True, False, "1", 1 + 0j, None, [1.0], np.bool_(True)):
+            with pytest.raises(ValueError, match="x must be a number"):
+                _require_number("x", value)
 
     def test_significant_digit_rendering(self):
         assert sig(1.0) == "1"

@@ -10,6 +10,10 @@ arithmetic moves it: those rows pin the exact Filon weights and the
 by-parts tail.
 The 3-slice kernel case is the one that runs a lattice bridge step, so its
 last digits pin the round-off of the offset-lattice cell contraction.
+The division cases pin the Cousin builder's cells, tags and order (a
+constant gauge, and a peaked one that mixes depths and left and right
+tags), the JSON bytes of a saved division, and the order and text of
+every kind of violation the validator reports.
 """
 
 import contextlib
@@ -50,6 +54,16 @@ COMMANDS = {
 }
 
 EXCHANGE_DOCUMENTS = ("comparison.csv", "growth.csv", "verdict.json")
+
+# one of each violation: an interior tag, a full-line cell among others,
+# overlaps, a gap and no positive tail
+BROKEN_DIVISION = [
+    {"tag": "-inf", "kind": "neg_tail", "bounds": [-1.0]},
+    {"tag": 0.5, "kind": "bounded", "bounds": [0.0, 1.0]},
+    {"tag": 2.0, "kind": "bounded", "bounds": [0.5, 2.0]},
+    {"tag": "inf", "kind": "full_line", "bounds": []},
+    {"tag": 3.0, "kind": "bounded", "bounds": [2.5, 3.0]},
+]
 
 GOLDEN = {
     'fresnel': (
@@ -181,14 +195,116 @@ GOLDEN = {
         '  "seed": 20260818\n'
         '}\n'
     ),
+    'division_const': (
+        '[{"bounds": [-3.0], "kind": "neg_tail", "tag": "-inf"}, '
+        '{"bounds": [-3.0, -2.625], "kind": "bounded", "tag": -3.0}, '
+        '{"bounds": [-2.625, -2.25], "kind": "bounded", "tag": -2.625}, '
+        '{"bounds": [-2.25, -1.875], "kind": "bounded", "tag": -2.25}, '
+        '{"bounds": [-1.875, -1.5], "kind": "bounded", "tag": -1.875}, '
+        '{"bounds": [-1.5, -1.125], "kind": "bounded", "tag": -1.5}, '
+        '{"bounds": [-1.125, -0.75], "kind": "bounded", "tag": -1.125}, '
+        '{"bounds": [-0.75, -0.375], "kind": "bounded", "tag": -0.75}, '
+        '{"bounds": [-0.375, 0.0], "kind": "bounded", "tag": -0.375}, '
+        '{"bounds": [0.0, 0.375], "kind": "bounded", "tag": 0.0}, '
+        '{"bounds": [0.375, 0.75], "kind": "bounded", "tag": 0.375}, '
+        '{"bounds": [0.75, 1.125], "kind": "bounded", "tag": 0.75}, '
+        '{"bounds": [1.125, 1.5], "kind": "bounded", "tag": 1.125}, '
+        '{"bounds": [1.5, 1.875], "kind": "bounded", "tag": 1.5}, '
+        '{"bounds": [1.875, 2.25], "kind": "bounded", "tag": 1.875}, '
+        '{"bounds": [2.25, 2.625], "kind": "bounded", "tag": 2.25}, '
+        '{"bounds": [2.625, 3.0], "kind": "bounded", "tag": 2.625}, '
+        '{"bounds": [3.0], "kind": "pos_tail", "tag": "inf"}]\n'
+        '{\n'
+        '  "format_version": 1,\n'
+        '  "items": 18,\n'
+        '  "valid": true,\n'
+        '  "violations": []\n'
+        '}\n'
+    ),
+    'division_peaked': (
+        '[{"bounds": [-2.0], "kind": "neg_tail", "tag": "-inf"}, '
+        '{"bounds": [-2.0, -1.875], "kind": "bounded", "tag": -2.0}, '
+        '{"bounds": [-1.875, -1.75], "kind": "bounded", "tag": -1.875}, '
+        '{"bounds": [-1.75, -1.5], "kind": "bounded", "tag": -1.5}, '
+        '{"bounds": [-1.5, -1.25], "kind": "bounded", "tag": -1.5}, '
+        '{"bounds": [-1.25, -1.0], "kind": "bounded", "tag": -1.25}, '
+        '{"bounds": [-1.0, -0.5], "kind": "bounded", "tag": -0.5}, '
+        '{"bounds": [-0.5, 0.0], "kind": "bounded", "tag": -0.5}, '
+        '{"bounds": [0.0, 0.5], "kind": "bounded", "tag": 0.0}, '
+        '{"bounds": [0.5, 1.0], "kind": "bounded", "tag": 0.5}, '
+        '{"bounds": [1.0, 1.25], "kind": "bounded", "tag": 1.0}, '
+        '{"bounds": [1.25, 1.5], "kind": "bounded", "tag": 1.25}, '
+        '{"bounds": [1.5, 1.75], "kind": "bounded", "tag": 1.5}, '
+        '{"bounds": [1.75, 1.875], "kind": "bounded", "tag": 1.75}, '
+        '{"bounds": [1.875, 2.0], "kind": "bounded", "tag": 1.875}, '
+        '{"bounds": [2.0], "kind": "pos_tail", "tag": "inf"}]\n'
+        '{\n'
+        '  "format_version": 1,\n'
+        '  "items": 16,\n'
+        '  "valid": true,\n'
+        '  "violations": []\n'
+        '}\n'
+    ),
+    'division_validate': (
+        '{\n'
+        '  "format_version": 1,\n'
+        '  "items": 16,\n'
+        '  "valid": true,\n'
+        '  "violations": []\n'
+        '}\n'
+    ),
+    'division_broken': (
+        '{\n'
+        '  "format_version": 1,\n'
+        '  "items": 5,\n'
+        '  "valid": false,\n'
+        '  "violations": [\n'
+        '    {\n'
+        '      "detail": "tag 0.5 not associated with Cell1D(0.0, 1.0]",\n'
+        '      "index": 1,\n'
+        '      "kind": "association"\n'
+        '    },\n'
+        '    {\n'
+        '      "detail": "full-line cell mixed with others",\n'
+        '      "index": null,\n'
+        '      "kind": "structure"\n'
+        '    },\n'
+        '    {\n'
+        '      "detail": "no positive tail; line ends at 3.0",\n'
+        '      "index": 4,\n'
+        '      "kind": "coverage"\n'
+        '    },\n'
+        '    {\n'
+        '      "detail": "Cell1D(-inf, -1.0] and Cell1D(-inf, inf] overlap on (-inf, -1.0]",\n'
+        '      "index": 3,\n'
+        '      "kind": "overlap"\n'
+        '    },\n'
+        '    {\n'
+        '      "detail": "Cell1D(-inf, inf] and Cell1D(0.0, 1.0] overlap on (0.0, 1.0]",\n'
+        '      "index": 1,\n'
+        '      "kind": "overlap"\n'
+        '    },\n'
+        '    {\n'
+        '      "detail": "Cell1D(0.0, 1.0] and Cell1D(0.5, 2.0] overlap on (0.5, 1.0]",\n'
+        '      "index": 2,\n'
+        '      "kind": "overlap"\n'
+        '    },\n'
+        '    {\n'
+        '      "detail": "(2.0, 2.5] is uncovered",\n'
+        '      "index": 4,\n'
+        '      "kind": "gap"\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    ),
 }
 
 
-def _run(argv):
+def _run(argv, expected_code=0):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    assert code == 0
+    assert code == expected_code
     return out.getvalue()
 
 
@@ -209,3 +325,16 @@ def test_kernel_output_matches_golden(name, tmp_path):
     path = tmp_path / "query.json"
     path.write_text(json.dumps(QUERIES[name]), encoding="utf-8")
     assert _run(["kernel", "--query", str(path)]) == GOLDEN[f"kernel_{name}"]
+
+
+def test_division_output_matches_golden(tmp_path):
+    assert _run(["division", "--gauge", "const:0.5"]) == GOLDEN["division_const"]
+    peaked = ["division", "--gauge", "peaked:1.0"]
+    assert _run(peaked) == GOLDEN["division_peaked"]
+    saved = tmp_path / "peaked.json"
+    _run(peaked + ["--out", str(saved)])
+    assert saved.read_text(encoding="utf-8") == GOLDEN["division_peaked"].split("\n")[0] + "\n"
+    assert _run(["division", "--validate", str(saved)]) == GOLDEN["division_validate"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(BROKEN_DIVISION), encoding="utf-8")
+    assert _run(["division", "--validate", str(broken)], 1) == GOLDEN["division_broken"]
