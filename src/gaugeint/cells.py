@@ -184,22 +184,23 @@ class TaggedCell1D:
 
 @dataclass(frozen=True)
 class Gauge1D:
-    """A gauge: strictly positive delta on the extended reals.
-
-    delta may map a float array to an array of the same shape; values asks
-    it once per array, and asks a scalar-only delta point by point.
-    """
+    """A gauge: strictly positive delta on the extended reals.  delta may
+    also map a float array to an array of the same shape (see values)."""
 
     delta: Callable[[float], float]
 
     def __call__(self, x: float) -> float:
-        return float(self.values(np.array([x], dtype=float))[0])
+        return float(self.values(np.array(x, dtype=float)))
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """delta at every point of the float array x (errors.guarded_array);
+        """delta at every point of the float array x, asked once on the array
+        (errors.guarded_array) or, at a single point, on its float;
         IntegrandError if a value is complex, ValueError naming the first
         that is not strictly positive."""
-        out = guarded_array(self.delta, x, what="gauge")
+        if x.size == 1:
+            out = guarded_values(self.delta, float(x.flat[0]), what="gauge").reshape(x.shape)
+        else:
+            out = guarded_array(self.delta, x, what="gauge")
         if out.imag.any():
             raise IntegrandError("gauge returned a complex value")
         if not (out.real > 0.0).all():
@@ -217,7 +218,7 @@ class Division1D:
     validate_division rather than enforced here.
     """
 
-    __slots__ = ("tags", "lo", "hi")
+    __slots__ = ("tags", "lo", "hi", "_key")
 
     def __init__(self, items: Iterable[TaggedCell1D] | np.ndarray) -> None:
         if not isinstance(items, np.ndarray):
@@ -227,19 +228,15 @@ class Division1D:
         table = np.array(items, dtype=float).T.copy()
         table.flags.writeable = False
         self.tags, self.lo, self.hi = table
+        self._key = (table + 0.0).tobytes()  # + 0.0: -0.0 equals 0.0, as for floats
 
     items = property(tuple, doc="The TaggedCell1D items, in order.")
 
-    def _rows(self) -> tuple:
-        return (*self.tags.tolist(), *self.lo.tolist(), *self.hi.tolist())
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Division1D):
-            return NotImplemented
-        return self._rows() == other._rows()
+        return isinstance(other, Division1D) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._rows())
+        return hash(self._key)
 
     def __len__(self) -> int:
         return self.tags.size
@@ -323,8 +320,7 @@ def cousin_division(
     while stack:
         piece, depth = stack.pop()  # rows lo, hi, dlo, dhi, left to right
         if depth > _MAX_DEPTH:
-            near = f"({piece[0, 0]}, {piece[1, 0]}]"
-            raise ResourceLimitError(f"bisection exceeded depth {_MAX_DEPTH} near {near}")
+            raise ResourceLimitError(f"bisection exceeded depth {_MAX_DEPTH} near ({piece[0, 0]}, {piece[1, 0]}]")
         w = piece[1] - piece[0]
         done = (w < piece[2]) | (w < piece[3])
         settled.append(piece[:3, done])
@@ -380,8 +376,7 @@ def validate_division(division: Division1D, gauge: Gauge1D | None = None) -> Div
     tags, lo, hi = division.tags, division.lo, division.hi
     associated = _is_associated(tags, lo, hi)
     for i in np.flatnonzero(~associated).tolist():
-        cell = Cell1D(lo[i], hi[i])
-        bad.append(Violation("association", f"tag {tags[i]} not associated with {cell!r}", i))
+        bad.append(Violation("association", f"tag {tags[i]} not associated with {Cell1D(lo[i], hi[i])!r}", i))
 
     order = np.lexsort((hi, lo))  # by lower edge, then upper, stably
     slo, shi = lo[order], hi[order]

@@ -63,7 +63,8 @@ _MAX_PEELS = 48
 _MAX_ROUNDS = 16
 # stall exit of _adaptive_core: this many levels in a row with the live
 # cells all within _STALL_REACH of the width from one window endpoint,
-# growing by _STALL_GROWTH and closing in on it
+# growing by _STALL_GROWTH and closing in on it, while the endpoint cell's
+# indicator per unit width does not fall
 _STALL_LEVELS = 4
 _STALL_REACH = 0.125
 _STALL_GROWTH = 1.5
@@ -135,9 +136,12 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
     share.  Refinement stops early at a stall: for _STALL_LEVELS levels in
     a row the live cells hug one window endpoint (all within _STALL_REACH
     of the width), their count grows by _STALL_GROWTH or more and their
-    far edge moves toward the endpoint, and their indicators now sum
-    above tol.  The peel restarts from the endpoint on its own, so the
-    stalled run's value is never used and it stops at the first stall.
+    far edge moves toward the endpoint, the endpoint cell's indicator per
+    unit width (its acceptance share is a fixed rate) has not fallen since
+    the first of those levels, and the indicators now sum above tol.  A
+    smooth layer at the endpoint grows the live count too, but its
+    endpoint indicator falls like h^5 and refinement settles it.  The peel
+    restarts from the endpoint, so a stalled run's value is never used.
 
     Returns (value, est, levels, cap, fail_lo, fail_hi).  cap is None when
     every cell settled, else the name of the limit that stopped
@@ -158,7 +162,7 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
     acc_val: list[np.ndarray] = []
     acc_est: list[np.ndarray] = []
     levels = 0
-    stall_levels, prev_live, prev_extent = 0, 0, width
+    stall_levels, stall_rate, prev_live, prev_extent = 0, 0.0, 0, width
     for levels in range(1, _MAX_LEVELS + 1):
         w = hi - lo
         m = 0.5 * (lo + hi)
@@ -184,22 +188,21 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
         if 2 * lo.size > _MAX_CELLS:
             cap = "_MAX_CELLS"
             break
-        # the live cells are in ascending order, so the endpoint they
-        # touch and their reach from it are read off the first and last
-        if lo[0] == a:
-            extent = hi[-1] - a
-        elif hi[-1] == b:
-            extent = b - lo[0]
-        else:
-            extent = width
+        # the live cells are in ascending order, so the endpoint they touch,
+        # their reach from it and the endpoint cell (also the first or last
+        # of this level's cells) are read off the first and last
+        end = 0 if lo[0] == a else -1
+        extent = hi[-1] - a if end == 0 else b - lo[0] if hi[-1] == b else width
         closing = (
             extent <= _STALL_REACH * width
             and extent < prev_extent
             and lo.size >= _STALL_GROWTH * prev_live
         )
         stall_levels = stall_levels + 1 if closing else 0
+        rate = ind[end] / w[end] if closing else 0.0  # a live cell, so w > 0
+        stall_rate = rate if stall_levels == 1 else stall_rate
         prev_live, prev_extent = lo.size, extent
-        if stall_levels >= _STALL_LEVELS and np.sum(ind, where=keep) > tol:
+        if stall_levels >= _STALL_LEVELS and rate >= stall_rate and np.sum(ind, where=keep) > tol:
             cap = "_STALL_LEVELS"
             break
         lo, hi = _interleave(lo, m), _interleave(m, hi)

@@ -151,6 +151,21 @@ def test_adaptive_values_are_pinned_bit_for_bit():
     assert _bits(rep) == (
         "-0x1.4d5d8220d0dcep-8", "0x0.0p+0", "0x1.c24bf24706b44p-30", 47, True,
     )
+    # nor a smooth layer exp(-x/eps) at either endpoint: its live cells
+    # crowd the endpoint for levels, but the endpoint cell's indicator
+    # falls like h^5, so refinement settles it with nothing peeled
+    for eps, tol, left, right, est_left, est_right, levels in (
+        (1e-3, 1e-9, "0x1.0624dd30a093ep-10", "0x1.0624dd30a093dp-10",
+         "0x1.5139920000000p-38", "0x1.5139930000000p-38", 30),
+        (1e-3, 1e-10, "0x1.0624dd30026a2p-10", "0x1.0624dd30026a1p-10",
+         "0x1.2c70a51271d0bp-41", "0x1.2c70a555ddb16p-41", 33),
+        (1e-4, 1e-10, "0x1.a36e2eb1ee8cap-14", "0x1.a36e2eb1ee8b9p-14",
+         "0x1.a432ca0000000p-43", "0x1.a432ec0000000p-43", 42),
+    ):
+        rep = hk_integrate_1d(lambda x: np.exp(-x / eps), (0.0, 1.0), tol)
+        assert _bits(rep) == (left, "0x0.0p+0", est_left, levels, True)
+        rep = hk_integrate_1d(lambda x: np.exp((x - 1.0) / eps), (0.0, 1.0), tol)
+        assert _bits(rep) == (right, "0x0.0p+0", est_right, levels, True)
 
 
 def _inverse_sqrt(x):
