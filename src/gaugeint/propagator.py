@@ -281,14 +281,14 @@ def _lattice_step(alpha: complex, j: int, xi_prime: float, edges, h: float, g):
     """Int e^{alpha (x - c_q)^2} g dx for each c_q = (j x_q + xi') / (j + 1).
 
     Each is one _contract_cells row; x_q = edges[0] + h q are the
-    3 ncell + 1 nodes, h the node spacing.
-    The offset of edge e_i from centre c_q is w0 + delta L with
-    w0 = (edges[0] - xi') / (j + 1), delta = h / (j + 1) and the integer
-    L = 3 (j + 1) i - j q, so every cell of every centre is one cell of a
-    single 1-D lattice of offsets.  Its Filon cell weights are computed
-    once per lattice entry, about 6 j ncell of them (in bounded chunks),
-    not once per (centre, cell) pair, and each centre reads its cells off
-    the lattice as a strided view.
+    3 ncell + 1 nodes, h the node spacing.  The offset of edge e_i from
+    centre c_q is w0 + delta L with w0 = (edges[0] - xi') / (j + 1), delta =
+    h / (j + 1) and the integer L = 3 (j + 1) i - j q, so every cell of every
+    centre is one cell [L, L + step], step = 3 (j + 1), of a single 1-D
+    lattice of offsets.  Its Filon cell weights, about 6 j ncell, are
+    computed once per lattice entry, not per (centre, cell) pair, in blocks
+    of _LATTICE_CHUNK cells that overlap by step points; each offset of a
+    block costs one erfc.  Each centre reads its cells as a strided view.
     """
     ncell = edges.size - 1
     npts = 3 * ncell + 1
@@ -300,8 +300,8 @@ def _lattice_step(alpha: complex, j: int, xi_prime: float, edges, h: float, g):
     wa, wb = offsets[:-step], offsets[step:]
     lattice = np.empty((4, wa.size), dtype=complex)
     for start in range(0, wa.size, _LATTICE_CHUNK):
-        part = slice(start, start + _LATTICE_CHUNK)
-        lattice[:, part] = _damped_cell_weights(alpha, wa[part], wb[part])
+        block = offsets[start : start + _LATTICE_CHUNK + step]
+        lattice[:, start : start + _LATTICE_CHUNK] = _damped_cell_weights(alpha, block, step)
 
     def by_row(a):
         # cell i of centre q is lattice entry step i + j (npts - 1 - q)
@@ -352,9 +352,8 @@ def _sliced_member(
         if j == n - 1:  # final step: bridge to the exact end point
             lam = a / (a + dt)
             center = lam * q.xi + (1.0 - lam) * q.xi_prime
-            wa, wb = edges[:-1] - center, edges[1:] - center
-            cellw = _damped_cell_weights(alpha, wa, wb)
-            value = _contract_cells(cellw, g, alpha, wa[0], wb[-1], h)
+            w = edges - center
+            value = _contract_cells(_damped_cell_weights(alpha, w), g, alpha, w[0], w[-1], h)
             return psi0_closed(q, mass=mass) * complex(pref_b * value)
         chi = pref_b * _lattice_step(alpha, j, q.xi_prime, edges, h, g)
 

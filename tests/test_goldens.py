@@ -103,13 +103,13 @@ GOLDEN = {
         'format_version,1\n'
         'quantity,value,abs_diff_vs_closed\n'
         'constant_closed,0.129424727797-0.377364787608j,0\n'
-        'psi_sliced,0.129424727797-0.377364787608j,2.76467965192e-14\n'
+        'psi_sliced,0.129424727797-0.377364787608j,2.28878339926e-16\n'
     ),
     'kernel_harmonic3': (
         'format_version,1\n'
         'quantity,value,abs_diff_vs_closed\n'
         'harmonic_closed,0.518037043997-0.237782312358j,0\n'
-        'psi_sliced,0.517843009632-0.236666477978j,0.00113257922367\n'
+        'psi_sliced,0.517843009632-0.236666477978j,0.00113257922366\n'
     ),
     'exchange_const': (
         '{\n'
@@ -125,13 +125,13 @@ GOLDEN = {
     'exchange_const/comparison.csv': (
         'format_version,1\n'
         'm,partial_sum,sliced,abs_difference\n'
-        '0,0.294499200741-0.269119237244j,-0.0673374323571-0.393218276909j,0.382526235307\n'
-        '1,0.0253799634979-0.563618437985j,-0.0673374323571-0.393218276909j,0.193991572984\n'
-        '2,-0.121869636873-0.429058819363j,-0.0673374323571-0.393218276909j,0.0652556956345\n'
-        '3,-0.0770164306656-0.37997561924j,-0.0673374323571-0.393218276909j,0.0164027738632\n'
-        '4,-0.0647456306347-0.391188920791j,-0.0673374323571-0.393218276909j,0.0032917658515\n'
-        '5,-0.066988290945-0.393643080798j,-0.0673374323571-0.393218276909j,0.000549870956929\n'
-        '6,-0.0673973176127-0.393269304079j,-0.0673374323571-0.393218276909j,7.86766542407e-05\n'
+        '0,0.294499200741-0.269119237244j,-0.0673374323572-0.393218276909j,0.382526235307\n'
+        '1,0.0253799634979-0.563618437985j,-0.0673374323572-0.393218276909j,0.193991572984\n'
+        '2,-0.121869636873-0.429058819363j,-0.0673374323572-0.393218276909j,0.0652556956345\n'
+        '3,-0.0770164306656-0.37997561924j,-0.0673374323572-0.393218276909j,0.0164027738632\n'
+        '4,-0.0647456306347-0.391188920791j,-0.0673374323572-0.393218276909j,0.00329176585153\n'
+        '5,-0.066988290945-0.393643080798j,-0.0673374323572-0.393218276909j,0.000549870956934\n'
+        '6,-0.0673973176127-0.393269304079j,-0.0673374323572-0.393218276909j,7.86766542135e-05\n'
     ),
     'exchange_const/growth.csv': (
         'format_version,1\n'
@@ -168,11 +168,11 @@ GOLDEN = {
     'exchange_harmonic/comparison.csv': (
         'format_version,1\n'
         'm,partial_sum,sliced,abs_difference\n'
-        '0,0.433184007856-0.361471301104j,0.434628936652-0.363199169993j,0.00225240984816\n'
-        '1,0.434762415874-0.364166184145j,0.434628936652-0.363199169993j,0.000976182909376\n'
-        '2,0.434765876212-0.364181988292j,0.434628936652-0.363199169993j,0.000992312577311\n'
-        '3,0.434765871566-0.364182081316j,0.434628936652-0.363199169993j,0.000992404070629\n'
-        '4,0.434765871413-0.364182081875j,0.434628936652-0.363199169993j,0.000992404603279\n'
+        '0,0.433184007856-0.361471301104j,0.434628936652-0.363199169993j,0.00225240984815\n'
+        '1,0.434762415874-0.364166184145j,0.434628936652-0.363199169993j,0.000976182909385\n'
+        '2,0.434765876212-0.364181988292j,0.434628936652-0.363199169993j,0.00099231257732\n'
+        '3,0.434765871566-0.364182081316j,0.434628936652-0.363199169993j,0.000992404070638\n'
+        '4,0.434765871413-0.364182081875j,0.434628936652-0.363199169993j,0.000992404603288\n'
     ),
     'exchange_harmonic/growth.csv': (
         'format_version,1\n'

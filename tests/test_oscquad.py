@@ -12,6 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import erfcx as scipy_erfcx
 
 from gaugeint.errors import IntegrandError, NoConvergenceError
 from gaugeint.oscquad import (
@@ -27,8 +28,9 @@ from gaugeint.oscquad import (
 from gaugeint.oscquad import (
     _FILON_VINV,
     _FILON_XI,
+    _DAMPED_NEAR_PHASE,
     _NEAR_LIMIT,
-    _damped_raw_moments,
+    _damped_cell_weights,
     _erfc_tail,
     _moments_far,
     _split_far_edges,
@@ -452,6 +454,51 @@ def test_damped_weights_refinement_telescopes():
     assert abs(complex(np.sum(w1)) - complex(np.sum(w2))) < 1e-13
 
 
+def _near_cell_sweep(seed, count):
+    """(alpha, a, b) near cells, |alpha| max(a^2, b^2) <= _DAMPED_NEAR_PHASE:
+    Re alpha = 0 and < 0, cells across 0, cells at the near/far boundary
+    and the widest near cell [-r, r], r = sqrt(_DAMPED_NEAR_PHASE / |alpha|)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        arg = math.pi / 2 if i % 2 else rng.uniform(math.pi / 2, math.pi)
+        alpha = 10.0 ** rng.uniform(-1.0, 2.0) * cmath.exp(1j * arg)
+        r = math.sqrt(_DAMPED_NEAR_PHASE / abs(alpha))
+        while abs(alpha) * r * r > _DAMPED_NEAR_PHASE:
+            r = math.nextafter(r, 0.0)
+        kind = i % 3
+        if kind == 0:  # across 0
+            a, b = -r * rng.uniform(0.05, 1.0), r * rng.uniform(0.05, 1.0)
+        elif kind == 1:  # one edge on the boundary
+            b = r
+            a = b - 2.0 * r * rng.uniform(0.01, 1.0)
+            a, b = (-b, -a) if rng.random() < 0.5 else (a, b)
+        else:
+            a, b = -r, r
+        yield alpha, a, b
+
+
+@pytest.mark.parametrize("alpha, a, b", list(_near_cell_sweep(24, 36)))
+def test_near_cell_moments_against_mpmath(alpha, a, b):
+    # centred moments mu_k = Int_-hw^hw t^k e^{alpha (um + t)^2} dt, read
+    # back from the cell weights through the Vandermonde of the nodes
+    cellw = _damped_cell_weights(alpha, np.array([a, b]))[:, 0]
+    um, hw = 0.5 * (a + b), 0.5 * (b - a)
+    got = hw ** np.arange(4) * (np.vander(_FILON_XI, 4, increasing=True).T @ cellw)
+    with mpmath.workdps(30):
+        al, mid, half = mpmath.mpc(alpha), mpmath.mpf(um), mpmath.mpf(hw)
+        want = [
+            complex(mpmath.quad(lambda t: t**k * mpmath.exp(al * (mid + t) ** 2),
+                                mpmath.linspace(-half, half, 9)))
+            for k in range(4)
+        ]
+    # units of hw^(k+1) max|e^{alpha w^2}|; the largest modulus is at the
+    # w of the cell nearest 0
+    w0 = 0.0 if a < 0.0 < b else min(abs(a), abs(b))
+    scale = hw ** np.arange(1, 5) * math.exp(alpha.real * w0 * w0)
+    err = np.max(np.abs(got - np.array(want)) / scale)
+    assert err <= 1e-14, err
+
+
 def test_damped_weights_validation():
     with pytest.raises(ValueError):
         damped_chirp_filon_weights(complex(0.1, 1.0), 0.0, [0.0, 1.0])
@@ -511,15 +558,48 @@ def _reference_scatter(cellw):
     return weights
 
 
-def _reference_bridge_rows(alpha, centers, edges):
-    from scipy.special import erfc
+@np.vectorize
+def _mpmath_erfcx(z):
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        return complex(mpmath.exp(z * z) * mpmath.erfc(z))
 
+
+def _reference_tail(alpha, x, erfcx=scipy_erfcx):
+    """Int_x^inf e^{alpha w^2} dw = sqrt(pi)/(2 s) erfc(s x), s = sqrt(-alpha).
+
+    erfc(s |x|) = e^{alpha x^2} erfcx(s |x|), reflected as 2 - erfc for
+    x < 0.  scipy's erfc itself squares s x and is ~2e-15 off at |s x|
+    ~ 10; its erfcx is up to 1e-14 off (relative) there, against 7e-16 for
+    the package's, so a reference for single far-cell weights, which the
+    binomial shift amplifies by (|u_m| / hw)^3 ~ 1e7, takes mpmath's.
+    """
+    s = np.sqrt(-alpha)
+    x = np.asarray(x, dtype=float)
+    e = np.exp(alpha * (x * x)) * erfcx(s * np.abs(x))
+    return math.sqrt(math.pi) / (2.0 * s) * np.where(x < 0.0, 2.0 - e, e)
+
+
+def _reference_raw(alpha, wa, wb, erfcx=scipy_erfcx):
+    """Raw moments Int_wa^wb w^k e^{alpha w^2} dw, k = 0..3, per cell:
+    m_0 from _reference_tail at both edges of every cell, the rest by
+    parts (the kernel under test shares one erfc per point)."""
+    inv = 1.0 / (2.0 * alpha)
+    ea, eb = np.exp(alpha * wa * wa), np.exp(alpha * wb * wb)
+    m0 = _reference_tail(alpha, wa, erfcx) - _reference_tail(alpha, wb, erfcx)
+    m1 = inv * (eb - ea)
+    m2 = inv * (wb * eb - wa * ea - m0)
+    m3 = inv * (wb * wb * eb - wa * wa * ea - 2.0 * m1)
+    return np.stack([m0, m1, m2, m3])
+
+
+def _reference_bridge_rows(alpha, centers, edges):
     cs = centers[:, None]
     wa = edges[None, :-1] - cs
     wb = edges[None, 1:] - cs
     um = 0.5 * (wa + wb)
     hw = 0.5 * (wb - wa)
-    raw = _damped_raw_moments(alpha, wa, wb)
+    raw = _reference_raw(alpha, wa, wb)
     mu = np.stack([
         raw[0],
         raw[1] - um * raw[0],
@@ -530,13 +610,11 @@ def _reference_bridge_rows(alpha, centers, edges):
     rows = _reference_scatter(np.einsum("kqc,kj->jqc", mu, _FILON_VINV))
     # linear continuation past each edge, one centre at a time: the
     # envelope g(e) + g'(e) (w - e) with g' the one-sided 3-point slope
-    s = np.sqrt(-alpha)
-    pref = math.sqrt(math.pi) / (2.0 * s)
     h = (edges[-1] - edges[0]) / (3 * (edges.size - 1))
     for q, c in enumerate(centers):
         lo, hi = edges[0] - c, edges[-1] - c
-        t_lo = pref * erfc(-s * lo)  # Int_-inf^lo e^{alpha w^2} dw
-        t_hi = pref * erfc(s * hi)  # Int_hi^inf e^{alpha w^2} dw
+        t_lo = _reference_tail(alpha, -lo)  # Int_-inf^lo e^{alpha w^2} dw
+        t_hi = _reference_tail(alpha, hi)  # Int_hi^inf e^{alpha w^2} dw
         # Int_-inf^lo (w - lo) e^{alpha w^2} dw and its right-hand mirror
         m_lo = cmath.exp(alpha * lo * lo) / (2 * alpha) - lo * t_lo
         m_hi = -cmath.exp(alpha * hi * hi) / (2 * alpha) - hi * t_hi
@@ -547,12 +625,12 @@ def _reference_bridge_rows(alpha, centers, edges):
 
 def _reference_damped(alpha, center, edges):
     """(nodes, weights, shift round-off bound) as damped_chirp_filon_weights
-    built them before the fold was shared."""
+    built them before the fold was shared, from mpmath's erfcx by parts."""
     wa = edges[:-1] - center
     wb = edges[1:] - center
     um = 0.5 * (wa + wb)
     hw = 0.5 * (wb - wa)
-    raw = _damped_raw_moments(alpha, wa, wb)
+    raw = _reference_raw(alpha, wa, wb, _mpmath_erfcx)
     mu = np.stack([
         raw[0],
         raw[1] - um * raw[0],
@@ -651,19 +729,21 @@ def test_lattice_bridge_step_moment_count(j, monkeypatch):
     import gaugeint.oscquad as oscquad
 
     counted = []
-    kernel = oscquad._damped_raw_moments
+    erfc_tail = oscquad._erfc_tail
 
-    def counting(alpha, wa, wb):
-        counted.append(np.size(wa))
-        return kernel(alpha, wa, wb)
+    def counting(alpha, x):
+        counted.append(np.size(x))
+        return erfc_tail(alpha, x)
 
-    monkeypatch.setattr(oscquad, "_damped_raw_moments", counting)
+    monkeypatch.setattr(oscquad, "_erfc_tail", counting)
     ncell = 255
     alpha, edges, nodes, _ = _sliced_geometry(j, 0.2, 0.1, ncell=ncell)
     h = (edges[-1] - edges[0]) / (nodes.size - 1)
     _lattice_step(alpha, j, 0.2, edges, h, np.ones(nodes.size, dtype=complex))
-    # one cell moment per lattice offset, not one per (centre, cell) pair
-    assert sum(counted) <= 3 * (j + 1) * ncell + j * (3 * ncell + 1)
+    # at most one erfc per lattice offset, not one per (centre, cell) pair
+    # nor one per cell edge, plus the two tail ends of each centre
+    offsets = 3 * (j + 1) * ncell + j * (nodes.size - 1) + 1
+    assert sum(counted) <= offsets + 2 * nodes.size
 
 
 @pytest.mark.parametrize(
