@@ -151,11 +151,9 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
     exactly, so in any order.
     """
     edges = np.linspace(a, b, min_cells + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    fe = fv(edges)
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    flo, fhi = fe[:-1].copy(), fe[1:].copy()
-    fm = fv(mids)
+    fstart = fv(_interleave(edges, 0.5 * (edges[:-1] + edges[1:])))
+    lo, hi = edges[:-1], edges[1:]
+    flo, fm, fhi = fstart[:-2:2], fstart[1::2], fstart[2::2]
     width = b - a
     half_tol_per_width = 0.5 * tol / width
 
@@ -166,10 +164,8 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
     for levels in range(1, _MAX_LEVELS + 1):
         w = hi - lo
         m = 0.5 * (lo + hi)
-        q1 = 0.5 * (lo + m)
-        q3 = 0.5 * (m + hi)
-        fq1 = fv(q1)
-        fq3 = fv(q3)
+        fq = fv(_interleave(0.5 * (lo + m), 0.5 * (m + hi)))  # q1, q3 of each cell
+        fq1, fq3 = fq[0::2], fq[1::2]
         simpson_parent = (w / 6.0) * (flo + 4.0 * fm + fhi)
         simpson_children = (w / 12.0) * (flo + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fhi)
         diff15 = (simpson_children - simpson_parent) / 15.0
@@ -208,7 +204,7 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
         lo, hi = _interleave(lo, m), _interleave(m, hi)
         flo, fhi, fm = (
             _interleave(flo, fm), _interleave(fm, fhi),
-            _interleave(fq1[keep], fq3[keep]),
+            fq.reshape(-1, 2)[keep].ravel(),
         )
     else:
         cap = "_MAX_LEVELS"

@@ -34,10 +34,10 @@ from .errors import (
     _require_finite,
     _require_finite_values,
     _require_positive,
-    guarded_array,
+    guarded_values,
 )
 from .integrate import fresnel_line_integral
-from .oscquad import _damped_cell_weights, _tail_moments
+from .oscquad import _damped_cell_weights, _gauss_legendre, _tail_moments
 
 __all__ = [
     "Potential",
@@ -67,8 +67,8 @@ class Potential:
     """A real potential V(x, t) with a tag naming its analytic family.
 
     The tag lets oracles use closed forms (zero, constant, harmonic);
-    custom potentials carry only their evaluator.  evaluate must accept a
-    float ndarray of positions and a single time.
+    custom potentials carry only their evaluator.  evaluate takes a float
+    ndarray of positions (or, scalar-only, one float) and a float time.
     """
 
     evaluate: Callable[[np.ndarray, float], np.ndarray]
@@ -110,13 +110,30 @@ class Potential:
     def custom(func: Callable[[np.ndarray, float], np.ndarray]) -> "Potential":
         return Potential(func, analytic_tag="custom")
 
-    def values(self, x: np.ndarray, t: float) -> np.ndarray:
-        """V(x, t), shaped like x; IntegrandError unless finite and real."""
-        t = float(t)
-        out = guarded_array(lambda xa: self.evaluate(xa, t), np.asarray(x, dtype=float))
+    def values(self, x: np.ndarray, t) -> np.ndarray:
+        """V(x, t) at one time or an array of times, shaped t.shape + x.shape.
+
+        One guard covers all times; each evaluate call gets its time as a
+        float and its own copy of x.  A scalar-only evaluator (its array call
+        raises or returns another shape) is called per time and point.
+        IntegrandError, naming the potential, unless every value is finite and real.
+        """
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        times, call = t.ravel().tolist(), self.evaluate
+        try:
+            out = guarded_values(lambda: [call(x.copy(), s) for s in times], what="potential")
+            scalar_only = out.shape != (len(times),) + x.shape
+        except IntegrandError as exc:
+            if exc.__cause__ is None:  # non-finite, or the evaluator's own error
+                raise
+            scalar_only = True
+        if scalar_only:
+            points = x.ravel().tolist()
+            rows = lambda: [[complex(call(v, s)) for v in points] for s in times]
+            out = guarded_values(rows, what="potential")
         if np.any(out.imag):
             raise IntegrandError("potential returned a complex value")
-        return out.real.copy()
+        return out.real.reshape(t.shape + x.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -507,8 +524,9 @@ def _chi_levels(
     Entry r is an (nt, r*degV + 1) array: chi_r(u, t_i) = sum_k
     coeffs[i, k] u^k with u the displacement from the start point.  A
     level is four array steps over every (time node t_i, Gauss node s)
-    pair: interpolate the previous level at s, multiply by V(., s), take
-    the bridge moments, and sum over s.
+    pair: interpolate the previous level at s (one complex matrix
+    product), multiply by V(., s), take the bridge moments, and sum over
+    s.  A custom potential is fitted from one Potential.values call for all s.
     """
     nt = _TIME_NODES
     t0, t1 = q.tau_prime, q.tau
@@ -518,11 +536,11 @@ def _chi_levels(
     bary[0] *= 0.5
     bary[-1] *= 0.5
 
-    glx, glw = np.polynomial.legendre.leggauss(_GL_NODES)
+    glx, glp = _gauss_legendre(_GL_NODES)  # cached; column 0 holds the weights
     ti = tnodes[1:, None]  # chi_r(., tau') = 0 for r >= 1
     span = ti - t0
     s = t0 + 0.5 * span * (glx + 1.0)
-    sweights = 0.5 * span * glw
+    sweights = 0.5 * span * glp[:, 0].real
     lam = (s - t0) / span
     var = 1j * (ti - s) * (s - t0) / (span * mass)
 
@@ -534,7 +552,7 @@ def _chi_levels(
     hit = exact.any(axis=-1)
     interp[hit] = np.eye(nt)[exact[hit].argmax(axis=-1)]  # s on a node
     norm = interp.sum(axis=-1)[..., None]
-    interp = interp.reshape(-1, nt)
+    interp = interp.reshape(-1, nt).astype(complex)  # complex @ complex stays in BLAS
 
     # V(xi' + u, s) as power-series coefficients in u
     pot = q.potential
@@ -548,8 +566,8 @@ def _chi_levels(
     else:  # one Chebyshev fit in u / window with every s as a column
         deg = _CUSTOM_FIT_DEGREE
         t = np.cos(np.linspace(0.0, math.pi, 4 * deg + 1))
-        vals = [pot.values(q.xi_prime + window * t, si) for si in s.ravel()]
-        mono = _CHEB2POLY @ _cheb.chebfit(t, np.transpose(vals), deg)
+        vals = pot.values(q.xi_prime + window * t, s).reshape(-1, t.size)
+        mono = _CHEB2POLY @ _cheb.chebfit(t, vals.T, deg)
         vcoef = (mono.T / window ** np.arange(deg + 1)).reshape(s.shape + (-1,))
     degv = vcoef.shape[-1] - 1
 

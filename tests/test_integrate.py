@@ -193,6 +193,30 @@ def test_endpoint_stall_goes_to_the_peel_at_once():
     assert points <= 500_000
 
 
+@pytest.mark.parametrize(
+    "f, b, tol, cap",
+    [
+        (lambda x: np.exp(1j * x * x - x), 3.0, 1e-10, None),
+        (lambda x: (x > 1 / 3) * np.exp(1j * x), 1.0, 1e-10, "_MAX_LEVELS"),
+        (classic_derivative, 1.0, 1e-3, "_STALL_LEVELS"),
+    ],
+    ids=["settled", "level_cap", "stall"],
+)
+def test_adaptive_core_calls_the_integrand_once_per_level(f, b, tol, cap):
+    # the start edges and midpoints come from one call, and each level's
+    # quarter points from one more
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return np.asarray(f(x), dtype=complex)
+
+    _, _, levels, got_cap, _, _ = integrate._adaptive_core(counted, 0.0, b, tol)
+    assert got_cap == cap
+    assert len(sizes) == levels + 1
+    assert sizes[0] == 33  # 16 cells: 17 edges and 16 midpoints
+
+
 def test_no_convergence_names_the_cap(monkeypatch):
     monkeypatch.setattr(integrate, "_MAX_CELLS", 20_000)
     with pytest.raises(NoConvergenceError, match="_MAX_CELLS") as info:

@@ -322,7 +322,7 @@ class TestDomainTypes:
 
     def test_potential_nonfinite_rejected(self):
         pot = Potential.custom(lambda x, t: np.where(x > 0, np.inf, 0.0))
-        with pytest.raises(IntegrandError):
+        with pytest.raises(IntegrandError, match="^potential returned a non-finite value"):
             pot.values(np.array([1.0]), 0.0)
 
     def test_complex_potential_rejected(self):
@@ -341,13 +341,42 @@ class TestDomainTypes:
             raise RuntimeError("no potential here")
 
         pot = Potential.custom(broken)
-        with pytest.raises(IntegrandError) as info:
+        # the message names the potential (it once said "integrand")
+        with pytest.raises(IntegrandError, match="^potential raised RuntimeError") as info:
             pot.values(np.array([0.0, 1.0]), 0.0)
         assert isinstance(info.value.__cause__, RuntimeError)
         q = PropagatorQuery(0.0, 0.0, 0.5, 1.0, slices=2, potential=pot)
         with pytest.raises(IntegrandError) as info:
             perturbation_term(1, q)
         assert isinstance(info.value.__cause__, RuntimeError)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda x, t: np.cos(x) * (1.0 + t), lambda x, t: math.cos(x) * (1.0 + t)],
+        ids=["array", "scalar_only"],
+    )
+    def test_values_gives_one_row_per_time(self, evaluate):
+        pot = Potential.custom(evaluate)
+        x = np.linspace(-1.0, 1.0, 5)
+        times = np.array([[0.0, 0.5, 1.0], [1.5, 2.0, 2.5]])
+        got = pot.values(x, times)
+        assert got.shape == (2, 3, 5)
+        for idx in np.ndindex(times.shape):
+            assert np.array_equal(got[idx], pot.values(x, float(times[idx])))
+        assert pot.values(x, 0.5).shape == x.shape
+
+    def test_evaluator_writing_into_x_cannot_change_later_rows(self):
+        def scribble(x, t):
+            out = np.cos(x) + t
+            x[:] = 99.0
+            return out
+
+        x = np.linspace(-1.0, 1.0, 5)
+        kept = x.copy()
+        got = Potential.custom(scribble).values(x, np.array([0.0, 1.0, 2.0]))
+        assert np.array_equal(x, kept)
+        for row, t in zip(got, (0.0, 1.0, 2.0)):
+            assert np.array_equal(row, np.cos(kept) + t)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -926,6 +955,87 @@ class TestPerturbation:
             chi_a = _poly.polyval(u, a[-1])
             chi_b = _poly.polyval(u, b[-1])
             assert abs(chi_a - chi_b) <= 1e-11 * abs(chi_b)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda x, t: np.cos(x) * (1.0 + t),
+            lambda x, t: np.sin(x),
+            lambda x, t: math.sin(x) * (1.0 + t),  # scalar-only
+        ],
+        ids=["time_dependent", "sin", "scalar_only"],
+    )
+    def test_batched_fit_matches_a_per_time_build(self, monkeypatch, evaluate):
+        q = PropagatorQuery(-0.2, 0.1, 0.6, 1.0, potential=Potential.custom(evaluate))
+        got = _chi_levels(q, 3, mass=1.0, window=8.0)
+        values = Potential.values
+
+        def per_time(self, x, t):
+            rows = [values(self, np.array(x), float(ti)) for ti in np.ravel(t)]
+            return np.reshape(rows, np.shape(t) + np.shape(x))
+
+        monkeypatch.setattr(Potential, "values", per_time)
+        want = _chi_levels(q, 3, mass=1.0, window=8.0)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_one_guard_per_fit(self, monkeypatch):
+        from gaugeint import errors
+
+        entries, calls = [], []
+        guarded_call = errors.guarded_call
+
+        def counted(*args, **kwargs):
+            entries.append(kwargs.get("what"))
+            return guarded_call(*args, **kwargs)
+
+        def cosine(x, t):
+            calls.append(type(x))
+            return np.cos(x)
+
+        def scalar_sine(x, t):
+            calls.append(type(x))
+            return math.sin(x)
+
+        monkeypatch.setattr(errors, "guarded_call", counted)
+        q = PropagatorQuery(0.0, 0.0, 0.5, 1.0, potential=Potential.custom(cosine))
+        _chi_levels(q, 2, mass=1.0, window=8.0)
+        # one call per Gauss time, all inside one guard
+        assert entries == ["potential"]
+        assert calls == [np.ndarray] * ((_TIME_NODES - 1) * _GL_NODES)
+        entries.clear()
+        calls.clear()
+        q = PropagatorQuery(0.0, 0.0, 0.5, 1.0, potential=Potential.custom(scalar_sine))
+        _chi_levels(q, 2, mass=1.0, window=8.0)
+        # one array probe, then the per-point pass in one more guard
+        assert entries == ["potential", "potential"]
+        assert calls.count(np.ndarray) == 1
+        assert calls.count(float) == (_TIME_NODES - 1) * _GL_NODES * (4 * _CUSTOM_FIT_DEGREE + 1)
+
+    @pytest.mark.parametrize(
+        "late, cause, match",
+        [
+            ("raises", RuntimeError, "potential raised RuntimeError"),
+            ("nan", type(None), "potential returned a non-finite value"),
+            ("complex", type(None), "potential returned a complex value"),
+        ],
+    )
+    def test_late_potential_failure_is_wrapped(self, late, cause, match):
+        # the fit evaluates every Gauss time in one guard; a failure at the
+        # later times only still raises, with the error type and cause a
+        # single-time evaluation gives
+        def evaluate(x, t):
+            if t <= 0.5:
+                return np.cos(x)
+            if late == "raises":
+                raise RuntimeError("late failure")
+            return np.full_like(x, np.nan) if late == "nan" else np.exp(1j * x)
+
+        q = PropagatorQuery(0.0, 0.0, 0.5, 1.0, potential=Potential.custom(evaluate))
+        with pytest.raises(IntegrandError, match=match) as info:
+            perturbation_term(1, q)
+        assert type(info.value) is IntegrandError
+        assert type(info.value.__cause__) is cause
 
     def test_partial_sums_match_one_order_at_a_time(self):
         grid = SliceGrid(extent=8.0, points=64, damping=1e-3)
