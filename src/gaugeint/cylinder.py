@@ -41,7 +41,7 @@ from .errors import (
 from .fresnel import ROOT_MINUS_I_OVER_2PI, IncrementSchedule
 from .integrate import hk_integrate_1d
 from .oscquad import (
-    _tail_moments,
+    _taylor_tail,
     adaptive_chirp_integral,
     damped_chirp_filon_weights,
 )
@@ -325,32 +325,23 @@ _START_CELLS = 16  # Filon cells per increment on the first tensor level
 _MAX_POINTS = 1 << 24  # tensor points of one level (n >= 2)
 _CHUNK = 1 << 17  # tensor points per integrand call
 _DIMENSION_CAP = 4  # largest schedule dimension of the reduction
-_TAIL_STEP = 2.0**-6  # stencil spacing of the n = 1 tail
-# row k maps f(R - j h), j = 0..5, to h^k f^(k)(R) / k!: the one-sided
-# six-point stencil, differentiating the quintic through those samples
-_STENCIL = np.linalg.inv(np.vander(-np.arange(6.0), 6, increasing=True))[:4]
-
-
-def _tail_weights(dt: float, radius: float, h: float) -> np.ndarray:
-    """Weights on f(R - j h), j = 0..5, for Int_R^inf e^{i w^2 / (2 dt)} f dw:
-    the cubic Taylor polynomial of f at R (derivatives from _STENCIL)
-    against the Abel-limit _tail_moments.  The mirror image serves -R."""
-    return (_tail_moments(0.5j / dt, radius, 3) / h ** np.arange(4)) @ _STENCIL
+_TAIL_STEP = 2.0**-6  # sample spacing of the n = 1 tail
 
 
 def _extended_rule(dt: float, radius: float, cells: int):
     """Nodes and weights for Int e^{i u^2 / (2 dt)} g(u) du over the line:
-    Filon cells on [-R, R], the tail weights on the six end nodes."""
+    Filon cells on [-R, R], and on the six end nodes a cubic Taylor tail
+    (_taylor_tail), mirrored at -R."""
     edges = np.linspace(-radius, radius, cells + 1)
     nodes, w = damped_chirp_filon_weights(0.5j / dt, 0.0, edges)
-    tail = _tail_weights(dt, radius, nodes[1] - nodes[0])
+    tail = _taylor_tail(0.5j / dt, radius, nodes[1] - nodes[0], 3, 6)
     w[:6] += tail
     w[:-7:-1] += tail
     return nodes, w
 
 
 def _window_value(fv, sched: IncrementSchedule, radius: float, tol: float) -> complex:
-    """n = 1: the adaptive Filon window on [-R, R] plus the tail weights."""
+    """n = 1: the adaptive Filon window on [-R, R] plus the cubic Taylor tails."""
     dt = sched.increments[0]
     g = lambda u: fv(sched.origin_point + np.asarray(u, dtype=float)[:, None])
     try:
@@ -362,7 +353,7 @@ def _window_value(fv, sched: IncrementSchedule, radius: float, tol: float) -> co
         whole = lambda u: g(u) * np.exp(0.5j / dt * np.square(u))
         core = hk_integrate_1d(whole, (-radius, radius), tol).value
     u = radius - _TAIL_STEP * np.arange(6)
-    return core + _tail_weights(dt, radius, _TAIL_STEP) @ (g(u) + g(-u))
+    return core + _taylor_tail(0.5j / dt, radius, _TAIL_STEP, 3, 6) @ (g(u) + g(-u))
 
 
 def _vectorized_nd(f):

@@ -1,8 +1,9 @@
 """Adaptive gauge integration on the line.
 
-The 1D engine mimics gauge refinement: cells are bisected wherever the
-two-level Riemann-sum (trapezoid) disagreement exceeds the cell's share of
-the tolerance, so the mesh tightens only where the integrand demands it.
+The 1D engine mimics gauge refinement: a cell is bisected wherever its
+Simpson value and its two halves' disagree beyond its tolerance share (an
+accepted cell adds the /15 Richardson term), so the mesh tightens only
+where the integrand demands it.
 Window endpoints get special treatment: when refinement stalls against an
 endpoint the engine peels geometric annuli off it and accepts the endpoint
 cell as tag-value times width once the peeled prefix sums stabilize.  That

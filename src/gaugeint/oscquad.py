@@ -12,8 +12,8 @@ whole line.  F is the building block for exact chirp moments
 
 which make piecewise-cubic Filon quadrature of Int exp(i beta (x-c)^2) g(x) dx
 possible without ever resolving the chirp on a grid: cells only need to
-resolve g.  Far from the stationary point the centered moments are computed
-through a plane-wave expansion to avoid catastrophic cancellation.
+resolve g.  Far cells of chirp_filon_weights take plane-wave centred moments
+against cancellation; far damped cells shift raw moments (_centred_moments).
 
 A Gaussian tail Int_B^inf exp(alpha x^2) dx, Re(alpha) <= 0, is either
 gauss_tail's by-parts series with a rigorous bound or _erfc_tail's complex
@@ -228,6 +228,17 @@ def _tail_moments(alpha: complex, x, order: int) -> list:
     return m
 
 
+def _taylor_tail(alpha: complex, x, h: float, order: int, points: int):
+    """Weights on f(x - j h), j < points, for Int_x^inf e^{alpha w^2} f(w) dw:
+    f's Taylor polynomial of degree order at x, its derivatives those of the
+    polynomial through the samples, against the Abel-limit _tail_moments.
+    Vectorized over real x, to shape x.shape + (points,); the weights at -x,
+    on f(x + j h), are a left tail's.  Stencil row k gives h^k f^(k)(x) / k!."""
+    stencil = np.linalg.inv(np.vander(-np.arange(float(points)), points, increasing=True))
+    m = np.stack(_tail_moments(alpha, x, order), axis=-1)
+    return (m / h ** np.arange(order + 1)) @ stencil[: order + 1]
+
+
 def _moments_far(ua, ub):
     """Centered moments via exp(iu^2/2) = E(um) e^{i um w} e^{i w^2/2}.
 
@@ -416,7 +427,7 @@ def gauss_tail(alpha: complex, B):
     alpha = _require_complex("alpha", alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if alpha.real > 1e-15:
+    if alpha.real > 0.0:
         raise ValueError("Re(alpha) must be <= 0")
     shape = np.shape(B)
     B = np.ravel(np.asarray(B, dtype=float))  # one arithmetic path for any shape
@@ -430,7 +441,7 @@ def gauss_tail(alpha: complex, B):
     keep = odd * np.abs(ratio) < 1.0
     terms = term[:, None] * np.cumprod(np.where(keep, odd * ratio, 1.0), axis=-1)
     value = np.exp(alpha * B * B) * (term + np.sum(terms, axis=-1, where=keep))
-    bound = np.abs(terms[:, -1]) * np.exp(min(alpha.real, 0.0) * B * B)
+    bound = np.abs(terms[:, -1]) * np.exp(alpha.real * B * B)
     return value.reshape(shape)[()], bound.reshape(shape)[()]
 
 

@@ -37,7 +37,7 @@ from .errors import (
     guarded_values,
 )
 from .integrate import fresnel_line_integral
-from .oscquad import _damped_cell_weights, _gauss_legendre, _tail_moments
+from .oscquad import _damped_cell_weights, _gauss_legendre, _taylor_tail
 
 __all__ = [
     "Potential",
@@ -279,19 +279,15 @@ def _contract_cells(cellw, g: np.ndarray, alpha: complex, lo, hi, h: float):
 
     cellw (4, ..., ncell) are the per-cell node weights; weight k of cell i
     meets node 3 i + k of g.  lo and hi are the offsets of the first and
-    last node from each bridge centre, h the node spacing.  Past an edge e
-    the envelope goes on as g(e) + g'(e) (w - e), g' the one-sided
-    three-point slope.  On the right T = Int_hi^inf e^{alpha w^2} dw and
-    M = Int_hi^inf (w - hi) e^{alpha w^2} dw are _tail_moments at hi,
-    and their mirror images at -lo serve the left.
+    last node from each bridge centre, h the node spacing.  Past each edge
+    the envelope goes on linearly against the Abel-limit tail moments: the
+    shared Taylor-tail rule oscquad._taylor_tail, order 1 on the 3 nearest
+    nodes, at hi and mirrored at -lo.
     """
     ncell = cellw.shape[-1]
     cells = sum(cellw[k] @ g[k : k + 3 * ncell : 3] for k in range(4))
-    (t_lo, t_hi), (m_lo, m_hi) = _tail_moments(alpha, np.stack([-lo, hi]), 1)
-    # g'(lo) from g_0, g_1, g_2; g'(hi) from g_-3, g_-2, g_-1 is its mirror image
-    slope = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-    return (cells + t_lo * g[0] + t_hi * g[-1]
-            - m_lo * (slope @ g[:3]) - m_hi * (slope[::-1] @ g[-3:]))
+    left, right = _taylor_tail(alpha, np.stack([-lo, hi]), h, 1, 3)
+    return cells + left @ g[:3] + right @ g[:-4:-1]
 
 
 def _lattice_step(alpha: complex, j: int, xi_prime: float, edges, h: float, g):

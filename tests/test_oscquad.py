@@ -7,6 +7,7 @@ against direct high-node oscillatory quadrature.
 """
 
 import cmath
+import functools
 import math
 
 import mpmath
@@ -35,6 +36,7 @@ from gaugeint.oscquad import (
     _moments_far,
     _split_far_edges,
     _tail_moments,
+    _taylor_tail,
 )
 from gaugeint.propagator import _lattice_step
 
@@ -123,20 +125,71 @@ def test_erfc_tail_seeded_sweep_against_mpmath():
     assert worst < 3e-14, worst
 
 
-@pytest.mark.parametrize("alpha", [complex(-0.4, 0.7), 0.5j, 1j / 3.0])
-@pytest.mark.parametrize("x", [0.0, 1.5, 8.0])
-def test_tail_moments_against_a_rotated_contour(alpha, x):
-    # on w = x + t e^{i pi/4} each tail decays like e^{-Im(alpha) t^2}, so
-    # mpmath integrates even the Abel limits at Re(alpha) = 0 absolutely
+@functools.cache
+def _rotated_contour(alpha, x, k):
+    """M_k = Int_x^inf (w - x)^k e^{alpha w^2} dw along w = x + t e^{i pi/4}:
+    there each tail decays like e^{-Im(alpha) t^2}, so mpmath integrates even
+    the Abel limits at Re(alpha) = 0 absolutely."""
     mpmath.mp.dps = 30
     rot = mpmath.exp(0.25j * mpmath.pi)
+    return rot ** (k + 1) * mpmath.quad(
+        lambda t: t**k * mpmath.exp(alpha * (x + t * rot) ** 2), [0, mpmath.inf])
+
+
+def _full_line(alpha, x, k):
+    """Int (w - x)^k e^{alpha w^2} dw over the line, binomially from the
+    even moments Gamma((j + 1) / 2) / s^(j + 1), s = sqrt(-alpha)."""
+    s = mpmath.sqrt(-mpmath.mpc(alpha))
+    return sum(mpmath.binomial(k, j) * (-x) ** (k - j) * mpmath.gamma((j + 1) / 2)
+               / s ** (j + 1) for j in range(0, k + 1, 2))
+
+
+TAIL_ALPHAS = [complex(-0.4, 0.7), 0.5j, 1j / 3.0]
+TAIL_CUTS = [0.0, 1.5, 8.0]
+
+
+@pytest.mark.parametrize("alpha", TAIL_ALPHAS)
+@pytest.mark.parametrize("x", TAIL_CUTS)
+def test_tail_moments_against_a_rotated_contour(alpha, x):
     got = _tail_moments(alpha, x, 3)
     for k in range(4):
-        want = complex(rot ** (k + 1) * mpmath.quad(
-            lambda t: t**k * mpmath.exp(alpha * (x + t * rot) ** 2), [0, mpmath.inf]))
+        want = complex(_rotated_contour(alpha, x, k))
         # the forward recurrence cancels terms of size x^k |M_0|
         slack = 1e-10 * abs(want) + 1e-13 * (1.0 + x) ** k * abs(got[0])
         assert abs(got[k] - want) <= slack, (k, got[k], want)
+
+
+@pytest.mark.parametrize("order, points", [(1, 3), (3, 6)])
+@pytest.mark.parametrize("alpha", TAIL_ALPHAS)
+@pytest.mark.parametrize("x", TAIL_CUTS)
+def test_taylor_tail_is_exact_on_its_polynomials(alpha, x, order, points):
+    # f(w) = (w - x)^k, k <= order, is its own Taylor polynomial at x, so
+    # its samples f(x - j h) against the weights give M_k, and the weights at
+    # -x on f(x + j h) the left tail Int_-inf^x, the line less M_k
+    mpmath.mp.dps = 30
+    h = 2.0**-6
+    jh = h * np.arange(points)
+    right, left = _taylor_tail(alpha, np.array([x, -x]), h, order, points)
+    assert right.shape == left.shape == (points,)
+    for k in range(order + 1):
+        m_k = _rotated_contour(alpha, x, k)
+        wants = (complex(m_k), complex(_full_line(alpha, x, k) - m_k))
+        for weights, samples, want in zip((right, left), ((-jh) ** k, jh**k), wants):
+            got = weights @ samples
+            # the recurrence's cancellation, as above, and the stencil's
+            # rounding on samples of size (jh)^k, scaled by h^-k
+            slack = 1e-10 * abs(want) + 1e-13 * (1.0 + x) ** k * abs(weights[0])
+            assert abs(got - want) <= slack, (k, got, want)
+
+
+@pytest.mark.parametrize("dt, radius, h", [
+    (0.5, 8.0, 2.0**-6), (0.25, 12.0, 1.0 / 6.0), (1.3, 27.0, 27.0 / 96.0)])
+def test_taylor_tail_pins_the_cubic_cylinder_tail(dt, radius, h):
+    # the six-point cubic tail written out: M_k / h^k against rows 0..3 of
+    # the inverse Vandermonde on the nodes 0, -1, ..., -5
+    stencil = np.linalg.inv(np.vander(-np.arange(6.0), 6, increasing=True))[:4]
+    want = (_tail_moments(0.5j / dt, radius, 3) / h ** np.arange(4)) @ stencil
+    assert np.array_equal(_taylor_tail(0.5j / dt, radius, h, 3, 6), want)
 
 
 def test_fresnel_integral_keeps_nan():
@@ -267,6 +320,9 @@ def test_gauss_tail_rejects_growth():
         gauss_tail(1.0, 2.0)
     with pytest.raises(ValueError):
         gauss_tail(0.0, 2.0)
+    # a real part this small still grows: the tail diverges
+    with pytest.raises(ValueError, match="Re"):
+        gauss_tail(1e-16 + 1j, 5.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
