@@ -197,10 +197,14 @@ class Gauge1D:
         (errors.guarded_array) or, at a single point, on its float;
         IntegrandError if a value is complex, ValueError naming the first
         that is not strictly positive."""
+        return self._values(guarded_array(self.delta, what="gauge"), x)
+
+    def _values(self, on_array, x: np.ndarray) -> np.ndarray:
+        """values, asking arrays through on_array (a guarded_array, one per build)."""
         if x.size == 1:
             out = guarded_values(self.delta, float(x.flat[0]), what="gauge").reshape(x.shape)
         else:
-            out = guarded_array(self.delta, x, what="gauge")
+            out = on_array(x)
         if out.imag.any():
             raise IntegrandError("gauge returned a complex value")
         if not (out.real > 0.0).all():
@@ -299,8 +303,9 @@ def cousin_division(
     of its endpoints, tagging at the certifying endpoint and preferring the
     left endpoint when both certify.  A batch of pieces is bisected a level
     at a time, the gauge asked once per level on the array of midpoints (so
-    once per point); a batch over _BATCH pieces is halved and taken depth
-    first.  Bisection deeper than _MAX_DEPTH raises ResourceLimitError.
+    once per point; a scalar-only gauge refuses one array in all); a batch
+    over _BATCH pieces is halved and taken depth first.  Bisection deeper
+    than _MAX_DEPTH raises ResourceLimitError.
     """
     if tails is None:
         a = -(1.0 / gauge(-inf) + 1.0)
@@ -314,7 +319,8 @@ def cousin_division(
         if not b > 1.0 / gauge(inf):
             raise ValueError(f"tail edge {b} does not certify the positive tail")
 
-    da, db = gauge.values(np.array([a, b]))
+    on_array = guarded_array(gauge.delta, what="gauge")
+    da, db = gauge._values(on_array, np.array([a, b]))
     stack = [(np.array([[a], [b], [da], [db]]), 0)]
     settled = []  # rows lo, hi, dlo of the settled pieces
     while stack:
@@ -336,7 +342,7 @@ def cousin_division(
         # each piece becomes its left half then its right: the left ends at
         # mid (rows hi, dhi) and the right starts there (rows lo, dlo)
         halves = np.repeat(piece, 2, axis=1)
-        halves[1::2, 0::2] = halves[0::2, 1::2] = (mid, gauge.values(mid))
+        halves[1::2, 0::2] = halves[0::2, 1::2] = (mid, gauge._values(on_array, mid))
         if halves.shape[1] > _BATCH:  # the right batch waits, so the left is bisected first
             stack.append((halves[:, piece.shape[1]:], depth + 1))
             halves = halves[:, : piece.shape[1]]

@@ -96,24 +96,31 @@ def guarded_values(callback, *args, what: str = "integrand") -> np.ndarray:
     return out
 
 
-def guarded_array(callback, x: np.ndarray, what: str = "integrand") -> np.ndarray:
-    """callback(x) on a float array, as a complex array of x's shape.
+def guarded_array(callback, what: str = "integrand"):
+    """x -> callback(x) on a float array, as a complex array of x's shape.
 
-    A call on the array that raises (other than a GaugeIntError) or returns
-    another shape marks a scalar-only callback, which is then called once
-    per point inside the same guard; a non-finite array result raises at
-    once.
+    An array call that raises (other than a GaugeIntError) or returns another
+    shape marks a scalar-only callback, asked from then on once per point in
+    the same guard; a non-finite array result raises at once.
     """
-    try:
-        out = guarded_values(callback, x, what=what)
-        if out.shape == x.shape:
-            return out
-    except IntegrandError as exc:
-        if exc.__cause__ is None:  # non-finite, or the callback's own error
-            raise
-    points = x.ravel().tolist()
-    out = guarded_values(lambda: [complex(callback(v)) for v in points], what=what)
-    return out.reshape(x.shape)
+    scalar_only = False
+
+    def values(x: np.ndarray) -> np.ndarray:
+        nonlocal scalar_only
+        if not scalar_only:
+            try:
+                out = guarded_values(callback, x, what=what)
+                if out.shape == x.shape:
+                    return out
+            except IntegrandError as exc:
+                if exc.__cause__ is None:  # non-finite, or the callback's own error
+                    raise
+            scalar_only = True
+        points = x.ravel().tolist()
+        out = guarded_values(lambda: [complex(callback(v)) for v in points], what=what)
+        return out.reshape(x.shape)
+
+    return values
 
 
 def _require_count(name: str, value, minimum: int) -> int:

@@ -1,19 +1,16 @@
 """Adaptive gauge integration on the line.
 
-The 1D engine mimics gauge refinement: a cell is bisected wherever its
-Simpson value and its two halves' disagree beyond its tolerance share (an
-accepted cell adds the /15 Richardson term), so the mesh tightens only
-where the integrand demands it.
-Window endpoints get special treatment: when refinement stalls against an
-endpoint the engine peels geometric annuli off it and accepts the endpoint
-cell as tag-value times width once the peeled prefix sums stabilize.  That
-is the numerical shadow of a gauge that forces the tag onto the endpoint,
-and it is what lets classically troublesome derivatives integrate.  The
-adaptive core recognises the stall itself (a growing chain of unsettled
-cells closing in on one endpoint for several levels) and hands it to the
-peel at once instead of refining it to the cell cap.  A run that cannot
-finish raises NoConvergenceError whose cap attribute names the limit
-that stopped it.
+The 1D engine mimics gauge refinement: each cell carries a 7/13-point
+Lobatto-Kronrod pair, whose nodes include the cell's edges, and is bisected
+wherever the two values disagree beyond its tolerance share, so the mesh
+tightens only where the integrand demands it.  When refinement stalls
+against a window endpoint (a growing chain of unsettled cells closing in
+on it for several levels), the engine peels geometric annuli off it and
+accepts the endpoint cell as tag-value times width once the peeled prefix
+sums stabilize: the numerical shadow of a gauge that forces the tag onto
+the endpoint, which lets classically troublesome derivatives integrate.
+A run that cannot finish raises NoConvergenceError whose cap attribute
+names the limit that stopped it.
 
 Improper quadratic-phase tails are taken as Henstock integrals, with no
 damping: a window Filon integral with exact chirp moments plus an analytic
@@ -30,7 +27,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -128,62 +124,67 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adaptive_core(fv, a, b, tol, min_cells=16):
-    """Local-bisection Simpson with per-cell Richardson control.
+# the 7/13-point Lobatto-Kronrod pair on [-1, 1] (Gander & Gautschi, BIT 40 (2000) 84): rows are
+# its nodes in ascending order, with the edges first and last, and on them the weights of the
+# 13-point rule and of its 7-point subrule, the 4-point Lobatto rule's Kronrod extension
+_LK_NODES, _LK_K13, _LK_K7 = np.array([
+    [-1.0, -0.9428824156954797, -0.816496580927726, -0.6418533423457813, -0.4472135954999579,
+     -0.23638319966214988, 0.0, 0.23638319966214988, 0.4472135954999579, 0.6418533423457813,
+     0.816496580927726, 0.9428824156954797, 1.0],
+    [0.015827191973480183, 0.09427384021885005, 0.1550719873365854, 0.18882157396018245,
+     0.19977340522685852, 0.22492646533333951, 0.24261107190140774, 0.22492646533333951,
+     0.19977340522685852, 0.18882157396018245, 0.1550719873365854, 0.09427384021885005,
+     0.015827191973480183],
+    [0.05238095238095238, 0.0, 0.2938775510204082, 0.0, 0.42517006802721086, 0.0,
+     0.45714285714285713, 0.0, 0.42517006802721086, 0.0, 0.2938775510204082, 0.0,
+     0.05238095238095238],
+])
 
-    Each cell carries values at its endpoints and midpoint; quarter-point
-    evaluations compare the cell's Simpson value against its two halves and
-    bisect exactly where the disagreement exceeds the cell's tolerance
-    share.  Refinement stops early at a stall: for _STALL_LEVELS levels in
-    a row the live cells hug one window endpoint (all within _STALL_REACH
-    of the width), their count grows by _STALL_GROWTH or more and their
-    far edge moves toward the endpoint, the endpoint cell's indicator per
-    unit width (its acceptance share is a fixed rate) has not fallen since
-    the first of those levels, and the indicators now sum above tol.  A
-    smooth layer at the endpoint grows the live count too, but its
-    endpoint indicator falls like h^5 and refinement settles it.  The peel
-    restarts from the endpoint, so a stalled run's value is never used.
+
+def _adaptive_core(fv, a, b, tol, min_cells=16):
+    """Local bisection with a 7/13-point Lobatto-Kronrod pair per cell.
+
+    A cell's nodes include its edges, so a child takes its edge values from
+    its parent's edge and centre values, and each level asks the integrand
+    once, for the 11 interior nodes of every live cell.  A cell is accepted
+    at its 13-point value when the 7-point value is within tol*w/width of
+    it.  Refinement stops early at a stall: for _STALL_LEVELS levels in a
+    row the live cells hug one window endpoint (all within _STALL_REACH of
+    the width), grow by _STALL_GROWTH or more and close in on it, the
+    endpoint cell's indicator per unit width (its acceptance share is a
+    fixed rate) has not fallen since the first of those levels, and the
+    indicators sum above tol.  A smooth layer's endpoint indicator falls,
+    so refinement settles it; the peel restarts from the endpoint, so a
+    stalled run's value is never used.
 
     Returns (value, est, levels, cap, fail_lo, fail_hi).  cap is None when
-    every cell settled, else the name of the limit that stopped
-    refinement ("_MAX_CELLS", "_MAX_LEVELS" or "_STALL_LEVELS"); the
-    unsettled cells are then carried at their single-cell value and
-    returned as fail_lo/fail_hi.  Accepted contributions are summed
-    exactly, so in any order.
+    every cell settled, else the limit that stopped refinement
+    ("_MAX_CELLS", "_MAX_LEVELS" or "_STALL_LEVELS"); the unsettled cells
+    are then carried at their 13-point value, with the pair's difference
+    as their estimate, and returned as fail_lo/fail_hi.  Accepted
+    contributions are summed exactly, so in any order.
     """
     edges = np.linspace(a, b, min_cells + 1)
-    fstart = fv(_interleave(edges, 0.5 * (edges[:-1] + edges[1:])))
-    lo, hi = edges[:-1], edges[1:]
-    flo, fm, fhi = fstart[:-2:2], fstart[1::2], fstart[2::2]
+    fe = fv(edges)
+    lo, hi, flo, fhi = edges[:-1], edges[1:], fe[:-1], fe[1:]
     width = b - a
-    half_tol_per_width = 0.5 * tol / width
-
-    acc_val: list[np.ndarray] = []
-    acc_est: list[np.ndarray] = []
-    levels = 0
+    tol_per_width = tol / width
+    acc_val, acc_est = [], []
     stall_levels, stall_rate, prev_live, prev_extent = 0, 0.0, 0, width
     for levels in range(1, _MAX_LEVELS + 1):
         w = hi - lo
-        m = 0.5 * (lo + hi)
-        fq = fv(_interleave(0.5 * (lo + m), 0.5 * (m + hi)))  # q1, q3 of each cell
-        fq1, fq3 = fq[0::2], fq[1::2]
-        simpson_parent = (w / 6.0) * (flo + 4.0 * fm + fhi)
-        simpson_children = (w / 12.0) * (flo + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fhi)
-        diff15 = (simpson_children - simpson_parent) / 15.0
-        ind = np.abs(diff15)
-        accept = ind <= half_tol_per_width * w
-        if np.any(accept):
-            acc_val.append(simpson_children[accept] + diff15[accept])
-            acc_est.append(ind[accept])
+        h, m = 0.5 * w, 0.5 * (lo + hi)
+        fx = fv((m[:, None] + h[:, None] * _LK_NODES[1:-1]).ravel()).reshape(-1, 11)
+        fends = flo + fhi
+        k13 = h * (fx @ _LK_K13[1:-1] + _LK_K13[0] * fends)
+        ind = np.abs(k13 - h * (fx @ _LK_K7[1:-1] + _LK_K7[0] * fends))
+        accept = ind <= tol_per_width * w
+        acc_val.append(k13[accept])
+        acc_est.append(ind[accept])
         keep = ~accept
-        if not np.any(keep):
-            cap = None
-            lo = hi = np.empty(0)
-            break
         lo, hi, m = lo[keep], hi[keep], m[keep]
-        flo, fm, fhi = flo[keep], fm[keep], fhi[keep]
-        if 2 * lo.size > _MAX_CELLS:
-            cap = "_MAX_CELLS"
+        if not lo.size:
+            cap = None
             break
         # the live cells are in ascending order, so the endpoint they touch,
         # their reach from it and the endpoint cell (also the first or last
@@ -199,23 +200,22 @@ def _adaptive_core(fv, a, b, tol, min_cells=16):
         rate = ind[end] / w[end] if closing else 0.0  # a live cell, so w > 0
         stall_rate = rate if stall_levels == 1 else stall_rate
         prev_live, prev_extent = lo.size, extent
-        if stall_levels >= _STALL_LEVELS and rate >= stall_rate and np.sum(ind, where=keep) > tol:
+        if 2 * lo.size > _MAX_CELLS:
+            cap = "_MAX_CELLS"
+        elif levels == _MAX_LEVELS:
+            cap = "_MAX_LEVELS"
+        elif stall_levels >= _STALL_LEVELS and rate >= stall_rate and np.sum(ind, where=keep) > tol:
             cap = "_STALL_LEVELS"
-            break
-        lo, hi = _interleave(lo, m), _interleave(m, hi)
-        flo, fhi, fm = (
-            _interleave(flo, fm), _interleave(fm, fhi),
-            fq.reshape(-1, 2)[keep].ravel(),
-        )
-    else:
-        cap = "_MAX_LEVELS"
+        else:
+            fm = fx[keep, 5]  # the centre, node 6 of 13
+            lo, hi = _interleave(lo, m), _interleave(m, hi)
+            flo, fhi = _interleave(flo[keep], fm), _interleave(fm, fhi[keep])
+            continue
+        # carry the unsettled cells at their 13-point value
+        acc_val.append(k13[keep])
+        acc_est.append(ind[keep])
+        break
 
-    if cap is not None:
-        # carry the unsettled cells at their current single-cell value
-        w = hi - lo
-        sp = (w / 6.0) * (flo + 4.0 * fm + fhi)
-        acc_val.append(sp)
-        acc_est.append(np.abs(sp - 0.5 * w * (flo + fhi)))
     value = fsum_complex(np.concatenate(acc_val))
     est = math.fsum(np.concatenate(acc_est).tolist())
     return value, est, levels, cap, lo, hi
@@ -258,36 +258,31 @@ def _adaptive_verified(fv, a, b, tol):
 
 
 def _stopped(what: str, cap: str, est: float, tol: float) -> NoConvergenceError:
-    return NoConvergenceError(
-        f"{what} stopped at {cap}: estimate {est:.3e}, tol {tol:.3e}", cap=cap
-    )
+    return NoConvergenceError(f"{what} stopped at {cap}: estimate {est:.3e}, tol {tol:.3e}", cap=cap)
 
 
-def hk_integrate_1d(
-    f,
-    window: tuple[float, float],
-    tol: float = 1e-8,
-) -> IntegrationReport:
+def hk_integrate_1d(f, window: tuple[float, float], tol: float = 1e-8) -> IntegrationReport:
     """Adaptively integrate f over a finite open window.
 
     f maps a float ndarray to complex values elementwise (scalar-only
-    callables are detected and looped).  Refinement bisects exactly the
-    cells whose two-level disagreement exceeds their share of tol.  If
-    refinement stalls flush against a window endpoint (the core's stall
-    exit, or a cap with the unsettled cells at the endpoint), geometric
-    annuli are peeled off that endpoint and the endpoint cell enters as
-    f(endpoint) times width once the peeled partial sums stabilize,
-    mirroring a gauge that pins the tag to the endpoint.  A
+    callables are detected once and looped).  Refinement bisects exactly
+    the cells whose 13- and 7-point Lobatto-Kronrod values disagree beyond
+    their share of tol, and three runs from non-nested start meshes must
+    agree.  If refinement stalls flush against a window endpoint (the
+    core's stall exit, or a cap with the unsettled cells at the endpoint),
+    geometric annuli are peeled off that endpoint and the endpoint cell
+    enters as f(endpoint) times width once the peeled partial sums
+    stabilize, mirroring a gauge that pins the tag to the endpoint.  A
     NoConvergenceError names the limit that stopped the run, in its
     message and as its cap attribute: "_MAX_CELLS", "_MAX_LEVELS" or
-    "_STALL_LEVELS" of an adaptive run, "_MAX_ROUNDS" of its
-    verification, or "_MAX_PEELS".
+    "_STALL_LEVELS" of an adaptive run, "_MAX_ROUNDS" of its verification,
+    or "_MAX_PEELS".
     """
     a, b = (_require_number("window", x) for x in window)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("window must be finite with lower < upper")
     tol = _require_positive("tol", tol)
-    fv = partial(guarded_array, f)
+    fv = guarded_array(f)
 
     value, est, levels, cap, fail_lo, fail_hi = _adaptive_verified(fv, a, b, tol)
     if cap is None:
@@ -302,8 +297,7 @@ def hk_integrate_1d(
     if not (peel_left or peel_right):
         raise _stopped(f"window after {levels} levels", cap, est, tol)
 
-    pieces: list[complex] = []
-    ests: list[float] = []
+    pieces, ests = [], []
     total_levels = levels
     h0 = width / 8.0
     core_lo = a + h0 if peel_left else a
@@ -409,18 +403,10 @@ def oscillatory_improper(spec: OscillatoryTailSpec, tol: float = 1e-8) -> comple
 
 def fresnel_line_integral(c: complex, tol: float = 1e-8) -> complex:
     """Full-line integral of exp(c x^2/2) by evenness: two equal tails."""
-    spec = OscillatoryTailSpec(
-        phase_quadratic_coefficient=c, lower_limit=0.0, direction=+1
-    )
-    return 2.0 * oscillatory_improper(spec, tol)
+    return 2.0 * oscillatory_improper(OscillatoryTailSpec(c, 0.0, +1), tol)
 
 
-def alexiewicz_seminorm(
-    f,
-    interval: tuple[float, float],
-    grid: int,
-    tol: float = 1e-9,
-) -> float:
+def alexiewicz_seminorm(f, interval: tuple[float, float], grid: int, tol: float = 1e-9) -> float:
     """sup over grid points of |prefix integral| from the interval's start."""
     a, b = (_require_number("interval", x) for x in interval)
     grid = _require_count("grid", grid, 2)

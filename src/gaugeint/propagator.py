@@ -502,10 +502,11 @@ _TIME_NODES = 33
 _GL_NODES = 33
 _CUSTOM_FIT_DEGREE = 24
 
-# column k: the power-series coefficients of the Chebyshev polynomial T_k
-_CHEB2POLY = np.zeros((_CUSTOM_FIT_DEGREE + 1, _CUSTOM_FIT_DEGREE + 1))
-for _k in range(_CUSTOM_FIT_DEGREE + 1):
-    _CHEB2POLY[: _k + 1, _k] = _cheb.cheb2poly(np.eye(_k + 1)[_k])
+# column k: the power-series coefficients of the Chebyshev polynomial T_k,
+# by T_k = 2x T_(k-1) - T_(k-2) (the shift moves a zero top entry around)
+_CHEB2POLY = np.eye(_CUSTOM_FIT_DEGREE + 1)
+for _k in range(2, _CUSTOM_FIT_DEGREE + 1):
+    _CHEB2POLY[:, _k] = 2.0 * np.roll(_CHEB2POLY[:, _k - 1], 1) - _CHEB2POLY[:, _k - 2]
 
 
 def _chi_levels(

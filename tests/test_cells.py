@@ -191,6 +191,27 @@ def test_cousin_asks_the_gauge_once_per_point():
     assert set(floats) == edges
 
 
+def test_scalar_only_gauge_refuses_one_array_per_build():
+    # the first array that cousin_division offers is refused, and the rest
+    # of that build asks point by point; the validator offers one array
+    refused = 0
+
+    def delta(x):
+        nonlocal refused
+        if isinstance(x, np.ndarray):
+            refused += 1
+            raise TypeError("scalar only")
+        return 0.05 if math.isinf(x) else 0.05 + 3.0 / (1.0 + x * x)
+
+    gauge = Gauge1D(delta)
+    for builds in (1, 2):
+        d = cousin_division(gauge)
+        assert refused == builds
+    assert len(d) > 100
+    assert validate_division(d, gauge).ok
+    assert refused == 3
+
+
 def test_validator_flags_bad_divisions():
     # association violation: interior tag
     d = Division1D(

@@ -121,46 +121,48 @@ def _bits(rep):
 
 def test_adaptive_values_are_pinned_bit_for_bit():
     # a jump at 1/3: the adaptive core stops at its level cap three times
-    # and carries the unsettled cells into the sum
+    # and carries the unsettled cells into the sum (1.2e-16 off)
     rep = hk_integrate_1d(lambda x: (x > 1 / 3) * np.exp(1j * x), (0.0, 1.0), 1e-10)
     assert _bits(rep) == (
-        "0x1.074f38bc3cc8ep-1", "0x1.9e5dc93b92345p-2",
-        "0x1.358c3eb4e3d40p-42", 126, True,
+        "0x1.074f38bc3cc8ap-1", "0x1.9e5dc93b92341p-2",
+        "0x1.b7b736b0e0ab0p-52", 126, True,
     )
-    # smooth: every round converges
+    # smooth: every round converges (exact to the last bit)
     rep = hk_integrate_1d(lambda x: np.exp(1j * x) / (1 + x * x), (0.0, 2.0), 1e-10)
     assert _bits(rep) == (
-        "0x1.750266f9fcbdep-1", "0x1.4138515a0be97p-1",
-        "0x1.2d725037c84fbp-36", 10, True,
+        "0x1.750266f9fcbe8p-1", "0x1.4138515a0be9bp-1",
+        "0x1.d96c979b4064bp-54", 3, True,
     )
     # the peel: the first run stops at the endpoint stall, and only its
-    # level count may move with the stall rule
+    # level count may move with the stall rule (3.4e-5 off)
     rep = hk_integrate_1d(classic_derivative, (0.0, 1.0), 1e-3)
     assert _bits(rep)[:3] + _bits(rep)[4:] == (
-        "0x1.aed9c33136386p-1", "0x0.0p+0", "0x1.abcc6562c9606p-13", True,
+        "0x1.aed9c3af91979p-1", "0x0.0p+0", "0x1.5081a8d76ac43p-13", True,
     )
-    # no false stalls: a single endpoint chain, and resolvable oscillation
-    # crowded at an endpoint, refine exactly as without the stall rule
+    # no false stalls: a single endpoint chain (1.4e-8 off), and resolvable
+    # oscillation crowded at an endpoint (7.1e-17 off), refine exactly as
+    # without the stall rule
     rep = hk_integrate_1d(_inverse_sqrt, (0.0, 1.0), 1e-6)
     assert _bits(rep) == (
-        "0x1.ffffff3b10ccdp+0", "0x0.0p+0", "0x1.fc399c2000000p-25", 126, True,
+        "0x1.ffffffc236658p+0", "0x0.0p+0", "0x1.4280af0000000p-26", 126, True,
     )
     rep = hk_integrate_1d(
         lambda x: np.cos(200.0 / (x + 0.05)).astype(complex), (0.0, 1.0), 1e-8
     )
     assert _bits(rep) == (
-        "-0x1.4d5d8220d0dcep-8", "0x0.0p+0", "0x1.c24bf24706b44p-30", 47, True,
+        "-0x1.4d5d826713161p-8", "0x0.0p+0", "0x1.b9d67cf88c9e0p-30", 33, True,
     )
     # nor a smooth layer exp(-x/eps) at either endpoint: its live cells
     # crowd the endpoint for levels, but the endpoint cell's indicator
-    # falls like h^5, so refinement settles it with nothing peeled
+    # falls with h, so refinement settles it with nothing peeled (each
+    # value is within 1.1e-17 of eps (1 - exp(-1/eps)))
     for eps, tol, left, right, est_left, est_right, levels in (
-        (1e-3, 1e-9, "0x1.0624dd30a093ep-10", "0x1.0624dd30a093dp-10",
-         "0x1.5139920000000p-38", "0x1.5139930000000p-38", 30),
-        (1e-3, 1e-10, "0x1.0624dd30026a2p-10", "0x1.0624dd30026a1p-10",
-         "0x1.2c70a51271d0bp-41", "0x1.2c70a555ddb16p-41", 33),
-        (1e-4, 1e-10, "0x1.a36e2eb1ee8cap-14", "0x1.a36e2eb1ee8b9p-14",
-         "0x1.a432ca0000000p-43", "0x1.a432ec0000000p-43", 42),
+        (1e-3, 1e-9, "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9e7p-10",
+         "0x1.751e547b0fb22p-37", "0x1.751e4ace5eb22p-37", 14),
+        (1e-3, 1e-10, "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9f1p-10",
+         "0x1.916a2881b5305p-43", "0x1.9169e4cf62efcp-43", 15),
+        (1e-4, 1e-10, "0x1.a36e2eb1c432fp-14", "0x1.a36e2eb1c462ep-14",
+         "0x1.45e7ac6751bdep-44", "0x1.45e35f0d9e9dfp-44", 25),
     ):
         rep = hk_integrate_1d(lambda x: np.exp(-x / eps), (0.0, 1.0), tol)
         assert _bits(rep) == (left, "0x0.0p+0", est_left, levels, True)
@@ -180,7 +182,7 @@ def test_endpoint_stall_goes_to_the_peel_at_once():
     # the first run stops at its first stall, a few thousand points in,
     # rather than refining the chain at the origin to 2^16 live cells (or,
     # with no stall exit at all, about 2.6M cells and 17.5M points); the
-    # peel then costs about 386k points in all
+    # peel then costs about 163k points in all
     points = 0
 
     def counted(x):
@@ -190,7 +192,7 @@ def test_endpoint_stall_goes_to_the_peel_at_once():
 
     rep = hk_integrate_1d(counted, (0.0, 1.0), 1e-3)
     assert abs(rep.value - math.sin(1.0)) < 1e-3
-    assert points <= 500_000
+    assert points <= 250_000
 
 
 @pytest.mark.parametrize(
@@ -203,8 +205,9 @@ def test_endpoint_stall_goes_to_the_peel_at_once():
     ids=["settled", "level_cap", "stall"],
 )
 def test_adaptive_core_calls_the_integrand_once_per_level(f, b, tol, cap):
-    # the start edges and midpoints come from one call, and each level's
-    # quarter points from one more
+    # the start edges come from one call, and each level's interior nodes
+    # from one more: 11 a live cell, since a cell shares its edges with
+    # its neighbours and its children take theirs from it
     sizes = []
 
     def counted(x):
@@ -214,7 +217,137 @@ def test_adaptive_core_calls_the_integrand_once_per_level(f, b, tol, cap):
     _, _, levels, got_cap, _, _ = integrate._adaptive_core(counted, 0.0, b, tol)
     assert got_cap == cap
     assert len(sizes) == levels + 1
-    assert sizes[0] == 33  # 16 cells: 17 edges and 16 midpoints
+    assert sizes[:2] == [17, 176]  # 16 cells: 17 edges, then 11 nodes in each
+    assert all(size % 11 == 0 for size in sizes[1:])
+    assert all(later <= 2 * earlier for earlier, later in zip(sizes[1:], sizes[2:]))
+
+
+def test_lobatto_kronrod_rule_is_exact_to_its_degree():
+    # against mpmath: the 13-point rule integrates x^k over [-1, 1] exactly
+    # up to k = 18 and its 7-point subrule up to k = 8 (odd k by symmetry)
+    nodes = [mp.mpf(float(t)) for t in integrate._LK_NODES]
+    assert [-t for t in reversed(nodes)] == nodes
+    for weights, degree in ((integrate._LK_K13, 18), (integrate._LK_K7, 8)):
+        for k in range(degree + 1):
+            got = mp.fsum(mp.mpf(float(w)) * t**k for w, t in zip(weights, nodes))
+            assert abs(got - (mp.mpf(2) / (k + 1) if k % 2 == 0 else 0)) <= 1e-15
+    # the 7-point rule sits on the 4-point Lobatto nodes and their Kronrod
+    # extension, the weights 11/210, 72/245, 125/294 and 16/35
+    on = [t for t, w in zip(nodes, integrate._LK_K7) if w != 0.0]
+    assert on[3:] == [0, mp.mpf(float(1 / mp.sqrt(5))), mp.mpf(float(mp.sqrt(mp.mpf(2) / 3))), 1]
+    for w, want in zip(integrate._LK_K7[6:], (16 / 35, 0.0, 125 / 294, 0.0, 72 / 245, 0.0, 11 / 210)):
+        assert w == want
+
+
+def _zero_at(point, g):
+    """g, set to 0 at the point where it is singular."""
+
+    def f(x):
+        out = np.zeros_like(x, dtype=complex)
+        regular = x != point
+        out[regular] = g(x[regular])
+        return out
+
+    return f
+
+
+def _integral_of_cos_over(a, u0):
+    """Integral of cos(a/u) over (u0, u0 + 1), from u cos(a/u) + a Si(a/u)."""
+    primitive = lambda u: u * mp.cos(a / u) + a * mp.si(a / u)
+    return float(primitive(mp.mpf(u0) + 1) - primitive(mp.mpf(u0)))
+
+
+def _integral_of_exp(z, eps):
+    """Integral of exp(-z x / eps) over (0, 1)."""
+    return complex(eps / z * -mp.expm1(-mp.mpc(z) / eps))
+
+
+# the endpoint sweep on (0, 1): name -> (integrand, its closed form, tols)
+_SINGULAR = (1e-2, 1e-5, 1e-9)
+_SWEEP = {
+    **{
+        f"x^-{p}": (_zero_at(0.0, lambda x, p=p: x**-p), 1.0 / (1.0 - p), _SINGULAR)
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    },
+    "log(x)": (_zero_at(0.0, np.log), -1.0, _SINGULAR),
+    "(1-x)^-1/2": (_zero_at(1.0, lambda x: (1.0 - x) ** -0.5), 2.0, _SINGULAR),
+    "cos(200/(x+0.05))": (
+        lambda x: np.cos(200.0 / (x + 0.05)), _integral_of_cos_over(200, 0.05), _SINGULAR
+    ),
+    "cos(30/(1.02-x))": (
+        lambda x: np.cos(30.0 / (1.02 - x)), _integral_of_cos_over(30, 0.02), _SINGULAR
+    ),
+    # the derivative below tol 1e-2 takes seconds
+    "x^2 sin(x^-2)'": (classic_derivative, math.sin(1.0), (1e-2,)),
+    **{
+        f"exp({sign}x/{eps:g})": (
+            lambda x, eps=eps, sign=sign: np.exp(-x / eps if sign == "-" else (x - 1.0) / eps),
+            _integral_of_exp(1.0, eps),
+            (1e-6, 1e-7, 1e-8, 1e-9, 1e-10),
+        )
+        for eps in (1e-2, 1e-3, 1e-4)
+        for sign in ("-", "1-")
+    },
+    **{
+        f"exp(-x/{eps:g})": (
+            lambda x, eps=eps: np.exp(-x / eps), _integral_of_exp(1.0, eps), (1e-6, 1e-8, 1e-10)
+        )
+        for eps in (1e-5, 1e-6)
+    },
+    **{
+        name: (f, exact, (1e-6, 1e-8, 1e-10))
+        for eps in (1e-3, 1e-4)
+        for name, f, exact in (
+            (f"(1+x/{eps:g})^-2", lambda x, eps=eps: (1.0 + x / eps) ** -2, eps / (1.0 + eps)),
+            (
+                f"exp(-(1+20i)x/{eps:g})",
+                lambda x, eps=eps: np.exp(-(1 + 20j) * x / eps),
+                _integral_of_exp(1 + 20j, eps),
+            ),
+            (
+                f"sqrt(1-x+{eps:g})",
+                lambda x, eps=eps: np.sqrt(1.0 - x + eps),
+                2.0 / 3.0 * ((1.0 + eps) ** 1.5 - eps**1.5),
+            ),
+        )
+    },
+    # aliasing: an integer number of periods, which a lattice of start
+    # meshes can sample at zeros only
+    "sin(212160 pi x)^2": (lambda x: np.sin(212160 * np.pi * x) ** 2, 0.5, (1e-8,)),
+}
+# the cases whose prefix sums do not settle, with the Lobatto-Kronrod
+# cells as with the Simpson cells before them (which also raised for
+# x^-0.4 at 1e-9)
+_SWEEP_CAPS = {
+    ("x^-0.5", 1e-9): "_MAX_PEELS",
+    ("x^-0.6", 1e-9): "_MAX_PEELS",
+    ("x^-0.7", 1e-5): "_MAX_PEELS",
+    ("x^-0.7", 1e-9): "_MAX_PEELS",
+    ("x^-0.8", 1e-5): "_MAX_PEELS",
+    ("x^-0.8", 1e-9): "_MAX_PEELS",
+    ("x^-0.9", 1e-2): "_MAX_PEELS",
+    ("x^-0.9", 1e-5): "_MAX_PEELS",
+    ("x^-0.9", 1e-9): "_MAX_PEELS",
+    ("(1-x)^-1/2", 1e-9): "_MAX_PEELS",
+}
+
+
+@pytest.mark.parametrize(
+    "name, tol",
+    [(name, tol) for name, (_, _, tols) in _SWEEP.items() for tol in tols],
+    ids=lambda v: f"{v:g}" if isinstance(v, float) else v,
+)
+def test_endpoint_sweep_lands_within_tol_or_names_the_cap(name, tol):
+    f, exact, _ = _SWEEP[name]
+    cap = _SWEEP_CAPS.get((name, tol))
+    if cap is not None:
+        with pytest.raises(NoConvergenceError) as info:
+            hk_integrate_1d(f, (0.0, 1.0), tol)
+        assert info.value.cap == cap
+        return
+    rep = hk_integrate_1d(f, (0.0, 1.0), tol)
+    assert rep.converged
+    assert abs(rep.value - exact) <= tol
 
 
 def test_no_convergence_names_the_cap(monkeypatch):
@@ -265,6 +398,32 @@ def test_interior_singularity_fails_loudly():
 def test_scalar_only_callable_is_accepted():
     rep = hk_integrate_1d(lambda x: float(x) ** 2, (0.0, 1.0), 1e-10)
     assert abs(rep.value - 1.0 / 3.0) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "f, tol, exact",
+    [
+        (lambda x: x * x, 1e-10, 1.0 / 3.0),
+        (lambda x: 2 * x * math.sin(x**-2) - 2 / x * math.cos(x**-2) if x else 0.0, 1e-2, math.sin(1.0)),
+    ],
+    ids=["smooth", "peeled"],
+)
+def test_scalar_only_integrand_refuses_one_array_per_call(f, tol, exact):
+    # the first array offered is refused; every later level, round, core
+    # and annulus of the same call asks point by point
+    refused = 0
+
+    def scalar_only(x):
+        nonlocal refused
+        if isinstance(x, np.ndarray):
+            refused += 1
+            raise TypeError("scalar only")
+        return f(x)
+
+    for calls in (1, 2):
+        rep = hk_integrate_1d(scalar_only, (0.0, 1.0), tol)
+        assert abs(rep.value - exact) <= tol
+        assert refused == calls
 
 
 # ---------------------------------------------------------------------------

@@ -1251,3 +1251,14 @@ class TestReferenceSolver:
         expect = (pref * np.exp(phase) * psi[None, :]).sum(axis=1) * h
         l2 = math.sqrt(float(np.sum(np.abs(out - expect) ** 2)) * h)
         assert l2 < 1e-3
+
+
+def test_chebyshev_to_power_table_matches_numpy():
+    # the table that the custom fit converts its Chebyshev coefficients
+    # with, built by the three-term recurrence, against numpy's conversion
+    from gaugeint import propagator
+
+    want = np.zeros((_CUSTOM_FIT_DEGREE + 1, _CUSTOM_FIT_DEGREE + 1))
+    for k in range(_CUSTOM_FIT_DEGREE + 1):
+        want[: k + 1, k] = _cheb.cheb2poly(np.eye(k + 1)[k])
+    assert np.array_equal(propagator._CHEB2POLY, want)
