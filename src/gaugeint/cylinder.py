@@ -340,20 +340,16 @@ def _extended_rule(dt: float, radius: float, cells: int):
     return nodes, w
 
 
-def _window_value(fv, sched: IncrementSchedule, radius: float, tol: float) -> complex:
-    """n = 1: the adaptive Filon window on [-R, R] plus the cubic Taylor tails."""
-    dt = sched.increments[0]
-    g = lambda u: fv(sched.origin_point + np.asarray(u, dtype=float)[:, None])
+def _window_value(g, dt: float, window: tuple[float, float], tol: float) -> complex:
+    """n = 1: the adaptive Filon integral of e^{i u^2 / (2 dt)} g(u) over a
+    window, the core [-R, R] or one annulus that the radius check adds."""
     try:
-        core = adaptive_chirp_integral(g, 0.5 / dt, 0.0, (-radius, radius), tol,
-                                       max_levels=10)[0]
+        return adaptive_chirp_integral(g, 0.5 / dt, 0.0, window, tol, max_levels=10)[0]
     except NoConvergenceError:
         # the Filon ladder is first order on a jump; the tag-adaptive
         # window rule bisects a jump chain down to machine width instead
         whole = lambda u: g(u) * np.exp(0.5j / dt * np.square(u))
-        core = hk_integrate_1d(whole, (-radius, radius), tol).value
-    u = radius - _TAIL_STEP * np.arange(6)
-    return core + _taylor_tail(0.5j / dt, radius, _TAIL_STEP, 3, 6) @ (g(u) + g(-u))
+        return hk_integrate_1d(whole, window, tol).value
 
 
 def _vectorized_nd(f):
@@ -401,17 +397,34 @@ def _tensor_sum(fv, nodes_list, weights_list) -> complex:
     return fsum_complex(partials)
 
 
-def _tensor_value(fv, sched: IncrementSchedule, radius: float, cells: int) -> complex:
-    """n >= 2: the tensor product of the increments' extended rules."""
+def _tensor_value(fv, sched: IncrementSchedule, radius: float, cells: int,
+                  narrow: int = 0) -> complex:
+    """n >= 2: the tensor product of the increments' extended rules or, given
+    narrow (a multiple of 4) cells of the same width on [-R/1.5, R/1.5], only
+    what the wider window adds: prod W'_k - prod W_k = sum_k W_<k (W'_k - W_k)
+    W'_>k, and W'_k - W_k lives on the annuli and the six tail nodes at each
+    end of the narrow window, where the wide nodes hold the narrow ones."""
     if (3 * cells + 1) ** sched.dim > _MAX_POINTS:
         raise NoConvergenceError(
             f"tensor reduction needs {3 * cells + 1}^{sched.dim} points, over "
             f"_MAX_POINTS ({_MAX_POINTS})", cap="_MAX_POINTS")
-    rules = (_extended_rule(dt, radius, cells) for dt in sched.increments)
-    nodes, weights = zip(*rules)
-    # grid points are increments; coordinates are their prefix sums
-    incs = lambda p: fv(np.cumsum(p, axis=1) + sched.origin_point)
-    return _tensor_sum(incs, nodes, weights)
+    rules = [_extended_rule(dt, radius, cells) for dt in sched.increments]
+
+    def incs(p):  # grid points are increments: summed in place into coordinates
+        for k in range(1, p.shape[1]):
+            p[:, k] += p[:, k - 1]
+        return fv(np.add(p, sched.origin_point, out=p))
+
+    if not narrow:
+        return _tensor_sum(incs, *zip(*rules))
+    inner = [_extended_rule(dt, radius / 1.5, narrow) for dt in sched.increments]
+    off, m = 3 * narrow // 4, 3 * narrow + 1  # wide nodes per annulus, narrow nodes
+    added = np.r_[: off + 6, off + m - 6 : 2 * off + m]
+    parts = []
+    for k, (nodes, w) in enumerate(rules):
+        dw = w[added] - np.pad(inner[k][1], off)[added]
+        parts.append(_tensor_sum(incs, *zip(*inner[:k], (nodes[added], dw), *rules[k + 1 :])))
+    return fsum_complex(parts)
 
 
 def _reduction(fv, sched: IncrementSchedule, tol: float) -> complex:
@@ -421,15 +434,23 @@ def _reduction(fv, sched: IncrementSchedule, tol: float) -> complex:
     max(tol 1e-2, 1e-11); n >= 2 doubles the cells until two levels agree
     within 15 inner_tol (the rule is fourth order) and adds their
     Richardson correction.  Tail: R grows by half at the same cell width
-    until two radii agree within tol.  NoConvergenceError names the cap,
-    _MAX_POINTS or _MAX_RADIUS, that stops a run.
+    until two radii agree within tol; each step integrates only the annuli
+    it adds to [-R, R] and swaps the tails at +-R for those at +-1.5 R.
+    NoConvergenceError names the cap, _MAX_POINTS or _MAX_RADIUS, that
+    stops a run.
     """
     tol = _require_positive("tol", tol)
     inner_tol = max(tol * 1e-2, 1e-11)  # floor: the windowed chirp core bottoms out
     norm = math.prod(ROOT_MINUS_I_OVER_2PI / math.sqrt(dt) for dt in sched.increments)
     if sched.dim == 1:
-        value_at = lambda r: norm * _window_value(fv, sched, r, inner_tol)
-        value, correction = value_at(_RADIUS), 0.0
+        dt = sched.increments[0]
+        g = lambda u: fv(sched.origin_point + np.asarray(u, dtype=float)[:, None])
+        piece = lambda lo, hi: _window_value(g, dt, (lo, hi), inner_tol)
+        tails = lambda r: _taylor_tail(0.5j / dt, r, _TAIL_STEP, 3, 6) @ (
+            g(r - _TAIL_STEP * np.arange(6)) + g(_TAIL_STEP * np.arange(6) - r))
+        value, correction = norm * (piece(-_RADIUS, _RADIUS) + tails(_RADIUS)), 0.0
+        widen = lambda v, r: v + norm * (piece(r, 1.5 * r) + piece(-1.5 * r, -r)
+                                         + tails(1.5 * r) - tails(r))
     else:
         cells, prev = _START_CELLS, None
         value = norm * _tensor_value(fv, sched, _RADIUS, cells)
@@ -437,12 +458,15 @@ def _reduction(fv, sched: IncrementSchedule, tol: float) -> complex:
             prev, cells = value, 2 * cells
             value = norm * _tensor_value(fv, sched, _RADIUS, cells)
         correction = (value - prev) / 15.0
-        value_at = lambda r: norm * _tensor_value(
-            fv, sched, r, round(cells * r / _RADIUS))
+        def widen(v, r):
+            narrow, wide = (round(cells * s / _RADIUS) for s in (r, 1.5 * r))
+            if narrow % 4 or 2 * wide != 3 * narrow:  # the wide nodes miss the narrow
+                return norm * _tensor_value(fv, sched, 1.5 * r, wide)
+            return v + norm * _tensor_value(fv, sched, 1.5 * r, wide, narrow)
     radius = _RADIUS
     while 1.5 * radius <= _MAX_RADIUS:
+        wider = widen(value, radius)
         radius *= 1.5
-        wider = value_at(radius)
         if abs(wider - value) <= tol:
             return complex(wider + correction)
         value = wider
@@ -465,7 +489,8 @@ def reduce_cylinder_integral(
     integral is taken with no damping (_reduction): per increment, exact
     chirp Filon cells on a window [-R, R] and a cubic Taylor tail of f
     past +-R against Abel-limit tail moments, as a tensor product for
-    n >= 2.  Discontinuous f is supported for n = 1 (the adaptive path);
+    n >= 2.  The radius check grows R by integrating only the added
+    annuli.  Discontinuous f is supported for n = 1 (the adaptive path);
     for n >= 2 the tensor rule assumes f smooth.
     """
     if tuple(times.times) != tuple(sched.times):

@@ -536,6 +536,101 @@ def test_reduce_plane_waves_land_within_tol_or_name_a_cap():
             assert abs(v - want) < tol, (n, a, tau, abs(v - want))
 
 
+def gaussian_cylinder(a_matrix, times):
+    """Closed form of the reduction of e^{-(x - x0)^T A (x - x0) / 2} with
+    origin x0: the complex Gaussian prod_j (2 pi i dt_j)^{-1/2} (2 pi)^{n/2}
+    / sqrt(det(A - i B)), B = D^T diag(1 / dt) D for D the difference
+    operator; each eigenvalue factor of L^{-1} (A - i B) L^{-T} has real
+    part 1, so the principal roots multiply continuously."""
+    dts = np.diff(np.concatenate([[0.0], times]))
+    d = np.eye(dts.size) - np.eye(dts.size, k=-1)
+    linv = np.linalg.inv(np.linalg.cholesky(a_matrix))
+    ck = np.linalg.eigvalsh(linv @ (d.T @ np.diag(1.0 / dts) @ d) @ linv.T)
+    root_det = math.sqrt(np.linalg.det(a_matrix)) * complex(np.prod(np.sqrt(1.0 - 1j * ck)))
+    norm = complex(np.prod([cmath.sqrt(1.0 / (2j * math.pi * dt)) for dt in dts]))
+    return norm * (2.0 * math.pi) ** (0.5 * dts.size) / root_det
+
+
+@pytest.mark.parametrize("a_matrix, x0, times, tol, budget", [
+    # the radius check used to integrate [-1.5 R, 1.5 R] whole: 18,455
+    # points at n = 1 and 530,213 at n = 2 on these Gaussians
+    ([[0.97]], 0.94, (0.88,), 1e-6, 18_455 // 2),
+    ([[0.84, 0.003], [0.003, 0.84]], 0.58, (0.63, 1.29), 1e-4, 0.8 * 530_213),
+])
+def test_radius_check_integrates_only_the_added_annuli(a_matrix, x0, times, tol, budget):
+    a_matrix = np.array(a_matrix)
+    points = []
+
+    def gaussian(p):
+        points.append(p.shape[0])
+        d = p - x0
+        return np.exp(-0.5 * np.einsum("mi,ij,mj->m", d, a_matrix, d))
+
+    sched = IncrementSchedule(times=times, origin_point=x0)
+    v = reduce_cylinder_integral(gaussian, TimeSet(times), sched, tol)
+    assert abs(v - gaussian_cylinder(a_matrix, times)) < tol
+    assert sum(points) <= budget, sum(points)
+
+
+def test_radius_step_sums_a_wider_grid_whole_when_it_misses_the_narrow_nodes(monkeypatch):
+    import gaugeint.cylinder as cylinder
+
+    # 18 cells on [-8, 8] give 27 on [-12, 12] at the same width, and the
+    # annuli of 4.5 cells put the wide nodes between the narrow ones
+    monkeypatch.setattr(cylinder, "_START_CELLS", 9)
+    calls = []
+    tensor_value = cylinder._tensor_value
+    monkeypatch.setattr(cylinder, "_tensor_value",
+                        lambda *args: calls.append(args[2:]) or tensor_value(*args))
+    x0, times = 0.4, (0.3, 0.7)
+    sched = IncrementSchedule(times=times, origin_point=x0)
+    v = reduce_cylinder_integral(lambda p: p[:, -1] ** 2, TimeSet(times), sched, 1e-6)
+    assert calls == [(8.0, 9), (8.0, 18), (12.0, 27)]
+    assert abs(v - (x0**2 + 0.7j)) < 1e-6
+
+
+@pytest.mark.parametrize("times", [(0.4, 0.9), (0.3, 0.8, 1.4)])
+def test_tensor_points_are_prefix_sums_of_the_increments(times):
+    import gaugeint.cylinder as cylinder
+
+    rng = np.random.default_rng(20261020)
+    x0 = float(rng.uniform(-1.0, 1.0))
+    k = rng.normal(size=len(times))
+    sched = IncrementSchedule(times=times, origin_point=x0)
+    fv = lambda p: np.exp(1j * (p @ k) - 0.1 * np.sum(p * p, axis=1))
+    nodes, weights = zip(*(cylinder._extended_rule(dt, 8.0, 16) for dt in sched.increments))
+    want = cylinder._tensor_sum(lambda p: fv(np.cumsum(p, axis=1) + x0), nodes, weights)
+    assert cylinder._tensor_value(fv, sched, 8.0, 16) == want
+
+
+def test_reduce_indicator_with_a_jump_in_the_first_annulus(monkeypatch):
+    import mpmath
+
+    import gaugeint.cylinder as cylinder
+
+    # the jump at 10 lies in the annulus (8, 12) that the first radius step
+    # adds; the Filon ladder cannot settle on it, so that piece alone falls
+    # back to the tag-adaptive window rule
+    windows = []
+    hk = cylinder.hk_integrate_1d
+    monkeypatch.setattr(cylinder, "hk_integrate_1d",
+                        lambda f, window, tol: windows.append(window) or hk(f, window, tol))
+    dt, tol = 1.05, 1e-6
+    sched = IncrementSchedule(times=(dt,))
+    f = lambda p: (p[:, 0] <= 10.0).astype(complex)
+    # Int_{-inf}^{10} (2 pi i dt)^{-1/2} e^{i u^2 / (2 dt)} du by Fresnel C and S
+    z = 10.0 / mpmath.sqrt(mpmath.pi * dt)
+    half = mpmath.sqrt(mpmath.pi) * (mpmath.mpf(0.5) + 0.5j + mpmath.fresnelc(z) + 1j * mpmath.fresnels(z))
+    want = complex(half / mpmath.sqrt(2j * mpmath.pi))
+    try:
+        v = reduce_cylinder_integral(f, TimeSet((dt,)), sched, tol)
+    except GaugeIntError as exc:
+        assert getattr(exc, "cap", None) is not None, exc
+    else:
+        assert abs(v - want) < tol, abs(v - want)
+    assert (8.0, 12.0) in windows
+
+
 def test_reduce_marginal_consistency():
     # f depends only on the first coordinate: integrating the second out
     # must reproduce the one-dimensional reduction on the truncated schedule
