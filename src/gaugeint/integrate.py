@@ -226,17 +226,15 @@ def _adaptive_verified(fv, a, b, tol):
 
     A single adaptive run can alias (accept confidently wrong values) when
     the integrand oscillates below its initial mesh, so runs restart on
-    denser start meshes until three consecutive converged rounds agree
-    within their combined estimates.  The start counts follow mc -> 2*mc+7
-    so successive meshes never nest: nested starts refine to identical
-    leaves under deterministic bisection and would rubber-stamp each other.
-    Returns the same tuple shape as _adaptive_core; cap is None on
-    agreement, the core's cap when a round stopped with more than tol
-    unsettled, and "_MAX_ROUNDS" when the rounds never agreed.
+    denser start meshes until a converged run agrees with the run just
+    before it within their combined estimates.  The start counts follow
+    mc -> 2*mc+7 so successive meshes never nest: nested starts refine to
+    identical leaves under deterministic bisection and would rubber-stamp
+    each other.  Returns the same tuple shape as _adaptive_core; cap is None
+    on agreement, the core's cap when a run stopped with more than tol
+    unsettled, and "_MAX_ROUNDS" when no two successive runs agreed.
     """
-    history: list[tuple[complex, float]] = []
-    total_levels = 0
-    mc = 16
+    prev_v, prev_e, total_levels, mc = None, 0.0, 0, 16
     for _ in range(_MAX_ROUNDS):
         v, e, lv, cap, flo, fhi = _adaptive_core(fv, a, b, tol, min_cells=mc)
         total_levels += lv
@@ -246,13 +244,12 @@ def _adaptive_verified(fv, a, b, tol):
             return v, e, total_levels, cap, flo, fhi
         # a level-capped run whose carried cells contribute less than tol
         # (e.g. a jump chain bisected to negligible width) is a settled
-        # measurement and joins the agreement test like any other round
-        history.append((v, e))
-        if len(history) >= 3:
-            (v1, e1), (v2, e2), (v3, e3) = history[-3:]
-            drift = max(abs(v1 - v3), abs(v2 - v3))
-            if drift <= max(0.5 * tol, 2.0 * (max(e1, e2) + e3)):
-                return v3, max(e3, drift), total_levels, None, flo, fhi
+        # measurement and joins the agreement test like any other run
+        if prev_v is not None:
+            drift = abs(v - prev_v)
+            if drift <= max(0.5 * tol, 2.0 * (prev_e + e)):
+                return v, max(e, drift), total_levels, None, flo, fhi
+        prev_v, prev_e = v, e
         mc = 2 * mc + 7
     return v, e, total_levels, "_MAX_ROUNDS", np.empty(0), np.empty(0)
 
@@ -265,16 +262,16 @@ def hk_integrate_1d(f, window: tuple[float, float], tol: float = 1e-8) -> Integr
     """Adaptively integrate f over a finite open window.
 
     f maps a float ndarray to complex values elementwise (scalar-only
-    callables are detected once and looped).  Refinement bisects exactly
-    the cells whose 13- and 7-point Lobatto-Kronrod values disagree beyond
-    their share of tol, and three runs from non-nested start meshes must
-    agree.  If refinement stalls flush against a window endpoint (the
-    core's stall exit, or a cap with the unsettled cells at the endpoint),
-    geometric annuli are peeled off that endpoint and the endpoint cell
-    enters as f(endpoint) times width once the peeled partial sums
-    stabilize, mirroring a gauge that pins the tag to the endpoint.  A
-    NoConvergenceError names the limit that stopped the run, in its
-    message and as its cap attribute: "_MAX_CELLS", "_MAX_LEVELS" or
+    callables are detected once and looped).  Refinement bisects exactly the
+    cells whose 13- and 7-point Lobatto-Kronrod values disagree beyond their
+    share of tol, and a run is accepted once it agrees with the run before
+    it, from a non-nested start mesh.  If refinement stalls flush against a
+    window endpoint (the core's stall exit, or a cap with the unsettled
+    cells at the endpoint), geometric annuli are peeled off that endpoint
+    and the endpoint cell enters as f(endpoint) times width once the peeled
+    partial sums stabilize, mirroring a gauge that pins the tag to the
+    endpoint.  A NoConvergenceError names the limit that stopped the run, in
+    its message and as its cap attribute: "_MAX_CELLS", "_MAX_LEVELS" or
     "_STALL_LEVELS" of an adaptive run, "_MAX_ROUNDS" of its verification,
     or "_MAX_PEELS".
     """
@@ -409,6 +406,8 @@ def fresnel_line_integral(c: complex, tol: float = 1e-8) -> complex:
 def alexiewicz_seminorm(f, interval: tuple[float, float], grid: int, tol: float = 1e-9) -> float:
     """sup over grid points of |prefix integral| from the interval's start."""
     a, b = (_require_number("interval", x) for x in interval)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError("interval must be finite with lower < upper")
     grid = _require_count("grid", grid, 2)
     cuts = np.linspace(a, b, grid + 1)
     best = 0.0
