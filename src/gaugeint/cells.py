@@ -217,9 +217,9 @@ class Division1D:
     """A finite ordered collection of tagged cells, held as read-only float
     arrays tags, lo and hi (lo = -inf, hi = +inf on the unbounded shapes).
 
-    Built from TaggedCell1D items or an (n, 3) array of checked rows (tag,
-    lo, hi).  Validity (tiling of R, association, fineness) is diagnosed by
-    validate_division rather than enforced here.
+    Built from TaggedCell1D items or an (n, 3) array of rows (tag, lo, hi),
+    each with lo < hi and a tag that is not NaN.  Validity (tiling of R,
+    association, fineness) is diagnosed by validate_division instead.
     """
 
     __slots__ = ("tags", "lo", "hi", "_key")
@@ -230,6 +230,11 @@ class Division1D:
         if items.ndim != 2 or items.shape[1] != 3 or len(items) == 0:
             raise ValueError("a division needs at least one item, as (tag, lo, hi) rows")
         table = np.array(items, dtype=float).T.copy()
+        bad = ~(table[1] < table[2]) | np.isnan(table[0])
+        if bad.any():
+            i = int(bad.argmax())
+            row = tuple(table[:, i].tolist())
+            raise ValueError(f"division row {i} {row} needs lo < hi and a tag that is not NaN")
         table.flags.writeable = False
         self.tags, self.lo, self.hi = table
         self._key = (table + 0.0).tobytes()  # + 0.0: -0.0 equals 0.0, as for floats
@@ -491,7 +496,9 @@ def division_from_json(text: str) -> Division1D:
         try:
             lo, hi = _edges_from_json(obj["kind"], obj["bounds"])
             tag = obj["tag"]
-            rows.append((float(tag) if tag in ("inf", "-inf") else _check_extended(tag, "tag"), lo, hi))
+            if tag not in ("inf", "-inf") and not isfinite(tag := _check_extended(tag, "tag")):
+                raise ValueError(f'a number tag must be finite (infinite ones are "inf", "-inf"), got {tag}')
+            rows.append((float(tag), lo, hi))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"division item {index}: {exc}") from exc
     return Division1D(np.array(rows).reshape(-1, 3))

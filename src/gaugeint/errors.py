@@ -135,12 +135,15 @@ def _require_count(name: str, value, minimum: int) -> int:
 
 
 def _require_number(name: str, value) -> float:
-    """value as a float; any real number type but bool (so no strings)."""
-    if type(value) in (float, int):  # the common case, before the ABC check
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """value as a float; any real number type but bool (so no strings), in the float range."""
+    if type(value) not in (float, int) and (  # the common case skips the ABC check
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range") from None
 
 
 def _require_complex(name: str, value) -> complex:

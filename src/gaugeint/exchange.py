@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Cell1D, CellND
 from .errors import (
     NoMFoundError,
     _require_count,
@@ -26,7 +25,7 @@ from .errors import (
     _require_positive,
     guarded_values,
 )
-from .fresnel import IncrementSchedule, incremental_density
+from .fresnel import IncrementSchedule, _finite_density
 from .integrate import hk_integrate_1d
 from .propagator import (
     PropagatorQuery,
@@ -107,25 +106,23 @@ def abs_g0_growth(
     The modulus of the free density is constant in the tags, so the sum
     is a pure volume count; it is nevertheless computed as an honest
     tagged-division Riemann sum (corner tags) through the same density
-    the distributions use.  The resulting table grows like (2R)^n — the
-    standard witness that the density is not absolutely integrable.
+    the distributions use, with the tags, volumes and phases of all
+    cells_per_axis^n cells of a box as arrays.  The resulting table grows
+    like (2R)^n — the standard witness that the density is not absolutely
+    integrable.
     """
     n = sched.dim
     if n > 4:
         raise ValueError("growth tables are limited to dimension <= 4")
     cells_per_axis = _require_count("cells_per_axis", cells_per_axis, 1)
     radii = _require_radii(radii)
+    multi = np.indices((cells_per_axis,) * n).reshape(n, -1).T  # np.ndindex order
     values = []
     for r in radii:
         edges = np.linspace(-r, r, cells_per_axis + 1)
-        total = 0.0
-        for multi in np.ndindex(*([cells_per_axis] * n)):
-            factors = tuple(
-                Cell1D.bounded(edges[k], edges[k + 1]) for k in multi
-            )
-            tags = tuple(edges[k] for k in multi)  # corner association
-            total += abs(incremental_density(CellND(tags, factors), sched))
-        values.append(total)
+        volume = np.prod(np.diff(edges)[multi], axis=-1)
+        density = _finite_density(edges[multi], volume, sched)  # corner association
+        values.append(math.fsum(np.abs(density).tolist()))
     return GrowthTable(radii, tuple(values), (cells_per_axis,) * len(values), n)
 
 

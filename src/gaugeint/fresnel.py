@@ -198,17 +198,22 @@ def incremental_density(cell: CellND, sched: IncrementSchedule) -> complex:
         )
     if not cell.is_associated():
         raise AssociationError("tags are not associated with the cell")
-    dts = sched.increments
     if all(math.isfinite(t) for t in cell.tags):
-        prev = sched.origin_point
-        phase = 0.0
-        norm = complex(1.0)
-        for x, dt in zip(cell.tags, dts):
-            phase += (x - prev) ** 2 / dt
-            norm *= ROOT_MINUS_I_OVER_2PI / math.sqrt(dt)
-            prev = x
-        return norm * complex(np.exp(0.5j * phase)) * cell.volume()
+        return complex(_finite_density(np.array(cell.tags), cell.volume(), sched))
     return incremental_distribution(cell.factors, sched)
+
+
+def _finite_density(tags: np.ndarray, volume, sched: IncrementSchedule) -> np.ndarray:
+    """incremental_density's finite-tag branch on arrays: the cells' finite
+    tags run along the last axis of tags, their volumes fill volume."""
+    prev = sched.origin_point
+    phase = 0.0
+    norm = complex(1.0)
+    for x, dt in zip(np.moveaxis(tags, -1, 0), sched.increments):
+        phase = phase + (x - prev) ** 2 / dt
+        norm *= ROOT_MINUS_I_OVER_2PI / math.sqrt(dt)
+        prev = x
+    return norm * np.exp(0.5j * phase) * volume
 
 
 def incremental_distribution(

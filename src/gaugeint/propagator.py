@@ -17,6 +17,7 @@ per lattice offset (O(j N) of them) and read off it by the N centres.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -509,6 +510,15 @@ for _k in range(2, _CUSTOM_FIT_DEGREE + 1):
     _CHEB2POLY[:, _k] = 2.0 * np.roll(_CHEB2POLY[:, _k - 1], 1) - _CHEB2POLY[:, _k - 2]
 
 
+@functools.cache
+def _custom_fit() -> tuple[np.ndarray, np.ndarray]:
+    """Fit nodes t on [-1, 1] and their least-squares Chebyshev fit, as a matrix to powers."""
+    t = np.cos(np.linspace(0.0, math.pi, 4 * _CUSTOM_FIT_DEGREE + 1))
+    fit = _CHEB2POLY @ np.linalg.pinv(_cheb.chebvander(t, _CUSTOM_FIT_DEGREE))
+    t.flags.writeable = fit.flags.writeable = False
+    return t, fit
+
+
 def _chi_levels(
     q: PropagatorQuery,
     rmax: int,
@@ -520,10 +530,12 @@ def _chi_levels(
 
     Entry r is an (nt, r*degV + 1) array: chi_r(u, t_i) = sum_k
     coeffs[i, k] u^k with u the displacement from the start point.  A
-    level is four array steps over every (time node t_i, Gauss node s)
-    pair: interpolate the previous level at s (one complex matrix
-    product), multiply by V(., s), take the bridge moments, and sum over
-    s.  A custom potential is fitted from one Potential.values call for all s.
+    level is array steps on (power, pair) arrays over every (time node t_i,
+    Gauss node s) pair: interpolate the previous level at s (one complex
+    matrix product), multiply by V(., s), take the bridge moments (one
+    multiply-add per even power, from tables built for the widest level),
+    and sum over s.  A custom potential is fitted from one Potential.values
+    call for all s, by one product with the cached fit matrix.
     """
     nt = _TIME_NODES
     t0, t1 = q.tau_prime, q.tau
@@ -537,21 +549,21 @@ def _chi_levels(
     ti = tnodes[1:, None]  # chi_r(., tau') = 0 for r >= 1
     span = ti - t0
     s = t0 + 0.5 * span * (glx + 1.0)
-    sweights = 0.5 * span * glp[:, 0].real
-    lam = (s - t0) / span
-    var = 1j * (ti - s) * (s - t0) / (span * mass)
+    sweights = (0.5 * span * glp[:, 0].real)[..., None].astype(complex)  # (t_i, s, 1)
+    lam = ((s - t0) / span).ravel()
+    var = (1j * (ti - s) * (s - t0) / (span * mass)).ravel()
 
-    # barycentric interpolation from the time nodes to every s, as one matrix
+    # barycentric interpolation from the time nodes to every s: one matrix with
+    # normalized rows, kept transposed and complex (complex @ complex stays in BLAS)
     diffs = s[..., None] - tnodes
     exact = np.abs(diffs) < 1e-14 * np.maximum(1.0, np.abs(s))[..., None]
     with np.errstate(divide="ignore"):
         interp = bary / diffs
     hit = exact.any(axis=-1)
     interp[hit] = np.eye(nt)[exact[hit].argmax(axis=-1)]  # s on a node
-    norm = interp.sum(axis=-1)[..., None]
-    interp = interp.reshape(-1, nt).astype(complex)  # complex @ complex stays in BLAS
+    interp_t = (interp / interp.sum(axis=-1)[..., None]).reshape(-1, nt).T.astype(complex)
 
-    # V(xi' + u, s) as power-series coefficients in u
+    # V(xi' + u, s) as power-series coefficients in u, one row per power
     pot = q.potential
     if pot.analytic_tag == "zero":
         vcoef = np.zeros(1)
@@ -561,38 +573,38 @@ def _chi_levels(
         w2, xp = 0.5 * pot.omega * pot.omega, q.xi_prime
         vcoef = np.array([w2 * xp * xp, 2.0 * w2 * xp, w2])
     else:  # one Chebyshev fit in u / window with every s as a column
-        deg = _CUSTOM_FIT_DEGREE
-        t = np.cos(np.linspace(0.0, math.pi, 4 * deg + 1))
+        t, fit = _custom_fit()
         vals = pot.values(q.xi_prime + window * t, s).reshape(-1, t.size)
-        mono = _CHEB2POLY @ _cheb.chebfit(t, vals.T, deg)
-        vcoef = (mono.T / window ** np.arange(deg + 1)).reshape(s.shape + (-1,))
-    degv = vcoef.shape[-1] - 1
+        vcoef = (fit @ vals.T) / window ** np.arange(_CUSTOM_FIT_DEGREE + 1)[:, None]
+    degv = vcoef.shape[0] - 1
+
+    # E[(lam u + W)^j] in powers u^p: lam^p sum_m C(p + 2m, p) E[W^2m] pv[p + 2m],
+    # for the bridge fluctuation W with E[W^2m] = var^m (2m-1)!!; the tables
+    # serve every level up to the widest, rmax * degV + 1
+    wmax = rmax * degv + 1
+    steps = np.ones(((wmax + 1) // 2, var.size), dtype=complex)
+    steps[1:] = (2 * np.arange(1, len(steps)) - 1)[:, None] * var
+    w_moments = np.cumprod(steps, axis=0)
+    comb = np.array([[math.comb(p + 2 * m, p) for m in range(len(steps))] for p in range(wmax)], float)
+    lam_powers = lam ** np.arange(wmax)[:, None]
 
     levels = [np.ones((nt, 1), dtype=complex)]
     for _ in range(rmax):
-        prev = levels[-1]
-        nprev = prev.shape[1]
+        prev = levels[-1].T
+        nprev = prev.shape[0]
         width = nprev + degv
-        at_s = (interp @ prev).reshape(s.shape + (nprev,)) / norm
-        pv = np.zeros(s.shape + (width,), dtype=complex)
+        at_s = prev @ interp_t
+        pv = np.zeros((width, var.size), dtype=complex)
         for k in range(degv + 1):
-            pv[..., k : k + nprev] += vcoef[..., k, None] * at_s
-        # E[(lam u + W)^j] in powers u^p: lam^p sum_m C(p + 2m, p) E[W^2m]
-        # pv[p + 2m], for the bridge fluctuation W with E[W^2m] = var^m (2m-1)!!
+            pv[k : k + nprev] += vcoef[k] * at_s
         moments = pv.copy()
-        w_moment = np.ones_like(var)
         for m in range(1, (width + 1) // 2):
-            w_moment = w_moment * ((2 * m - 1) * var)
             n = width - 2 * m
-            comb = np.array([math.comb(p + 2 * m, p) for p in range(n)], dtype=float)
-            moments[..., :n] += comb * w_moment[..., None] * pv[..., 2 * m :]
-        moments *= lam[..., None] ** np.arange(width)
-        acc = np.zeros((nt - 1, width), dtype=complex)
-        for g in range(_GL_NODES):
-            acc += sweights[:, g, None] * moments[:, g]
-        cur = np.zeros((nt, width), dtype=complex)
-        cur[1:] = -1j * acc
-        levels.append(cur)
+            moments[:n] += comb[:n, m, None] * w_moments[m] * pv[2 * m :]
+        moments *= lam_powers[:width]
+        cur = np.zeros((width, nt), dtype=complex)
+        cur[:, 1:] = -1j * (moments.reshape(width, nt - 1, 1, -1) @ sweights)[..., 0, 0]
+        levels.append(cur.T)
     return levels
 
 

@@ -522,6 +522,33 @@ def test_division_equality_is_a_bool_and_hash_agrees():
         d.tags[0] = 0.0  # read-only
 
 
+@pytest.mark.parametrize(
+    "row",
+    [(0.5, math.nan, 1.0), (math.nan, 0.0, 1.0), (1.0, 2.0, 1.0), (inf, inf, inf), (0.0, 1.0, 1.0)],
+    ids=["nan-edge", "nan-tag", "lo-above-hi", "all-inf", "empty"],
+)
+def test_division_rows_must_hold_a_cell_and_a_tag(row):
+    good = (-inf, -inf, 0.0)
+    with pytest.raises(ValueError, match=r"division row 1 "):
+        Division1D(np.array([good, row]))
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ('[{"tag": 1%s, "kind": "bounded", "bounds": [0, 1]}]' % ("0" * 400), "tag is past the float range"),
+        ('[{"tag": 0, "kind": "bounded", "bounds": [0, 1%s]}]' % ("0" * 400), "bound is past the float range"),
+        ('[{"tag": Infinity, "kind": "pos_tail", "bounds": [0]}]', "number tag must be finite"),
+        ('[{"tag": 1e400, "kind": "pos_tail", "bounds": [0]}]', "number tag must be finite"),
+        ('[{"tag": -Infinity, "kind": "neg_tail", "bounds": [0]}]', "number tag must be finite"),
+    ],
+    ids=["huge-int-tag", "huge-int-bound", "Infinity-tag", "1e400-tag", "minus-Infinity-tag"],
+)
+def test_division_json_refuses_numbers_past_the_float_range(text, what):
+    with pytest.raises(ValueError, match=f"division item 0: .*{what}"):
+        division_from_json(text)
+
+
 @pytest.mark.parametrize("vectorised", [False, True])
 def test_cousin_refuses_bad_gauges(vectorised):
     def gauge(inner, at_inf=0.5):

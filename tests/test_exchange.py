@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from gaugeint.cells import Cell1D, CellND
 from gaugeint.config import LabConfig
 from gaugeint.errors import IntegrandError, NoMFoundError
 from gaugeint.exchange import (
@@ -25,7 +26,7 @@ from gaugeint.exchange import (
     growth_verdict,
     partial_sum_family,
 )
-from gaugeint.fresnel import IncrementSchedule
+from gaugeint.fresnel import IncrementSchedule, incremental_density
 from gaugeint.propagator import (
     Potential,
     PropagatorQuery,
@@ -148,7 +149,34 @@ def test_partial_sum_family_checks_its_numbers(args, kwargs, message):
         partial_sum_family(*args, **kwargs)
 
 
+def _per_cell_growth(sched, r, cells_per_axis):
+    """One row of abs_g0_growth cell by cell: a CellND with corner tags and
+    one incremental_density call per cell of the box [-r, r]^n."""
+    edges = np.linspace(-r, r, cells_per_axis + 1)
+    total = 0.0
+    for multi in np.ndindex(*([cells_per_axis] * sched.dim)):
+        factors = tuple(Cell1D.bounded(edges[k], edges[k + 1]) for k in multi)
+        tags = tuple(edges[k] for k in multi)
+        total += abs(incremental_density(CellND(tags, factors), sched))
+    return total
+
+
 class TestAbsG0Growth:
+    @pytest.mark.parametrize(
+        "times",
+        [(0.45,), (0.45, 0.6), (0.45, 0.6, 1.3), (0.45, 0.6, 1.3, 1.35)],
+        ids=["n1", "n2", "n3", "n4"],
+    )
+    def test_rows_match_the_per_cell_density_loop(self, times):
+        # uneven increments 0.25, 0.15, 0.7, 0.05 from a nonzero origin
+        sched = IncrementSchedule(times, origin_time=0.2, origin_point=-0.7)
+        radii = (0.5, 1.5, 3.0)
+        for cells in (1, 3, 4):
+            table = abs_g0_growth(sched, radii, cells_per_axis=cells)
+            for r, v in zip(radii, table.values):
+                want = _per_cell_growth(sched, r, cells)
+                assert abs(v - want) <= 1e-13 * want, (cells, r, v, want)
+
     def test_unit_schedule_rows_match_closed_form(self):
         sched = IncrementSchedule((1.0,))
         table = abs_g0_growth(sched, DOUBLING_RADII)

@@ -1262,3 +1262,50 @@ def test_chebyshev_to_power_table_matches_numpy():
     for k in range(_CUSTOM_FIT_DEGREE + 1):
         want[: k + 1, k] = _cheb.cheb2poly(np.eye(k + 1)[k])
     assert np.array_equal(propagator._CHEB2POLY, want)
+
+
+def test_cached_fit_matrix_matches_chebfit():
+    # the fit matrix that replaces a least-squares solve per custom fit,
+    # against the solve it replaces, on smooth and on rough value columns
+    from gaugeint import propagator
+
+    t, fit = propagator._custom_fit()
+    assert propagator._custom_fit()[1] is fit and not fit.flags.writeable
+    assert fit.shape == (_CUSTOM_FIT_DEGREE + 1, 4 * _CUSTOM_FIT_DEGREE + 1)
+    vals = np.column_stack(
+        [np.cos(3.0 * t), np.exp(t) * np.sin(5.0 * t), 1.0 / (1.25 - t)]
+        + list(np.random.default_rng(7).standard_normal((2, t.size)))
+    )
+    want = propagator._CHEB2POLY @ _cheb.chebfit(t, vals, _CUSTOM_FIT_DEGREE)
+    got = fit @ vals
+    # the power-series conversion amplifies round-off by up to ~2^23, so
+    # compare each column in its own scale
+    scale = np.abs(propagator._CHEB2POLY).max() * np.abs(vals).max(axis=0)
+    assert (np.abs(got - want) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [
+        Potential.zero(),
+        Potential.constant_potential(1.3),
+        Potential.harmonic(0.7),
+        Potential.custom(lambda x, t: np.cos(x)),
+    ],
+    ids=["zero", "constant", "harmonic", "custom"],
+)
+def test_rmax_zero_builds_the_unit_level_alone(pot):
+    q = PropagatorQuery(0.2, 0.1, 1.0, 1.4, potential=pot)
+    levels = _chi_levels(q, 0, mass=1.0, window=8.0)
+    assert len(levels) == 1
+    assert np.array_equal(levels[0], np.ones((_TIME_NODES, 1)))
+    assert perturbation_terms(0, q) == [psi0_closed(q)]
+
+
+def test_zero_potential_levels_are_width_one_zeros():
+    q = PropagatorQuery(0.2, 0.1, 1.0, 1.4, potential=Potential.zero())
+    levels = _chi_levels(q, 4, mass=1.0, window=8.0)
+    assert [level.shape for level in levels] == [(_TIME_NODES, 1)] * 5
+    assert np.array_equal(levels[0], np.ones((_TIME_NODES, 1)))
+    assert all(not level.any() for level in levels[1:])
+    assert perturbation_terms(4, q) == [psi0_closed(q)] + [0j] * 4
