@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -528,14 +529,17 @@ def _chi_levels(
 ) -> list[np.ndarray]:
     """chi_r coefficient tables on the Chebyshev-Lobatto time grid.
 
-    Entry r is an (nt, r*degV + 1) array: chi_r(u, t_i) = sum_k
-    coeffs[i, k] u^k with u the displacement from the start point.  A
-    level is array steps on (power, pair) arrays over every (time node t_i,
-    Gauss node s) pair: interpolate the previous level at s (one complex
+    Entry r < rmax is an (nt, r*degV + 1) array: chi_r(u, t_i) = sum_k
+    coeffs[i, k] u^k with u the displacement from the start point; entry
+    rmax, read only at tau, is that row alone, (1, rmax*degV + 1).  A level
+    is array steps on (power, pair) arrays over (time node t_i, Gauss node
+    s) pairs, the tau row's pairs alone for the top level and for every
+    level when rmax <= 1: interpolate the previous level at s (one complex
     matrix product), multiply by V(., s), take the bridge moments (one
     multiply-add per even power, from tables built for the widest level),
-    and sum over s.  A custom potential is fitted from one Potential.values
-    call for all s, by one product with the cached fit matrix.
+    and sum over s.  A custom potential is fitted per time row from one
+    Potential.values call, so the tau row has the same bits in every build.
+    ResourceLimitError names the order whose tables or values overflow.
     """
     nt = _TIME_NODES
     t0, t1 = q.tau_prime, q.tau
@@ -546,7 +550,7 @@ def _chi_levels(
     bary[-1] *= 0.5
 
     glx, glp = _gauss_legendre(_GL_NODES)  # cached; column 0 holds the weights
-    ti = tnodes[1:, None]  # chi_r(., tau') = 0 for r >= 1
+    ti = tnodes[1:, None] if rmax > 1 else tnodes[-1:, None]  # chi_r(., tau') = 0 for r >= 1
     span = ti - t0
     s = t0 + 0.5 * span * (glx + 1.0)
     sweights = (0.5 * span * glp[:, 0].real)[..., None].astype(complex)  # (t_i, s, 1)
@@ -563,48 +567,74 @@ def _chi_levels(
     interp[hit] = np.eye(nt)[exact[hit].argmax(axis=-1)]  # s on a node
     interp_t = (interp / interp.sum(axis=-1)[..., None]).reshape(-1, nt).T.astype(complex)
 
-    # V(xi' + u, s) as power-series coefficients in u, one row per power
+    # V(xi' + u, s) as power-series coefficients in u, one row per power: one column
+    # for a polynomial potential, one per s for a fit
     pot = q.potential
     if pot.analytic_tag == "zero":
-        vcoef = np.zeros(1)
+        vcoef = np.zeros((1, 1))
     elif pot.analytic_tag == "constant":
-        vcoef = np.array([pot.constant])
+        vcoef = np.array([[pot.constant]])
     elif pot.analytic_tag == "harmonic":
         w2, xp = 0.5 * pot.omega * pot.omega, q.xi_prime
-        vcoef = np.array([w2 * xp * xp, 2.0 * w2 * xp, w2])
-    else:  # one Chebyshev fit in u / window with every s as a column
+        vcoef = np.array([[w2 * xp * xp], [2.0 * w2 * xp], [w2]])
+    else:  # a Chebyshev fit in u / window per time row, every s of it a column
         t, fit = _custom_fit()
-        vals = pot.values(q.xi_prime + window * t, s).reshape(-1, t.size)
-        vcoef = (fit @ vals.T) / window ** np.arange(_CUSTOM_FIT_DEGREE + 1)[:, None]
+        vals = pot.values(q.xi_prime + window * t, s)  # (t_i, s, fit node)
+        vcoef = (fit @ vals.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(len(fit), -1)
+        vcoef /= window ** np.arange(_CUSTOM_FIT_DEGREE + 1)[:, None]
     degv = vcoef.shape[0] - 1
 
     # E[(lam u + W)^j] in powers u^p: lam^p sum_m C(p + 2m, p) E[W^2m] pv[p + 2m],
     # for the bridge fluctuation W with E[W^2m] = var^m (2m-1)!!; the tables
-    # serve every level up to the widest, rmax * degV + 1
-    wmax = rmax * degv + 1
-    steps = np.ones(((wmax + 1) // 2, var.size), dtype=complex)
-    steps[1:] = (2 * np.arange(1, len(steps)) - 1)[:, None] * var
+    # serve every level up to the widest, rmax * degV + 1; no binomial with
+    # p + 2m past it is read, so none tabled exceeds C(wmax - 1, (wmax - 1) // 2)
+    wmax, nmom = rmax * degv + 1, rmax * degv // 2 + 1
+    # log |var|^M (2M-1)!! = M log(2 |var|) + log Gamma(M + 1/2) / Gamma(1/2), M = nmom - 1
+    log_moment = (nmom - 1) * math.log(2.0 * np.abs(var).max())
+    log_moment += math.lgamma(nmom - 0.5) - math.lgamma(0.5)
+    widest = math.comb(wmax - 1, (wmax - 1) // 2)
+    if widest > sys.float_info.max or log_moment > math.log(sys.float_info.max):
+        raise ResourceLimitError(
+            f"order {rmax} at width {wmax} needs binomials up to 1e{math.log10(widest):.0f} "
+            f"and bridge moments up to 1e{log_moment / math.log(10):.0f}, beyond the float "
+            "range; ask for fewer orders"
+        )
+    steps = np.ones((nmom, var.size), dtype=complex)
+    steps[1:] = (2 * np.arange(1, nmom) - 1)[:, None] * var
     w_moments = np.cumprod(steps, axis=0)
-    comb = np.array([[math.comb(p + 2 * m, p) for m in range(len(steps))] for p in range(wmax)], float)
+    comb = np.array([[math.comb(p + 2 * m, p) if p + 2 * m < wmax else 0 for m in range(nmom)]
+                     for p in range(wmax)], float)
     lam_powers = lam ** np.arange(wmax)[:, None]
 
     levels = [np.ones((nt, 1), dtype=complex)]
-    for _ in range(rmax):
+    for r in range(1, rmax + 1):
+        if r == rmax:  # the top order is read at tau alone: its row of pairs is last
+            interp_t, vcoef, w_moments, lam_powers = (
+                a[:, -_GL_NODES:] for a in (interp_t, vcoef, w_moments, lam_powers)
+            )
+            sweights = sweights[-1:]
         prev = levels[-1].T
         nprev = prev.shape[0]
         width = nprev + degv
-        at_s = prev @ interp_t
-        pv = np.zeros((width, var.size), dtype=complex)
-        for k in range(degv + 1):
-            pv[k : k + nprev] += vcoef[k] * at_s
-        moments = pv.copy()
-        for m in range(1, (width + 1) // 2):
-            n = width - 2 * m
-            moments[:n] += comb[:n, m, None] * w_moments[m] * pv[2 * m :]
-        moments *= lam_powers[:width]
-        cur = np.zeros((width, nt), dtype=complex)
-        cur[:, 1:] = -1j * (moments.reshape(width, nt - 1, 1, -1) @ sweights)[..., 0, 0]
-        levels.append(cur.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            at_s = prev @ interp_t
+            pv = np.zeros((width, at_s.shape[1]), dtype=complex)
+            for k in range(degv + 1):
+                pv[k : k + nprev] += vcoef[k] * at_s
+            moments = pv.copy()
+            for m in range(1, (width + 1) // 2):
+                n = width - 2 * m
+                moments[:n] += comb[:n, m, None] * w_moments[m] * pv[2 * m :]
+            moments *= lam_powers[:width]
+            rows = -1j * (moments.reshape(width, len(sweights), 1, -1) @ sweights)[..., 0, 0]
+        if not np.isfinite(rows).all():
+            raise ResourceLimitError(
+                f"order {r} at width {width} is not finite: its terms leave the float range; "
+                "ask for fewer orders"
+            )
+        if r < rmax:  # chi_r(., tau') = 0
+            rows = np.concatenate((np.zeros((width, 1)), rows), axis=1)
+        levels.append(rows.T)
     return levels
 
 
@@ -615,7 +645,7 @@ def _end_envelopes(
     window = grid.extent if grid is not None else 8.0
     levels = _chi_levels(q, m, mass=mass, window=window)
     u = q.xi - q.xi_prime
-    # the last time node is exactly tau
+    # a level's last row is at tau: the last time node, or the top level's one row
     return [complex(_poly.polyval(u, level[-1])) for level in levels]
 
 

@@ -342,6 +342,14 @@ class TestPerturbCommand:
         assert len(diffs) == 7
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
 
+    def test_overflowing_order_exits_1_naming_it(self, capsys):
+        args = ["perturb", "--V", "harmonic:0.3", "--xi", "0.3", "--tau", "100000",
+                "--slices", "2", "--mmax", "40"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "order 39 at width 79 is not finite" in captured.err
+        assert "nan" not in captured.out
+
     def test_rejects_negative_mmax(self, capsys):
         assert main(["perturb", "--V", "zero", "--mmax", "-1"]) == 1
 

@@ -942,15 +942,24 @@ class TestPerturbation:
                 0.0, 0.7, 0.9,
                 Potential.custom(lambda x, t: np.cos(x) * (1.0 + t)), 2, 8.0,
             ),
+            (
+                0.0, 0.7, 0.9,
+                Potential.custom(lambda x, t: np.cos(x) * (1.0 + t)), 1, 8.0,
+            ),
         ],
-        ids=["constant", "harmonic", "custom_cos", "custom_sin", "time_dependent"],
+        ids=[
+            "constant", "harmonic", "custom_cos", "custom_sin", "time_dependent",
+            "time_dependent_first_order",
+        ],
     )
     def test_levels_match_scalar_build(self, xi_prime, xi, tau, pot, m, window):
         q = PropagatorQuery(xi_prime, 0.1, xi, 0.1 + tau, potential=pot)
         u = xi - xi_prime
         got = _chi_levels(q, m, mass=1.0, window=window)
         want = _reference_chi_levels(q, m, mass=1.0, window=window)
-        assert [level.shape for level in got] == [level.shape for level in want]
+        # the top order is built at tau alone: the last row of the full table
+        shapes = [level.shape for level in want]
+        assert [level.shape for level in got] == shapes[:-1] + [(1, shapes[-1][1])]
         for a, b in zip(got, want):
             chi_a = _poly.polyval(u, a[-1])
             chi_b = _poly.polyval(u, b[-1])
@@ -1012,6 +1021,63 @@ class TestPerturbation:
         assert calls.count(np.ndarray) == 1
         assert calls.count(float) == (_TIME_NODES - 1) * _GL_NODES * (4 * _CUSTOM_FIT_DEGREE + 1)
 
+    def test_first_order_build_evaluates_the_tau_row_alone(self, monkeypatch):
+        from gaugeint import errors
+
+        entries, calls = [], []
+        guarded_call = errors.guarded_call
+
+        def counted(*args, **kwargs):
+            entries.append(kwargs.get("what"))
+            return guarded_call(*args, **kwargs)
+
+        def cosine(x, t):
+            calls.append((type(x), t))
+            return np.cos(x)
+
+        def scalar_sine(x, t):
+            calls.append((type(x), t))
+            return math.sin(x)
+
+        monkeypatch.setattr(errors, "guarded_call", counted)
+        q = PropagatorQuery(0.0, 0.2, 0.5, 1.0, potential=Potential.custom(cosine))
+        _chi_levels(q, 1, mass=1.0, window=8.0)
+        # one call per Gauss time of [tau', tau], all inside one guard
+        glx = np.polynomial.legendre.leggauss(_GL_NODES)[0]
+        assert entries == ["potential"]
+        assert [kind for kind, _ in calls] == [np.ndarray] * _GL_NODES
+        assert np.allclose([t for _, t in calls], 0.2 + 0.4 * (glx + 1.0), rtol=0, atol=1e-15)
+        entries.clear()
+        calls.clear()
+        q = PropagatorQuery(0.0, 0.2, 0.5, 1.0, potential=Potential.custom(scalar_sine))
+        _chi_levels(q, 1, mass=1.0, window=8.0)
+        assert entries == ["potential", "potential"]
+        kinds = [kind for kind, _ in calls]
+        assert kinds.count(np.ndarray) == 1
+        assert kinds.count(float) == _GL_NODES * (4 * _CUSTOM_FIT_DEGREE + 1)
+
+    @pytest.mark.parametrize(
+        "pot, r",
+        [
+            (Potential.custom(lambda x, t: np.sin(x)), 18),
+            (Potential.custom(lambda x, t: np.sin(x)), 22),
+            (Potential.harmonic(0.5), 320),
+        ],
+        ids=["sin_nan", "sin_binomial_overflow", "harmonic_binomial_overflow"],
+    )
+    def test_orders_beyond_the_float_range_are_refused(self, pot, r):
+        # refused from the tables' sizes, before a level is built; RuntimeWarning
+        # is an error in this suite, so none may escape either
+        q = PropagatorQuery(0.1, 0.0, 0.6, 0.8, potential=pot)
+        with pytest.raises(ResourceLimitError, match=rf"^order {r} at width \d+ .*float range"):
+            perturbation_term(r, q)
+
+    def test_long_duration_names_the_first_order_that_overflows(self):
+        q = PropagatorQuery(0.0, 0.0, 0.3, 100000.0, slices=2, potential=Potential.harmonic(0.3))
+        assert all(np.isfinite(perturbation_terms(38, q)))
+        with pytest.raises(ResourceLimitError, match=r"^order 39 at width 79 is not finite"):
+            perturbation_terms(40, q)
+
     @pytest.mark.parametrize(
         "late, cause, match",
         [
@@ -1037,12 +1103,23 @@ class TestPerturbation:
         assert type(info.value) is IntegrandError
         assert type(info.value.__cause__) is cause
 
+    # one-order builds make the top order at tau alone; these hold it to the
+    # same bits as the tau row of a build with more orders
+    _ONE_AT_A_TIME_POTENTIALS = (
+        Potential.constant_potential(0.7),
+        Potential.harmonic(0.5),
+        Potential.custom(lambda x, t: np.full_like(x, 0.7)),
+        Potential.custom(lambda x, t: np.sin(x)),
+        Potential.custom(lambda x, t: np.cos(x) * (1.0 + t)),
+    )
+
     def test_partial_sums_match_one_order_at_a_time(self):
         grid = SliceGrid(extent=8.0, points=64, damping=1e-3)
-        for pot in (Potential.constant_potential(0.7), Potential.harmonic(0.5)):
+        for pot in self._ONE_AT_A_TIME_POTENTIALS:
             q = PropagatorQuery(0.1, 0.0, 0.6, 0.8, slices=2, potential=pot)
-            sums = perturbation_partial_sums(5, q, grid)
-            assert sums == [perturbation_partial_sum(m, q, grid) for m in range(6)]
+            m = 5 if pot.analytic_tag != "custom" else 4
+            sums = perturbation_partial_sums(m, q, grid)
+            assert sums == [perturbation_partial_sum(k, q, grid) for k in range(m + 1)]
 
     def test_terms_match_one_order_at_a_time(self, monkeypatch):
         import gaugeint.propagator as propagator
@@ -1055,13 +1132,13 @@ class TestPerturbation:
             return chi_levels(*args, **kwargs)
 
         grid = SliceGrid(extent=8.0, points=64, damping=1e-3)
-        for pot in (Potential.constant_potential(0.7), Potential.harmonic(0.5)):
+        for pot in self._ONE_AT_A_TIME_POTENTIALS:
             q = PropagatorQuery(0.1, 0.0, 0.6, 0.8, slices=2, potential=pot)
             want = [perturbation_term(r, q, grid) for r in range(5)]
             monkeypatch.setattr(propagator, "_chi_levels", counted)
             assert perturbation_terms(4, q, grid) == want
             monkeypatch.undo()
-        assert builds == [4, 4]
+        assert builds == [4] * len(self._ONE_AT_A_TIME_POTENTIALS)
 
     def test_argument_validation(self):
         q = PropagatorQuery(0.0, 0.0, 1.0, 1.0)
@@ -1305,7 +1382,7 @@ def test_rmax_zero_builds_the_unit_level_alone(pot):
 def test_zero_potential_levels_are_width_one_zeros():
     q = PropagatorQuery(0.2, 0.1, 1.0, 1.4, potential=Potential.zero())
     levels = _chi_levels(q, 4, mass=1.0, window=8.0)
-    assert [level.shape for level in levels] == [(_TIME_NODES, 1)] * 5
+    assert [level.shape for level in levels] == [(_TIME_NODES, 1)] * 4 + [(1, 1)]
     assert np.array_equal(levels[0], np.ones((_TIME_NODES, 1)))
     assert all(not level.any() for level in levels[1:])
     assert perturbation_terms(4, q) == [psi0_closed(q)] + [0j] * 4
