@@ -8,8 +8,8 @@ The package is organized bottom-up:
     oscquad     analytic chirp quadrature (Filon cells with exact moments)
     integrate   adaptive gauge integration on windows, undamped improper
                 oscillatory integrals
-    cylinder    time sets, cylinder cells over path space, undamped
-                reduction of cylinder integrals to finite dimension
+    cylinder    time sets, undamped reduction of cylinder integrals to
+                finite dimension
     propagator  closed-form and undamped time-sliced propagators, perturbation
                 series terms
     exchange    growth tables, bounded-convergence diagnostics and the
@@ -58,7 +58,6 @@ from .fresnel import (
 from .integrate import (
     IntegrationReport,
     OscillatoryTailSpec,
-    alexiewicz_seminorm,
     fresnel_line_integral,
     hk_integrate_1d,
     oscillatory_improper,
@@ -71,20 +70,7 @@ from .oscquad import (
     damped_chirp_filon_weights,
     fresnel_integral,
 )
-from .cylinder import (
-    CylinderCell,
-    CylinderDivision,
-    GaugeRT,
-    PathSample,
-    TimeSet,
-    cylinder_riemann_sum,
-    is_gamma_fine,
-    reduce_cylinder_integral,
-    refine_to_common_timeset,
-    schedule_from_json,
-    timeset_from_json,
-    validate_cylinder_division,
-)
+from .cylinder import TimeSet, reduce_cylinder_integral
 from .propagator import (
     Potential,
     PropagatorQuery,

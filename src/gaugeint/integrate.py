@@ -34,7 +34,6 @@ from .cells import fsum_complex
 from .errors import (
     NoConvergenceError,
     _require_complex,
-    _require_count,
     _require_finite,
     _require_number,
     _require_positive,
@@ -48,7 +47,6 @@ __all__ = [
     "hk_integrate_1d",
     "oscillatory_improper",
     "fresnel_line_integral",
-    "alexiewicz_seminorm",
 ]
 
 # caps of hk_integrate_1d: bisection levels and live cells of one adaptive
@@ -401,19 +399,3 @@ def oscillatory_improper(spec: OscillatoryTailSpec, tol: float = 1e-8) -> comple
 def fresnel_line_integral(c: complex, tol: float = 1e-8) -> complex:
     """Full-line integral of exp(c x^2/2) by evenness: two equal tails."""
     return 2.0 * oscillatory_improper(OscillatoryTailSpec(c, 0.0, +1), tol)
-
-
-def alexiewicz_seminorm(f, interval: tuple[float, float], grid: int, tol: float = 1e-9) -> float:
-    """sup over grid points of |prefix integral| from the interval's start."""
-    a, b = (_require_number("interval", x) for x in interval)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError("interval must be finite with lower < upper")
-    grid = _require_count("grid", grid, 2)
-    cuts = np.linspace(a, b, grid + 1)
-    best = 0.0
-    running: list[complex] = []
-    for k in range(grid):
-        rep = hk_integrate_1d(f, (float(cuts[k]), float(cuts[k + 1])), tol)
-        running.append(rep.value)
-        best = max(best, abs(fsum_complex(running)))
-    return best

@@ -542,6 +542,8 @@ def _chi_levels(
     ResourceLimitError names the order whose tables or values overflow.
     """
     nt = _TIME_NODES
+    if rmax == 0:  # chi_0 = 1 reads no potential
+        return [np.ones((nt, 1), dtype=complex)]
     t0, t1 = q.tau_prime, q.tau
     theta = np.linspace(0.0, math.pi, nt)
     tnodes = t0 + 0.5 * (t1 - t0) * (1.0 - np.cos(theta))

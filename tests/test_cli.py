@@ -19,15 +19,11 @@ from gaugeint.config import (
     RunConfig,
     load_config,
 )
-from gaugeint.cylinder import PathSample, TimeSet
+from gaugeint.cylinder import TimeSet
 from gaugeint.errors import _require_number
 from gaugeint.exchange import abs_g0_growth
 from gaugeint.fresnel import IncrementSchedule
-from gaugeint.integrate import (
-    OscillatoryTailSpec,
-    alexiewicz_seminorm,
-    hk_integrate_1d,
-)
+from gaugeint.integrate import OscillatoryTailSpec, hk_integrate_1d
 from gaugeint.oscquad import adaptive_chirp_integral
 from gaugeint.propagator import PropagatorQuery
 from gaugeint.reports import (
@@ -192,15 +188,15 @@ class TestParsing:
         [
             lambda: PropagatorQuery("0.3", True, "1", 2),
             lambda: TimeSet((True, "2")),
+            lambda: TimeSet(("0.5",)),
             lambda: IncrementSchedule(("1",), origin_point="0.5"),
             lambda: IncrementSchedule((1.0,), origin_time=False),
-            lambda: PathSample(TimeSet((1.0,)), ("2",)),
+            lambda: IncrementSchedule((True,)),
             lambda: Cell1D.bounded("0", True),
             lambda: Cell1D.neg_tail("1"),
             lambda: Cell1D("0", 1.0),
             lambda: OscillatoryTailSpec(1j, "0", 1),
             lambda: hk_integrate_1d(np.exp, ("0", True)),
-            lambda: alexiewicz_seminorm(np.exp, (False, 1.0), 2),
             lambda: adaptive_chirp_integral(np.exp, 1.0, 0.0, ("0", 1.0), 1e-6),
             lambda: cousin_division(Gauge1D(lambda x: 1.0), tails=("-3", 3.0)),
         ],

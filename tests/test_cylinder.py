@@ -1,30 +1,32 @@
-"""Tests for path-space cells, gauges, divisions, and the reduction of
-path integrals of finitely-based functionals to finite dimension."""
+"""Tests for time sets and the reduction of path integrals of finitely-based
+functionals to finite dimension.
+
+The reduction is checked against closed forms and against the paper's
+definition itself: a gamma-fine Riemann sum over a division of path space
+into tagged cylinder cells.  That path-space division API lives here, as
+the oracle of the reduction, with the tests that pin its own behaviour.
+"""
 
 import cmath
 import math
 import time
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugeint.cells import Cell1D, CellND
-from gaugeint.cylinder import (
-    CylinderCell,
-    CylinderDivision,
-    GaugeRT,
-    PathSample,
-    TimeSet,
-    cylinder_riemann_sum,
-    is_gamma_fine,
-    reduce_cylinder_integral,
-    refine_to_common_timeset,
-    schedule_from_json,
-    timeset_from_json,
-    validate_cylinder_division,
+from gaugeint.cells import (
+    Cell1D,
+    CellND,
+    _is_associated,
+    _is_fine,
+    _require_associated,
+    fsum_complex,
 )
+from gaugeint.cylinder import TimeSet, reduce_cylinder_integral
 from gaugeint.errors import (
     AssociationError,
     DimensionCapError,
@@ -32,10 +34,248 @@ from gaugeint.errors import (
     IntegrandError,
     NoConvergenceError,
     ScheduleError,
+    _require_number,
+    guarded_call,
+    guarded_values,
 )
-from gaugeint.fresnel import IncrementSchedule, incremental_distribution
+from gaugeint.fresnel import (
+    IncrementSchedule,
+    incremental_density,
+    incremental_distribution,
+)
 
 INF = math.inf
+
+
+# ---------------------------------------------------------------------------
+# oracle: cylinder cells, gauges and divisions of path space
+# ---------------------------------------------------------------------------
+
+
+def is_subset(small: TimeSet, big: TimeSet) -> bool:
+    return set(small.times) <= set(big.times)
+
+
+def union(sets: Iterable[TimeSet]) -> TimeSet:
+    return TimeSet(tuple(sorted(set().union(*(ts.times for ts in sets)))))
+
+
+@dataclass(frozen=True)
+class CylinderCell:
+    """A product constraint at the times of a time set, free elsewhere."""
+
+    times: TimeSet
+    factors: CellND
+
+    def __post_init__(self) -> None:
+        if self.factors.dim != len(self.times.times):
+            raise ScheduleError(
+                f"cell has {self.factors.dim} factors for {len(self.times.times)} times"
+            )
+
+
+@dataclass(frozen=True)
+class PathSample:
+    """The restriction of a path to a time set: one extended-real value per
+    time.  Infinite values are legitimate (they tag unbounded factors)."""
+
+    times: TimeSet
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        values = tuple(_require_number("path value", v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != len(self.times.times):
+            raise ScheduleError("one value per time required")
+        if any(math.isnan(v) for v in values):
+            raise ScheduleError("path values must not be NaN")
+
+
+@dataclass(frozen=True)
+class GaugeRT:
+    """A path-space gauge: a time-set requirement plus a width requirement.
+
+    required_times maps a path sample to the times any enclosing cell's
+    time set must contain; delta maps (sample, time set) to a strictly
+    positive width bound applied to every factor.
+    """
+
+    required_times: Callable[[PathSample], TimeSet]
+    delta: Callable[[PathSample, TimeSet], float]
+
+
+@dataclass(frozen=True)
+class CylinderDivision:
+    """Finitely many (sample, cell) pairs intended to tile path space.
+
+    Validity (association and the tiling property) is diagnosed by
+    validate_cylinder_division, not enforced at construction."""
+
+    items: tuple[tuple[PathSample, CylinderCell], ...]
+
+    def __post_init__(self) -> None:
+        items = tuple((x, c) for x, c in self.items)
+        object.__setattr__(self, "items", items)
+        if not items:
+            raise ScheduleError("a division needs at least one item")
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+
+def _check_sample_matches_cell(x: PathSample, cell: CylinderCell) -> None:
+    if x.times != cell.times:
+        raise AssociationError(
+            "sample and cell are defined on different time sets"
+        )
+    for t, v, f in zip(x.times.times, x.values, cell.factors.factors):
+        if not _is_associated(v, f.lo, f.hi):
+            raise AssociationError(
+                f"value {v} at time {t} is not an associated point of {f!r}"
+            )
+
+
+def is_gamma_fine(x: PathSample, cell: CylinderCell, gauge: GaugeRT) -> bool:
+    """Fineness of one tagged cylinder cell under a path-space gauge.
+
+    The gauge is evaluated once for the item: first the time-set clause
+    (the required times must lie inside the cell's time set), then one
+    width bound applied to every factor.  Raises AssociationError when the
+    sample does not tag the cell or a factor's own tag is not associated
+    with it, and IntegrandError when a gauge callback raises or the width
+    is not a finite real.
+    """
+    _check_sample_matches_cell(x, cell)
+    required = guarded_call(gauge.required_times, x, what="gauge")
+    if not is_subset(required, cell.times):
+        return False
+    out = guarded_values(gauge.delta, x, cell.times, what="gauge")
+    if out.imag.any():
+        raise IntegrandError("gauge returned a complex value")
+    d = float(out.real)
+    if not d > 0.0:
+        raise ValueError(f"gauge width must be strictly positive, got {d}")
+    return all(
+        _is_fine(*_require_associated(tag, f), d)
+        for tag, f in zip(cell.factors.tags, cell.factors.factors)
+    )
+
+
+def refine_to_common_timeset(
+    cells: Sequence[CylinderCell],
+) -> list[CylinderCell]:
+    """Re-express every cell on the union time set.
+
+    A cylinder cell leaves the path unconstrained off its own times, so
+    padding with full-line factors (tagged at +inf) is exact: the refined
+    cells describe the same subsets of path space.
+    """
+    if not cells:
+        return []
+    common = union(c.times for c in cells)
+    out = []
+    for c in cells:
+        have = {t: i for i, t in enumerate(c.times.times)}
+        tags: list[float] = []
+        factors: list[Cell1D] = []
+        for t in common.times:
+            i = have.get(t)
+            if i is None:
+                tags.append(math.inf)
+                factors.append(Cell1D.full_line())
+            else:
+                tags.append(c.factors.tags[i])
+                factors.append(c.factors.factors[i])
+        out.append(
+            CylinderCell(common, CellND(tuple(tags), tuple(factors)))
+        )
+    return out
+
+
+def _axis_probes(factors_per_cell: list[tuple[Cell1D, ...]], axis: int) -> list[float]:
+    """Probe points separating all factor boundaries along one axis."""
+    cuts: set[float] = set()
+    for factors in factors_per_cell:
+        f = factors[axis]
+        if math.isfinite(f.lo):
+            cuts.add(f.lo)
+        if math.isfinite(f.hi):
+            cuts.add(f.hi)
+    edges = sorted(cuts)
+    if not edges:
+        return [0.0]
+    probes = [edges[0] - 1.0]
+    for a, b in zip(edges, edges[1:]):
+        probes.append(0.5 * (a + b))
+    probes.append(edges[-1] + 1.0)
+    # boundary points themselves: membership is half-open, so each edge
+    # belongs to exactly one side and must be probed too
+    probes.extend(edges)
+    return probes
+
+
+def validate_cylinder_division(d: CylinderDivision) -> list[str]:
+    """Diagnose association and the tiling property; [] means valid.
+
+    Cells are refined to the common time set; every product of probe
+    points (factor boundaries, midpoints between them, and outside
+    sentinels) must lie in exactly one refined cell.  For half-open
+    product cells whose boundaries are among the probes this test is
+    exact, not a sampling heuristic.
+    """
+    problems: list[str] = []
+    for i, (x, cell) in enumerate(d.items):
+        try:
+            _check_sample_matches_cell(x, cell)
+        except AssociationError as exc:
+            problems.append(f"item {i}: {exc}")
+    refined = refine_to_common_timeset([cell for _, cell in d.items])
+    factors_per_cell = [c.factors.factors for c in refined]
+    n = len(refined[0].times.times)
+    axes_probes = [_axis_probes(factors_per_cell, k) for k in range(n)]
+    total = 1
+    for p in axes_probes:
+        total *= len(p)
+    if total > 400_000:
+        problems.append(
+            f"tiling check too large ({total} probe points)"
+        )
+        return problems
+    grids = np.meshgrid(*axes_probes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    counts = np.zeros(pts.shape[0], dtype=int)
+    for factors in factors_per_cell:
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for k, f in enumerate(factors):
+            col = pts[:, k]
+            inside &= (col > f.lo) & (col <= f.hi)
+        counts += inside
+    if (counts == 0).any():
+        j = int(np.argmax(counts == 0))
+        problems.append(f"gap: point {tuple(pts[j])} lies in no cell")
+    if (counts > 1).any():
+        j = int(np.argmax(counts > 1))
+        problems.append(
+            f"overlap: point {tuple(pts[j])} lies in {counts[j]} cells"
+        )
+    return problems
+
+
+def cylinder_riemann_sum(
+    h: Callable[[PathSample, TimeSet, CylinderCell], complex],
+    d: CylinderDivision,
+) -> complex:
+    """Compensated sum of h over a valid division's tagged cells."""
+    problems = validate_cylinder_division(d)
+    if problems:
+        raise ValueError("invalid division: " + "; ".join(problems))
+    return fsum_complex(
+        guarded_values(lambda: complex(h(x, cell.times, cell)), what="summand")
+        for x, cell in d.items
+    )
 
 
 def cell_on(times, factors, tags):
@@ -62,11 +302,9 @@ def test_timeset_validation():
     with pytest.raises(ScheduleError):
         TimeSet((0.5, math.inf))
     ts = TimeSet((0.5, 1.0))
-    assert len(ts) == 2
-    assert 0.5 in ts and 0.75 not in ts
-    assert TimeSet((0.5,)).issubset(ts)
-    assert not ts.issubset(TimeSet((0.5,)))
-    assert TimeSet.union([TimeSet((1.0,)), TimeSet((0.5, 1.0))]).times == (0.5, 1.0)
+    assert is_subset(TimeSet((0.5,)), ts)
+    assert not is_subset(ts, TimeSet((0.5,)))
+    assert union([TimeSet((1.0,)), TimeSet((0.5, 1.0))]).times == (0.5, 1.0)
 
 
 def test_cylinder_cell_dimension_mismatch():
@@ -84,6 +322,19 @@ def test_path_sample_validation():
         sample_on((0.5,), (math.nan,))
     s = sample_on((0.5, 1.0), (-INF, INF))
     assert s.values == (-INF, INF)
+
+
+@pytest.mark.parametrize("field", ["origin_time", "origin_point"])
+@pytest.mark.parametrize("value", ["1", True, None], ids=['"1"', "true", "null"])
+def test_schedule_origin_takes_only_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        IncrementSchedule((2.0,), **{field: value})
+
+
+def test_path_sample_takes_only_numbers():
+    # float() once turned strings and bools into numbers
+    with pytest.raises(ValueError, match="must be a number"):
+        PathSample(TimeSet((1.0,)), ("2",))
 
 
 def test_division_needs_items():
@@ -676,63 +927,48 @@ def test_reduce_requires_matching_times():
         )
 
 
+
 # ---------------------------------------------------------------------------
-# JSON interfaces
+# the paper's definition against the engine: a gamma-fine Riemann sum
 # ---------------------------------------------------------------------------
 
 
-def test_timeset_json_roundtrip():
-    ts = timeset_from_json('{"times": [0.25, 0.5, 1.0]}')
-    assert ts.times == (0.25, 0.5, 1.0)
-    with pytest.raises(ScheduleError):
-        timeset_from_json('[0.25]')
-    with pytest.raises(ScheduleError):
-        timeset_from_json('{"times": []}')
+def gamma_fine_line_division(t: float, delta: float, h: float):
+    """A division of R^1 at the one time t, fine under the constant gauge
+    delta: cells of width h < delta centred at 0 and tagged at their right
+    edges, out to past 1 / delta + h, and the two tails tagged at -+inf."""
+    ts = TimeSet((t,))
+    k = math.ceil((1.0 / delta + h) / h - 0.5)
+    edges = h * (np.arange(-k, k + 2) - 0.5)
+    cells = [(-INF, Cell1D.neg_tail(edges[0]))]
+    cells += [(hi, Cell1D.bounded(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    cells.append((INF, Cell1D.pos_tail(edges[-1])))
+    division = CylinderDivision(tuple(
+        (PathSample(ts, (tag,)), CylinderCell(ts, CellND((tag,), (cell,))))
+        for tag, cell in cells
+    ))
+    return division, GaugeRT(lambda _x: ts, lambda _x, _n: delta)
 
 
-def test_schedule_json_parsing():
-    sched = schedule_from_json(
-        '{"times": [0.5, 1.0], "origin_time": 0.25, "origin_point": -1.5}'
-    )
-    assert sched.times == (0.5, 1.0)
-    assert sched.origin_time == 0.25
-    assert sched.origin_point == -1.5
-    sched = schedule_from_json('{"times": [0.5]}')
-    assert sched.origin_time == 0.0 and sched.origin_point == 0.0
-    with pytest.raises(ScheduleError):
-        schedule_from_json('{"origin_time": 0.0}')
+@pytest.mark.parametrize("f, sched", [
+    (lambda x: np.exp(-0.5 * (x - 0.3) ** 2), IncrementSchedule(times=(0.7,))),
+    (lambda x: np.exp(-0.5 * x * x + 1j * x),
+     IncrementSchedule(times=(1.1,), origin_time=0.45, origin_point=-0.4)),
+], ids=["gaussian", "plane-wave-off-origin"])
+def test_gamma_fine_riemann_sum_matches_the_reduction(f, sched):
+    # the Henstock definition: sum f(tag) times the kernel's mass on the
+    # cell; on the tails f(-+inf) = 0, and the sum of the bounded cells is
+    # the trapezoid rule of an analytic integrand, exact far below 1e-12
+    start = time.perf_counter()
+    division, gauge = gamma_fine_line_division(sched.times[0], 0.06, 0.05)
+    assert all(is_gamma_fine(x, cell, gauge) for x, cell in division)
 
+    def h(x, _times, cell):
+        tag = x.values[0]
+        return f(tag) * incremental_density(cell.factors, sched) if math.isfinite(tag) else 0.0
 
-@pytest.mark.parametrize("times", ['[false, "2"]', "[true]", '["0.5"]'])
-def test_time_documents_take_only_numbers(times):
-    text = f'{{"times": {times}}}'
-    for reader in (timeset_from_json, schedule_from_json):
-        with pytest.raises(ValueError, match="time must be a number"):
-            reader(text)
-
-
-@pytest.mark.parametrize(
-    "reader, text",
-    [
-        (timeset_from_json, '{"times": [1.0], "origin_time": 0.0}'),
-        (schedule_from_json, '{"times": [1.0], "origin_pint": 0.5}'),
-        (schedule_from_json, '{"times": [1.0], "format_version": 1}'),
-    ],
-)
-def test_time_documents_reject_unknown_keys(reader, text):
-    # a misspelt origin_point once defaulted silently to 0.0
-    with pytest.raises(ScheduleError, match="unknown time document keys"):
-        reader(text)
-
-
-def test_time_documents_need_a_times_array():
-    for reader in (timeset_from_json, schedule_from_json):
-        with pytest.raises(ScheduleError, match='"times" array'):
-            reader('{"times": 1.0}')
-
-
-@pytest.mark.parametrize("field", ["origin_time", "origin_point"])
-@pytest.mark.parametrize("value", ['"1"', "true", "null"])
-def test_schedule_origin_takes_only_numbers(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be a number"):
-        schedule_from_json(f'{{"times": [2.0], "{field}": {value}}}')
+    riemann = cylinder_riemann_sum(h, division)
+    reduced = reduce_cylinder_integral(lambda p: f(p[:, 0]), TimeSet(sched.times), sched, tol=1e-8)
+    assert len(division) == 671
+    assert abs(riemann - reduced) < 1e-12, abs(riemann - reduced)
+    assert time.perf_counter() - start < 1.0

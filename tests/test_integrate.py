@@ -21,7 +21,6 @@ from gaugeint import integrate
 from gaugeint.integrate import (
     IntegrationReport,
     OscillatoryTailSpec,
-    alexiewicz_seminorm,
     fresnel_line_integral,
     hk_integrate_1d,
     oscillatory_improper,
@@ -393,6 +392,8 @@ def test_window_validation():
     with pytest.raises(ValueError):
         hk_integrate_1d(lambda x: x, (0.0, math.inf))
     with pytest.raises(ValueError):
+        hk_integrate_1d(lambda x: x, (0.0, 0.0))
+    with pytest.raises(ValueError):
         hk_integrate_1d(lambda x: x, (0.0, 1.0), tol=0.0)
 
 
@@ -676,46 +677,3 @@ def test_tail_spec_validation():
     for direction in [True, 1.0, "1"]:
         with pytest.raises(ValueError, match="direction must be the integer"):
             OscillatoryTailSpec(1j, 0.0, direction)
-
-
-# ---------------------------------------------------------------------------
-# Alexiewicz seminorm (sup of prefix integrals)
-# ---------------------------------------------------------------------------
-
-
-def test_alexiewicz_constant():
-    v = alexiewicz_seminorm(
-        lambda x: np.ones_like(x, dtype=complex), (0.0, 1.0), 64
-    )
-    assert abs(v - 1.0) < 1e-10
-
-
-def test_alexiewicz_sine_peak():
-    # prefix integral of sin peaks at x = pi with value 2
-    v = alexiewicz_seminorm(
-        lambda x: np.sin(x).astype(complex), (0.0, 2.0 * math.pi), 256
-    )
-    assert abs(v - 2.0) < 1e-8
-
-
-def test_alexiewicz_grid_must_be_a_count():
-    for grid in (2.5, True, 1):
-        with pytest.raises(ValueError, match="grid must be an integer >= 2"):
-            alexiewicz_seminorm(
-                lambda x: np.ones_like(x, dtype=complex), (0.0, 1.0), grid
-            )
-
-
-def test_alexiewicz_interval_must_be_finite_and_ordered():
-    for interval in ((0.0, math.inf), (1.0, 0.0), (0.0, 0.0)):
-        with pytest.raises(ValueError, match="interval"):
-            alexiewicz_seminorm(
-                lambda x: np.ones_like(x, dtype=complex), interval, 4
-            )
-
-
-def test_alexiewicz_chirp_grid_stability():
-    f = lambda x: np.cos(x * x).astype(complex)
-    v1 = alexiewicz_seminorm(f, (0.0, 40.0), 128)
-    v2 = alexiewicz_seminorm(f, (0.0, 40.0), 256)
-    assert abs(v1 - v2) < 1e-3

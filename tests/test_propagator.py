@@ -1056,6 +1056,21 @@ class TestPerturbation:
         assert kinds.count(np.ndarray) == 1
         assert kinds.count(float) == _GL_NODES * (4 * _CUSTOM_FIT_DEGREE + 1)
 
+    def test_order_zero_never_evaluates_the_potential(self):
+        # order 0 is the free propagator: a potential that cannot be
+        # evaluated once made it fail with IntegrandError
+        calls = []
+
+        def refuses(x, t):
+            calls.append(t)
+            raise RuntimeError("no potential here")
+
+        q = PropagatorQuery(0.1, 0.0, 0.3, 0.8, potential=Potential.custom(refuses))
+        assert perturbation_terms(0, q) == [psi0_closed(q)]
+        assert perturbation_term(0, q) == psi0_closed(q)
+        assert perturbation_partial_sums(0, q) == [psi0_closed(q)]
+        assert calls == []
+
     @pytest.mark.parametrize(
         "pot, r",
         [
