@@ -3,15 +3,15 @@
 The package is organized bottom-up:
 
     cells       tagged cells, gauges, divisions of the line, Riemann sums
-    fresnel     incomplete Fresnel integral, oscillatory densities and
-                distributions on product cells, incremental kernels
+    fresnel     oscillatory distributions on figures of product cells,
+                incremental densities and kernels
     oscquad     analytic chirp quadrature (Filon cells with exact moments)
     integrate   adaptive gauge integration on windows, undamped improper
                 oscillatory integrals
     cylinder    time sets, undamped reduction of cylinder integrals to
                 finite dimension
     propagator  closed-form and undamped time-sliced propagators, perturbation
-                series terms
+                series terms, in units hbar = m = 1
     exchange    growth tables, bounded-convergence diagnostics and the
                 series/integral exchange experiment
     config      run configuration (JSON file, env var, flag overrides)

@@ -152,7 +152,6 @@ def criterion_2_distribution_normalization(cfg: RunConfig):
 def criterion_3_free_propagator(cfg: RunConfig):
     """Sliced free kernels match the closed form; kernels compose."""
     grid = cfg.slice_grid()
-    mass = cfg.pathint.mass
     failures = []
     worst_rel = 0.0
 
@@ -162,8 +161,8 @@ def criterion_3_free_propagator(cfg: RunConfig):
             q = PropagatorQuery(
                 xi_prime=0.0, tau_prime=0.0, xi=xi, tau=tau, slices=n
             )
-            got = psi0_sliced(q, grid, mass=mass)
-            want = psi0_closed(q, mass=mass)
+            got = psi0_sliced(q, grid)
+            want = psi0_closed(q)
             rel = abs(got - want) / abs(want)
             worst_rel = max(worst_rel, rel)
             if rel > 1e-3:
@@ -178,7 +177,7 @@ def criterion_3_free_propagator(cfg: RunConfig):
         t = float(rng.uniform(0.3, 2.0))
         xi_prime = float(rng.uniform(-1.0, 1.0))
         xi = float(rng.uniform(-1.0, 1.0))
-        res = free_kernel_semigroup_residual(xi_prime, xi, s, t, mass=mass)
+        res = free_kernel_semigroup_residual(xi_prime, xi, s, t)
         worst_res = max(worst_res, res)
         if res > 1e-4:
             failures.append(
@@ -191,7 +190,7 @@ def criterion_3_free_propagator(cfg: RunConfig):
     )
 
 
-def _remainder_checks(c: float, tau: float, mass: float):
+def _remainder_checks(c: float, tau: float):
     """The constant-potential query and (m, gap, bound) for m <= 12.
 
     gap is |S_m - psi0 e^{-i c tau}| at xi = 0.3 and bound the factorial
@@ -205,11 +204,11 @@ def _remainder_checks(c: float, tau: float, mass: float):
         slices=1,
         potential=Potential.constant_potential(c),
     )
-    base = psi0_closed(q, mass=mass)
-    target = closed_kernel(q, mass=mass)
+    base = psi0_closed(q)
+    target = closed_kernel(q)
     x = abs(c) * tau
     checks = []
-    for m, s_m in enumerate(perturbation_partial_sums(12, q, mass=mass)):
+    for m, s_m in enumerate(perturbation_partial_sums(12, q)):
         bound = x ** (m + 1) / math.factorial(m + 1) * abs(base) + 1e-6
         checks.append((m, abs(s_m - target), bound))
     return q, checks
@@ -218,14 +217,13 @@ def _remainder_checks(c: float, tau: float, mass: float):
 @_criterion(4, "perturbation series")
 def criterion_4_perturbation_series(cfg: RunConfig):
     """Constant-potential partial sums obey the factorial remainder bound."""
-    mass = cfg.pathint.mass
     failures = []
     worst_margin = 0.0
     worst_ratio = 0.0
 
     for c in (1.0, 2.0):
         tau = 1.0  # |c| * tau = 1 and 2
-        q, checks = _remainder_checks(c, tau, mass)
+        q, checks = _remainder_checks(c, tau)
         for m, gap, bound in checks:
             worst_margin = max(worst_margin, gap / bound)
             if gap > bound:
@@ -233,7 +231,7 @@ def criterion_4_perturbation_series(cfg: RunConfig):
                     f"c={c}, m={m}: |S_m - target| {gap:.3e} > bound {bound:.3e}"
                 )
 
-        terms = perturbation_terms(6, q, mass=mass)
+        terms = perturbation_terms(6, q)
         for r, (prev, term) in enumerate(zip(terms, terms[1:]), start=1):
             got = term / prev
             want = (-1j * c * tau) / r
@@ -253,7 +251,6 @@ def criterion_4_perturbation_series(cfg: RunConfig):
 @_criterion(5, "harmonic cross-check")
 def criterion_5_harmonic_cross_check(cfg: RunConfig):
     """Sliced harmonic-oscillator kernel matches the closed kernel."""
-    mass = cfg.pathint.mass
     q = PropagatorQuery(
         xi_prime=0.0,
         tau_prime=0.0,
@@ -262,8 +259,8 @@ def criterion_5_harmonic_cross_check(cfg: RunConfig):
         slices=16,
         potential=Potential.harmonic(0.5),
     )
-    got = psi_sliced(q, cfg.slice_grid(), mass=mass)
-    want = closed_kernel(q, mass=mass)
+    got = psi_sliced(q, cfg.slice_grid())
+    want = closed_kernel(q)
     rel = abs(got - want) / abs(want)
     failures = [] if rel <= 1e-2 else [f"rel err {rel:.3e} > 1e-2"]
     return failures, f"16 slices, omega=0.5, tau=0.5: rel err {rel:.3e} (tol 1e-2)"
@@ -417,11 +414,10 @@ def criterion_8_coexistence_report(cfg: RunConfig):
     the integrability probe.  This criterion re-asserts both facts and
     passes exactly when they coexist.
     """
-    mass = cfg.pathint.mass
     failures = []
 
     tau = 1.0
-    _, checks = _remainder_checks(1.0, tau, mass)
+    _, checks = _remainder_checks(1.0, tau)
     for m, gap, bound in checks:
         if gap > bound:
             failures.append(f"partial sum m={m} misses its remainder bound")

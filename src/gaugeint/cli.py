@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--damping", type=float, default=None, help="accepted but unused"
     )
-    parser.add_argument("--mass", type=float, default=None, help="particle mass")
     parser.add_argument("--seed", type=int, default=None, help="lab RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -158,7 +157,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             "tol": getattr(args, "tol", None),
         },
         pathint={
-            "mass": args.mass,
             "extent": args.extent,
             "points": args.points,
         },

@@ -50,15 +50,13 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class PathintConfig:
-    """Mass and the default slice grid for propagator queries."""
+    """The default slice grid for propagator queries (units hbar = m = 1)."""
 
-    mass: float = 1.0
     extent: float = 16.0
     points: int = 768
     slices: int = 8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mass", _require_positive("mass", self.mass))
         object.__setattr__(
             self, "extent", _require_positive("extent", self.extent)
         )

@@ -265,7 +265,7 @@ def bounded_convergence_diagnostic(
 # ---------------------------------------------------------------------------
 
 
-def partial_sum_family(c: float, tau: float, *, mass: float = 1.0):
+def partial_sum_family(c: float, tau: float):
     """(family, limit, beta) for the constant-potential partial sums.
 
     Functions of the end point x for propagation from (0, 0) to (x, tau)
@@ -277,13 +277,13 @@ def partial_sum_family(c: float, tau: float, *, mass: float = 1.0):
     """
     c = _require_finite("c", c)
     tau = _require_positive("tau", tau)
-    beta = free_modulus_envelope(tau, mass=mass)
+    beta = free_modulus_envelope(tau)
 
     def psi0_vals(x: np.ndarray) -> np.ndarray:
         xa = np.asarray(x, dtype=float)
         out = beta(xa).astype(complex)
         fin = np.isfinite(xa)
-        out[fin] = free_kernel(xa[fin], tau, mass=mass)
+        out[fin] = free_kernel(xa[fin], tau)
         return out
 
     def family(m: int, x: np.ndarray) -> np.ndarray:
@@ -298,11 +298,10 @@ def partial_sum_family(c: float, tau: float, *, mass: float = 1.0):
     return family, limit, beta
 
 
-def free_modulus_envelope(tau: float, *, mass: float = 1.0):
-    """The constant envelope |g0| = (2 pi tau / mass)^{-1/2}."""
+def free_modulus_envelope(tau: float):
+    """The constant envelope |g0| = (2 pi tau)^{-1/2} of the free kernel (hbar = m = 1)."""
     tau = _require_positive("tau", tau)
-    mass = _require_positive("mass", mass)
-    modulus = 1.0 / math.sqrt(2.0 * math.pi * tau / mass)
+    modulus = 1.0 / math.sqrt(2.0 * math.pi * tau)
 
     def beta(x: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(x, dtype=float).shape, modulus)
@@ -344,7 +343,6 @@ def exchange_experiment(
     m_max: int,
     grid: SliceGrid,
     *,
-    mass: float = 1.0,
     rtol: float = 1e-3,
 ) -> list[ExchangeRow]:
     """Partial sums S_m against the sliced propagator, m = 0..m_max.
@@ -355,8 +353,8 @@ def exchange_experiment(
     (its time-slicing plus quadrature error) — convergence that coexists
     with the UNBOUNDED envelope verdict from the growth probes.
     """
-    sums = perturbation_partial_sums(m_max, q, grid, mass=mass)
-    sliced = psi_sliced(q, grid, mass=mass, rtol=rtol)
+    sums = perturbation_partial_sums(m_max, q, grid)
+    sliced = psi_sliced(q, grid, rtol=rtol)
     return [
         ExchangeRow(
             order=m, partial_sum=s_m, sliced=sliced, difference=abs(s_m - sliced)

@@ -1,10 +1,8 @@
-"""Fresnel densities and distribution functions on cells and figures.
+"""Fresnel distribution functions on figures and increment densities on cells.
 
-The quadratic-phase density assigns (sqrt(-i/2pi))^n phi(tag) |I| to a
-tagged product cell when every tag is finite, and switches to a product of
-incomplete Fresnel integrals once any tag sits at an infinite coordinate.
-Summing the integral branch over a figure's cells gives a finitely additive
-complex distribution whose total mass over R^n is exactly 1.
+The distribution of a figure sums, over its product cells, the products of
+per-axis incomplete Fresnel integrals sqrt(-i/2pi) Int_I e^{ix^2/2} dx: a
+finitely additive complex distribution whose total mass over R^n is exactly 1.
 
 The incremental variants replace coordinates by increments x_j - x_{j-1}
 weighted by time steps t_j - t_{j-1}: the finite-dimensional shadow of the
@@ -42,9 +40,7 @@ from .oscquad import ROOT_MINUS_I_OVER_2PI, adaptive_chirp_integral, fresnel_int
 __all__ = [
     "FigureND",
     "IncrementSchedule",
-    "quadratic_phase",
     "free_increment_factor",
-    "fresnel_cell_mass",
     "fresnel_distribution",
     "incremental_density",
     "incremental_distribution",
@@ -132,12 +128,6 @@ class IncrementSchedule:
         return tuple(out)
 
 
-def quadratic_phase(x) -> complex:
-    """Unit-modulus phase e^{(i/2)(x_1^2 + ... + x_n^2)} of a finite point."""
-    xs = _require_finite_values("coordinates", x).ravel()
-    return complex(np.exp(0.5j * float(np.dot(xs, xs))))
-
-
 def free_increment_factor(cell: Cell1D, shift, dt: float):
     """sqrt(-i/(2 pi dt)) Int_I e^{(i/2)(x-shift)^2/dt} dx, vectorized in shift.
 
@@ -156,24 +146,6 @@ def free_increment_factor(cell: Cell1D, shift, dt: float):
         - fresnel_integral((cell.lo - shift_arr) / s)
     )
     return out if shift_arr.ndim else complex(out)
-
-
-def fresnel_cell_mass(cell: CellND) -> complex:
-    """Density mass of one tagged product cell.
-
-    Finite tags: (sqrt(-i/2pi))^n phi(tag) |I|.  Any infinite tag switches
-    every factor to the integral branch, the per-axis incomplete Fresnel
-    integral, so the mass then equals the cell's distribution value.
-    """
-    if not cell.is_associated():
-        raise AssociationError("tags are not associated with the cell")
-    if all(math.isfinite(t) for t in cell.tags):
-        return (
-            ROOT_MINUS_I_OVER_2PI**cell.dim
-            * quadratic_phase(cell.tags)
-            * cell.volume()
-        )
-    return fresnel_distribution(FigureND((cell.factors,)))
 
 
 def fresnel_distribution(fig: FigureND) -> complex:

@@ -37,7 +37,7 @@ from .errors import (
     _require_count,
     _require_finite,
     _require_positive,
-    guarded_values,
+    guarded_array,
 )
 
 __all__ = [
@@ -459,10 +459,10 @@ def adaptive_chirp_integral(
 ):
     """Adaptive Filon evaluation of Int e^{i beta (x-c)^2} g(x) dx on window.
 
-    g must accept numpy arrays (a raising or non-finite g raises
-    IntegrandError).  beta, tol > 0 and the window is finite.  Cells are
-    refined globally (doubling) until two successive levels agree within
-    tol.  Returns (value, error_estimate).
+    g takes a float array or, scalar-only, one float (errors.guarded_array;
+    a raising or non-finite g raises IntegrandError).  beta, tol > 0 and
+    the window is finite.  Cells are refined globally (doubling) until two
+    successive levels agree within tol.  Returns (value, error_estimate).
     """
     beta = _require_positive("beta", beta)
     center = _require_finite("center", center)
@@ -471,6 +471,7 @@ def adaptive_chirp_integral(
         raise ValueError("window must have lo < hi")
     tol = _require_positive("tol", tol)
     max_levels = _require_count("max_levels", max_levels, 1)
+    envelope = guarded_array(g, what="envelope")
     ncell = _CHIRP_MIN_CELLS
     # the near/far moment split must not hide inside coarse cells: if the
     # near zone intersects the window, start fine enough that level
@@ -484,7 +485,7 @@ def adaptive_chirp_integral(
     for _ in range(max_levels):
         edges = np.linspace(lo, hi, ncell + 1)
         nodes, wts = chirp_filon_weights(beta, center, edges)
-        val = complex(np.dot(wts, guarded_values(g, nodes, what="envelope")))
+        val = complex(np.dot(wts, envelope(nodes)))
         if prev is not None:
             drift = abs(val - prev)
             # two consecutive small drifts: a single agreeing pair can be

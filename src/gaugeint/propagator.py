@@ -5,7 +5,8 @@ potential (iterated one-step undamped Fresnel convolutions on a spatial
 grid, each slice exact Filon cell weights contracted with the envelope),
 and the perturbation expansion in interaction vertices (an exact
 complex-Gaussian bridge recursion on polynomial envelopes).  Units
-hbar = 1; the particle mass enters every kernel and defaults to 1.
+hbar = m = 1: a particle of mass m in V(x, t) on [tau', tau] is the unit-mass
+particle in m V(x, tau' + m (s - tau')) on [tau', tau' + (tau - tau') / m].
 
 The cell weights of a slice are built on an offset lattice: with
 uniform slices the bridge centres are the nodes scaled by j / (j + 1)
@@ -188,50 +189,46 @@ class SliceGrid:
 # ---------------------------------------------------------------------------
 
 
-def free_kernel(displacement, dt: float, *, mass: float = 1.0) -> complex:
-    """Free one-step kernel sqrt(m/(2 pi i dt)) e^{i m u^2 / (2 dt)}.
+def free_kernel(displacement, dt: float) -> complex:
+    """Free one-step kernel sqrt(1/(2 pi i dt)) e^{i u^2 / (2 dt)}.
 
     Vectorized over the displacement; principal square root.
     """
     dt = _require_positive("dt", dt)
-    mass = _require_positive("mass", mass)
     u = _require_finite_values("displacement", displacement)
-    pref = np.sqrt(mass / (2j * math.pi * dt))
-    out = pref * np.exp(0.5j * mass * np.square(u) / dt)
+    pref = np.sqrt(1.0 / (2j * math.pi * dt))
+    out = pref * np.exp(0.5j * np.square(u) / dt)
     if out.shape == ():
         return complex(out)
     return out
 
 
-def psi0_closed(q: PropagatorQuery, *, mass: float = 1.0) -> complex:
+def psi0_closed(q: PropagatorQuery) -> complex:
     """Free propagator between the query endpoints, closed form."""
-    return complex(free_kernel(q.xi - q.xi_prime, q.duration, mass=mass))
+    return complex(free_kernel(q.xi - q.xi_prime, q.duration))
 
 
-def harmonic_kernel_closed(
-    q: PropagatorQuery, omega: float, *, mass: float = 1.0
-) -> complex:
-    """Harmonic-oscillator kernel for 0 < omega * duration < pi.
+def harmonic_kernel_closed(q: PropagatorQuery, omega: float) -> complex:
+    """Mehler's kernel of V = omega^2 x^2 / 2 for 0 < omega * duration < pi.
 
-    sqrt(m w / (2 pi i sin w T)) * exp(i m w ((xi^2 + xi'^2) cos wT
+    sqrt(w / (2 pi i sin w T)) * exp(i w ((xi^2 + xi'^2) cos wT
     - 2 xi xi') / (2 sin wT)), principal branch.
     """
     omega = _require_positive("omega", omega)
-    mass = _require_positive("mass", mass)
     wt = omega * q.duration
     if not 0.0 < wt < math.pi:
         raise ValueError("queries are restricted to 0 < omega*duration < pi")
     s, c = math.sin(wt), math.cos(wt)
-    pref = np.sqrt(mass * omega / (2j * math.pi * s))
+    pref = np.sqrt(omega / (2j * math.pi * s))
     phase = (
-        0.5j * mass * omega
+        0.5j * omega
         * ((q.xi**2 + q.xi_prime**2) * c - 2.0 * q.xi * q.xi_prime)
         / s
     )
     return complex(pref * np.exp(phase))
 
 
-def closed_kernel(q: PropagatorQuery, *, mass: float = 1.0) -> complex | None:
+def closed_kernel(q: PropagatorQuery) -> complex | None:
     """The closed-form kernel of q's potential; None for a custom potential.
 
     Zero and constant potentials give psi0_closed e^{-i c T} (exact for
@@ -241,8 +238,8 @@ def closed_kernel(q: PropagatorQuery, *, mass: float = 1.0) -> complex | None:
     if pot.analytic_tag == "custom":
         return None
     if pot.analytic_tag == "harmonic":
-        return harmonic_kernel_closed(q, pot.omega, mass=mass)
-    return psi0_closed(q, mass=mass) * cmath.exp(-1j * pot.constant * q.duration)
+        return harmonic_kernel_closed(q, pot.omega)
+    return psi0_closed(q) * cmath.exp(-1j * pot.constant * q.duration)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +324,7 @@ def _lattice_step(alpha: complex, j: int, xi_prime: float, edges, h: float, g):
     return _contract_cells(by_row(lattice), g, alpha, lo, hi, h)
 
 
-def _sliced_member(
-    q: PropagatorQuery, extent: float, points: int, mass: float
-) -> complex:
+def _sliced_member(q: PropagatorQuery, extent: float, points: int) -> complex:
     """One undamped sliced-kernel evaluation, slices >= 2 (checked by psi_sliced).
 
     The wavefront is carried as a slow envelope against the exact free
@@ -361,25 +356,19 @@ def _sliced_member(
     for j in range(1, n):
         a = times[j] - q.tau_prime
         big_a = 1.0 / dt + 1.0 / a
-        alpha = complex(0.0, 0.5 * mass * big_a)
-        pref_b = complex(np.sqrt(mass * big_a / (2j * math.pi)))
+        alpha = complex(0.0, 0.5 * big_a)
+        pref_b = complex(np.sqrt(big_a / (2j * math.pi)))
         g = np.exp(-1j * pot.values(nodes, times[j]) * dt) * chi
         if j == n - 1:  # final step: bridge to the exact end point
             lam = a / (a + dt)
             center = lam * q.xi + (1.0 - lam) * q.xi_prime
             w = edges - center
             value = _contract_cells(_damped_cell_weights(alpha, w), g, alpha, w[0], w[-1], h)
-            return psi0_closed(q, mass=mass) * complex(pref_b * value)
+            return psi0_closed(q) * complex(pref_b * value)
         chi = pref_b * _lattice_step(alpha, j, q.xi_prime, edges, h, g)
 
 
-def psi_sliced(
-    q: PropagatorQuery,
-    grid: SliceGrid,
-    *,
-    mass: float = 1.0,
-    rtol: float = 1e-3,
-) -> complex:
+def psi_sliced(q: PropagatorQuery, grid: SliceGrid, *, rtol: float = 1e-3) -> complex:
     """Time-sliced propagator with the query's potential.
 
     Iterated one-step Fresnel convolutions over the query's slices, taken
@@ -392,10 +381,9 @@ def psi_sliced(
     GridTooCoarseError when that plus window_gap > rtol (relative).
     """
     rtol = _require_positive("rtol", rtol)
-    mass = _require_positive("mass", mass)
     if q.slices == 1:
         v = float(q.potential.values(np.array([q.xi_prime]), q.tau_prime)[0])
-        return complex(np.exp(-1j * v * q.duration)) * psi0_closed(q, mass=mass)
+        return complex(np.exp(-1j * v * q.duration)) * psi0_closed(q)
 
     probes = {
         "mesh": (grid.extent, (grid.points // 2) & ~1),
@@ -410,10 +398,10 @@ def psi_sliced(
             f"{_WORK_CAP:.3e}; use fewer slices or points"
         )
 
-    value = _sliced_member(q, grid.extent, grid.points, mass)
+    value = _sliced_member(q, grid.extent, grid.points)
     scale = max(abs(value), 1e-300)
     gaps = {
-        name: abs(_sliced_member(q, extent, points, mass) - value) / scale
+        name: abs(_sliced_member(q, extent, points) - value) / scale
         for name, (extent, points) in probes.items()
     }
     # fourth order in the mesh: the mesh gap is the member's error times
@@ -432,13 +420,7 @@ def psi_sliced(
     return complex(value)
 
 
-def psi0_sliced(
-    q: PropagatorQuery,
-    grid: SliceGrid,
-    *,
-    mass: float = 1.0,
-    rtol: float = 1e-3,
-) -> complex:
+def psi0_sliced(q: PropagatorQuery, grid: SliceGrid, *, rtol: float = 1e-3) -> complex:
     """Time-sliced FREE propagator (the query's potential is ignored)."""
     free_q = PropagatorQuery(
         xi_prime=q.xi_prime,
@@ -448,7 +430,7 @@ def psi0_sliced(
         slices=q.slices,
         potential=Potential.zero(),
     )
-    return psi_sliced(free_q, grid, mass=mass, rtol=rtol)
+    return psi_sliced(free_q, grid, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +444,6 @@ def free_kernel_semigroup_residual(
     s: float,
     t: float,
     *,
-    mass: float = 1.0,
     tol: float = 1e-6,
 ) -> float:
     """|numeric int K(z - xi'; s) K(xi - z; t) dz  -  K(xi - xi'; s+t)|.
@@ -473,16 +454,13 @@ def free_kernel_semigroup_residual(
     form it is compared against.
     """
     s, t = _require_positive("s", s), _require_positive("t", t)
-    mass = _require_positive("mass", mass)
     xi_prime, xi = _require_finite("xi_prime", xi_prime), _require_finite("xi", xi)
-    a = 0.5 * mass * (1.0 / s + 1.0 / t)
+    a = 0.5 * (1.0 / s + 1.0 / t)
     z0 = (t * xi_prime + s * xi) / (s + t)
-    const_phase = 0.5 * mass * (xi - xi_prime) ** 2 / (s + t)
-    pref = complex(
-        np.sqrt(mass / (2j * math.pi * s)) * np.sqrt(mass / (2j * math.pi * t))
-    )
+    const_phase = 0.5 * (xi - xi_prime) ** 2 / (s + t)
+    pref = complex(np.sqrt(1.0 / (2j * math.pi * s)) * np.sqrt(1.0 / (2j * math.pi * t)))
     numeric = pref * np.exp(1j * const_phase) * fresnel_line_integral(2j * a, tol)
-    closed = free_kernel(xi - xi_prime, s + t, mass=mass)
+    closed = free_kernel(xi - xi_prime, s + t)
     return abs(complex(numeric) - complex(closed))
 
 
@@ -520,13 +498,7 @@ def _custom_fit() -> tuple[np.ndarray, np.ndarray]:
     return t, fit
 
 
-def _chi_levels(
-    q: PropagatorQuery,
-    rmax: int,
-    *,
-    mass: float,
-    window: float,
-) -> list[np.ndarray]:
+def _chi_levels(q: PropagatorQuery, rmax: int, *, window: float) -> list[np.ndarray]:
     """chi_r coefficient tables on the Chebyshev-Lobatto time grid.
 
     Entry r < rmax is an (nt, r*degV + 1) array: chi_r(u, t_i) = sum_k
@@ -557,7 +529,7 @@ def _chi_levels(
     s = t0 + 0.5 * span * (glx + 1.0)
     sweights = (0.5 * span * glp[:, 0].real)[..., None].astype(complex)  # (t_i, s, 1)
     lam = ((s - t0) / span).ravel()
-    var = (1j * (ti - s) * (s - t0) / (span * mass)).ravel()
+    var = (1j * (ti - s) * (s - t0) / span).ravel()
 
     # barycentric interpolation from the time nodes to every s: one matrix with
     # normalized rows, kept transposed and complex (complex @ complex stays in BLAS)
@@ -640,24 +612,16 @@ def _chi_levels(
     return levels
 
 
-def _end_envelopes(
-    m: int, q: PropagatorQuery, grid: SliceGrid | None, mass: float
-) -> list[complex]:
+def _end_envelopes(m: int, q: PropagatorQuery, grid: SliceGrid | None) -> list[complex]:
     """chi_0, ..., chi_m at the query's end point, from one level build."""
     window = grid.extent if grid is not None else 8.0
-    levels = _chi_levels(q, m, mass=mass, window=window)
+    levels = _chi_levels(q, m, window=window)
     u = q.xi - q.xi_prime
     # a level's last row is at tau: the last time node, or the top level's one row
     return [complex(_poly.polyval(u, level[-1])) for level in levels]
 
 
-def perturbation_term(
-    r: int,
-    q: PropagatorQuery,
-    grid: SliceGrid | None = None,
-    *,
-    mass: float = 1.0,
-) -> complex:
+def perturbation_term(r: int, q: PropagatorQuery, grid: SliceGrid | None = None) -> complex:
     """The r-th term of the propagator's expansion in interaction vertices.
 
     r = 0 is the free propagator; r >= 1 integrates r time-ordered
@@ -667,46 +631,30 @@ def perturbation_term(
     comes from the grid extent (default 8).
     """
     r = _require_count("r", r, 0)
-    base = psi0_closed(q, mass=mass)
+    base = psi0_closed(q)
     if r == 0:
         return base
-    return base * _end_envelopes(r, q, grid, mass)[r]
+    return base * _end_envelopes(r, q, grid)[r]
 
 
-def perturbation_terms(
-    m: int,
-    q: PropagatorQuery,
-    grid: SliceGrid | None = None,
-    *,
-    mass: float = 1.0,
-) -> list[complex]:
+def perturbation_terms(m: int, q: PropagatorQuery, grid: SliceGrid | None = None) -> list[complex]:
     """The terms T_0, ..., T_m from one build of the expansion levels.
 
     T_r is perturbation_term(r) bit for bit.
     """
     m = _require_count("m", m, 0)
-    base = psi0_closed(q, mass=mass)
-    chis = _end_envelopes(m, q, grid, mass)
+    base = psi0_closed(q)
+    chis = _end_envelopes(m, q, grid)
     return [base] + [base * chi for chi in chis[1:]]
 
 
-def perturbation_partial_sum(
-    m: int,
-    q: PropagatorQuery,
-    grid: SliceGrid | None = None,
-    *,
-    mass: float = 1.0,
-) -> complex:
+def perturbation_partial_sum(m: int, q: PropagatorQuery, grid: SliceGrid | None = None) -> complex:
     """Sum of the expansion terms through order m."""
-    return perturbation_partial_sums(m, q, grid, mass=mass)[-1]
+    return perturbation_partial_sums(m, q, grid)[-1]
 
 
 def perturbation_partial_sums(
-    m: int,
-    q: PropagatorQuery,
-    grid: SliceGrid | None = None,
-    *,
-    mass: float = 1.0,
+    m: int, q: PropagatorQuery, grid: SliceGrid | None = None
 ) -> list[complex]:
     """The partial sums S_0, ..., S_m from one build of the expansion terms.
 
@@ -714,10 +662,10 @@ def perturbation_partial_sums(
     returns it, bit for bit.
     """
     m = _require_count("m", m, 0)
-    base = psi0_closed(q, mass=mass)
+    base = psi0_closed(q)
     sums = []
     total = 0.0 + 0.0j
-    for chi in _end_envelopes(m, q, grid, mass):
+    for chi in _end_envelopes(m, q, grid):
         total += chi
         sums.append(base * total)
     return sums

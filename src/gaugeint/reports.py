@@ -168,9 +168,8 @@ def fresnel_table(c: complex | None = None, tol: float = 1e-8) -> str:
 
 def kernel_table(q: PropagatorQuery, cfg: RunConfig) -> str:
     """CSV with the closed form, the sliced value and their distance."""
-    mass = cfg.pathint.mass
-    closed = closed_kernel(q, mass=mass)
-    sliced = psi_sliced(q, cfg.slice_grid(), mass=mass)
+    closed = closed_kernel(q)
+    sliced = psi_sliced(q, cfg.slice_grid())
     lines = ["quantity,value,abs_diff_vs_closed"]
     diff = "nan"
     if closed is not None:
@@ -184,12 +183,11 @@ def kernel_table(q: PropagatorQuery, cfg: RunConfig) -> str:
 
 def perturb_table(q: PropagatorQuery, m_max: int, cfg: RunConfig) -> str:
     """CSV of partial sums S_m, with the closed target for zero and constant V."""
-    mass = cfg.pathint.mass
     target = None  # harmonic V keeps its fixed m,partial_sum table format
     if q.potential.analytic_tag != "harmonic":
-        target = closed_kernel(q, mass=mass)
+        target = closed_kernel(q)
     lines = ["m,partial_sum" + ("" if target is None else ",abs_diff_vs_closed")]
-    sums = perturbation_partial_sums(m_max, q, cfg.slice_grid(), mass=mass)
+    sums = perturbation_partial_sums(m_max, q, cfg.slice_grid())
     for m, s_m in enumerate(sums):
         row = f"{m},{sig_complex(s_m)}"
         lines.append(row if target is None else f"{row},{sig(abs(s_m - target))}")
@@ -214,7 +212,6 @@ def exchange_documents(
     report the envelope probe with m_found = -1, meaning not searched).
     """
     grid = cfg.slice_grid()
-    mass = cfg.pathint.mass
     lab = cfg.lab
 
     dt = q.duration / q.slices
@@ -229,7 +226,7 @@ def exchange_documents(
         growth_lines.append(f"{sig(r)},{sig(v)},{k}")
     growth_csv = _csv(growth_lines)
 
-    rows = exchange_experiment(q, m_max, grid, mass=mass)
+    rows = exchange_experiment(q, m_max, grid)
     comp_lines = ["m,partial_sum,sliced,abs_difference"]
     for row in rows:
         comp_lines.append(
@@ -250,9 +247,7 @@ def exchange_documents(
         "seed": int(lab.seed),
     }
     if q.potential.analytic_tag == "constant":
-        family, limit, beta = partial_sum_family(
-            q.potential.constant, q.duration, mass=mass
-        )
+        family, limit, beta = partial_sum_family(q.potential.constant, q.duration)
         witness = bounded_convergence_diagnostic(
             family,
             limit,
@@ -268,9 +263,7 @@ def exchange_documents(
         verdict["max_ratio"] = float(witness.max_ratio)
         verdict["beta_positive"] = witness.beta_positive
     else:
-        table = envelope_growth_table(
-            free_modulus_envelope(q.duration, mass=mass), lab.radii
-        )
+        table = envelope_growth_table(free_modulus_envelope(q.duration), lab.radii)
         verdict["beta_probe"] = growth_verdict(table)
         verdict["m_found"] = -1
         verdict["beta_positive"] = True

@@ -52,6 +52,11 @@ class TestConfig:
             with pytest.raises(ValueError, match="bad config section"):
                 RunConfig.from_json_dict({"integrator": {"tol": 1e-8, name: 1}})
 
+    def test_a_mass_is_refused_by_name(self):
+        # units are hbar = m = 1: a document that still sets a mass fails loudly
+        with pytest.raises(ValueError, match="mass"):
+            RunConfig.from_json_dict({"pathint": {"mass": 2.0}})
+
     def test_rejects_wrong_version(self):
         with pytest.raises(ValueError):
             RunConfig.from_json_dict({"format_version": 99})
@@ -102,7 +107,6 @@ class TestConfig:
         for section, name, value in (
             ("integrator", "damping", True),
             ("integrator", "tol", "1e-8"),
-            ("pathint", "mass", "1"),
             ("pathint", "extent", False),
             ("lab", "eps", True),
             ("lab", "radii", [1.0, "2"]),
@@ -119,10 +123,10 @@ class TestConfig:
     def test_overrides_skip_none(self):
         cfg = RunConfig()
         out = cfg.with_overrides(
-            pathint={"points": 384, "mass": None}, lab={"seed": 7}
+            pathint={"points": 384, "extent": None}, lab={"seed": 7}
         )
         assert out.pathint.points == 384
-        assert out.pathint.mass == cfg.pathint.mass
+        assert out.pathint.extent == cfg.pathint.extent
         assert out.lab.seed == 7
 
     def test_load_from_file_and_env(self, tmp_path, monkeypatch):
@@ -430,6 +434,11 @@ class TestUsageAndOverrides:
     def test_missing_required_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["kernel"])
+        assert info.value.code == 2
+
+    def test_mass_flag_is_usage_error(self):
+        with pytest.raises(SystemExit) as info:
+            main(["--mass", "2", "fresnel"])
         assert info.value.code == 2
 
     def test_invalid_override_fails_validation(self, capsys):

@@ -1,4 +1,4 @@
-"""Measure-layer checks: cell masses, figure distributions, increment chains.
+"""Measure-layer checks: figure distributions, increment densities and chains.
 
 Closed-form values are pinned against direct mpmath quadrature of the
 quadratic-phase kernel; coupled increment chains against nested quadrature.
@@ -14,16 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeint.cells import Cell1D, CellND
-from gaugeint.errors import AssociationError, ScheduleError
+from gaugeint.errors import ScheduleError
 from gaugeint.fresnel import (
     FigureND,
     IncrementSchedule,
     free_increment_factor,
-    fresnel_cell_mass,
     fresnel_distribution,
     incremental_density,
     incremental_distribution,
-    quadratic_phase,
 )
 from gaugeint.oscquad import FRESNEL_LIMIT, ROOT_MINUS_I_OVER_2PI, fresnel_integral
 
@@ -38,68 +36,24 @@ def quad_chirp(lo, hi, sign=+1):
     return complex(mpmath.quad(f, pts))
 
 
-def test_quadratic_phase_values():
-    assert quadratic_phase((0.0, 0.0)) == 1.0
-    r = math.sqrt(math.pi)
-    assert abs(quadratic_phase((r, r)) - (-1.0)) < 1e-14
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = rng.normal(size=3)
-        assert abs(abs(quadratic_phase(x)) - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        quadratic_phase((1.0, math.inf))
-
-
-def test_cell_mass_finite_branch_small_cell():
-    cell = CellND(tags=(0.0,), factors=(Cell1D.bounded(0.0, 1e-6),))
-    got = fresnel_cell_mass(cell)
-    want = cmath.sqrt(-1j / (2 * math.pi)) * 1.0 * 1e-6
-    assert abs(got - want) < 1e-21
-
-
-def test_cell_mass_modulus_identity():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3):
-        for _ in range(10):
-            los = rng.normal(size=n)
-            widths = rng.uniform(0.1, 2.0, size=n)
-            factors = tuple(Cell1D.bounded(l, l + w) for l, w in zip(los, widths))
-            cell = CellND(tags=tuple(los), factors=factors)
-            got = abs(fresnel_cell_mass(cell))
-            want = (2 * math.pi) ** (-n / 2) * cell.volume()
-            assert abs(got - want) < 1e-15 * max(1.0, want)
-
-
-def test_cell_mass_positive_tail_worked_example():
-    # mass of (u, inf) tagged at +inf is 1/2 - sqrt(-i/2pi) Int_0^u e^{iy^2/2} dy
+def test_distribution_positive_tail_worked_example():
+    # mass of (u, inf) is 1/2 - sqrt(-i/2pi) Int_0^u e^{iy^2/2} dy
     u = 1.3
-    cell = CellND(tags=(math.inf,), factors=(Cell1D.pos_tail(u),))
-    got = fresnel_cell_mass(cell)
+    got = fresnel_distribution(FigureND(cells=((Cell1D.pos_tail(u),),)))
     want = 0.5 - ROOT * quad_chirp(0.0, u)
     assert abs(got - want) < 1e-10
 
-    half = fresnel_cell_mass(CellND(tags=(math.inf,), factors=(Cell1D.pos_tail(0.0),)))
+    half = fresnel_distribution(FigureND(cells=((Cell1D.pos_tail(0.0),),)))
     assert abs(half - 0.5) < 1e-12
 
 
-def test_cell_mass_mixed_tags_use_integral_branch():
-    # one infinite tag flips every factor to the integral branch
+def test_distribution_of_one_cell_is_the_product_of_its_factors():
     factors = (Cell1D.bounded(-1.0, 2.0), Cell1D.pos_tail(3.0))
-    cell = CellND(tags=(2.0, math.inf), factors=factors)
-    got = fresnel_cell_mass(cell)
+    got = fresnel_distribution(FigureND(cells=(factors,)))
     want = (ROOT * (fresnel_integral(2.0) - fresnel_integral(-1.0))) * (
         ROOT * (FRESNEL_LIMIT - fresnel_integral(3.0))
     )
     assert got == want
-    # and that equals the distribution of the one-cell figure
-    assert got == fresnel_distribution(FigureND(cells=(factors,)))
-
-
-def test_cell_mass_association_error():
-    with pytest.raises(AssociationError):
-        fresnel_cell_mass(CellND(tags=(5.0,), factors=(Cell1D.pos_tail(7.0),)))
-    with pytest.raises(AssociationError):
-        fresnel_cell_mass(CellND(tags=(0.5,), factors=(Cell1D.bounded(0.0, 1.0),)))
 
 
 def test_distribution_full_space_is_one():
@@ -222,15 +176,8 @@ def test_incremental_density_matches_plain_density_after_substitution():
     )
     y1 = (x1 - 0.4) / math.sqrt(d1)
     y2 = (x2 - x1) / math.sqrt(d2)
-    plain_cell = CellND(
-        tags=(y1, y2),
-        factors=(
-            Cell1D.bounded(y1, y1 + w1 / math.sqrt(d1)),
-            Cell1D.bounded(y2, y2 + w2 / math.sqrt(d2)),
-        ),
-    )
     got = incremental_density(inc_cell, sched)
-    want = fresnel_cell_mass(plain_cell)
+    want = ROOT**2 * cmath.exp(0.5j * (y1 * y1 + y2 * y2)) * (w1 * w2 / math.sqrt(d1 * d2))
     assert abs(got - want) < 1e-15
 
 

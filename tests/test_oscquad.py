@@ -396,6 +396,21 @@ def test_adaptive_chirp_integral_rejects_bad_envelopes():
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
+@pytest.mark.parametrize(
+    "envelope, array_form",
+    [
+        (lambda x: 1.0, np.ones_like),
+        (lambda x: math.exp(-x * x), lambda x: np.exp(-x * x)),  # scalar-only
+    ],
+    ids=["constant", "scalar_only"],
+)
+def test_adaptive_chirp_integral_takes_scalar_envelopes(envelope, array_form):
+    # each once escaped as a bare TypeError or an IntegrandError
+    got, _ = adaptive_chirp_integral(envelope, 0.5, 0.0, (-1.0, 1.0), 1e-6)
+    want, _ = adaptive_chirp_integral(array_form, 0.5, 0.0, (-1.0, 1.0), 1e-6)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
 def test_adaptive_chirp_integral_names_its_level_cap():
     g = lambda x: np.sign(np.asarray(x) - 0.3)  # a jump: first order at best
     with pytest.raises(NoConvergenceError, match="max_levels") as info:

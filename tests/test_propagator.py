@@ -113,7 +113,6 @@ def _reference_chi_levels(
     q: PropagatorQuery,
     rmax: int,
     *,
-    mass: float,
     window: float,
 ) -> list[np.ndarray]:
     """The level build one (time node, Gauss node) pair at a time.
@@ -169,7 +168,7 @@ def _reference_chi_levels(
                     prev_coef = (wts @ prev) / np.sum(wts)
                 pv = np.convolve(vcoef(s), prev_coef)
                 lam = (s - t0) / span
-                var = 1j * (ti - s) * (s - t0) / (span * mass)
+                var = 1j * (ti - s) * (s - t0) / span
                 acc += wgt * _bridge_expectation(pv, lam, var)[:width]
             cur[i] = -1j * acc
         levels.append(cur)
@@ -460,32 +459,16 @@ class TestClosedForms:
     def test_free_kernel_argument_validation(self):
         with pytest.raises(ValueError):
             free_kernel(1.0, -0.5)
-        with pytest.raises(ValueError):
-            free_kernel(1.0, 0.5, mass=0.0)
 
     def test_infinite_steps_and_masses_are_rejected(self):
         for call in (
             lambda: free_kernel(0.5, math.inf),
-            lambda: free_kernel(0.5, 1.0, mass=math.inf),
             lambda: free_kernel_semigroup_residual(0.0, 0.3, math.inf, 1.0),
             lambda: free_kernel_semigroup_residual(0.0, 0.3, 1.0, math.inf),
-            lambda: free_kernel_semigroup_residual(0.0, 0.3, 1.0, 1.0, mass=math.inf),
             lambda: Potential.harmonic(math.inf),
         ):
             with pytest.raises(ValueError, match="positive"):
                 call()
-
-    @pytest.mark.parametrize("mass", [-1.0, 0.0, math.nan, math.inf])
-    def test_harmonic_kernel_closed_checks_its_mass(self, mass):
-        q = PropagatorQuery(0.2, 0.0, -0.7, 0.5)
-        with pytest.raises(ValueError, match="mass"):
-            harmonic_kernel_closed(q, 0.5, mass=mass)
-
-    @pytest.mark.parametrize("mass", [-1.0, math.nan])
-    def test_closed_kernel_checks_its_mass(self, mass):
-        q = PropagatorQuery(0.2, 0.0, -0.7, 0.5, potential=Potential.harmonic(0.5))
-        with pytest.raises(ValueError, match="mass"):
-            closed_kernel(q, mass=mass)
 
     @pytest.mark.parametrize(
         "displacement", [math.inf, -math.inf, math.nan, np.array([0.0, math.inf])]
@@ -508,11 +491,9 @@ class TestClosedForms:
         q = query(Potential.zero())
         assert closed_kernel(q) == psi0_closed(q)
         q = query(Potential.constant_potential(1.7))
-        assert closed_kernel(q, mass=2.0) == psi0_closed(q, mass=2.0) * cmath.exp(
-            -1j * 1.7 * q.duration
-        )
+        assert closed_kernel(q) == psi0_closed(q) * cmath.exp(-1j * 1.7 * q.duration)
         q = query(Potential.harmonic(0.9))
-        assert closed_kernel(q, mass=0.5) == harmonic_kernel_closed(q, 0.9, mass=0.5)
+        assert closed_kernel(q) == harmonic_kernel_closed(q, 0.9)
         assert closed_kernel(query(Potential.custom(lambda x, t: x))) is None
 
     def test_harmonic_kernel_small_frequency_limit(self):
@@ -733,8 +714,8 @@ class TestSlicedPotentials:
             0.0, 0.0, 1.0, 1.0, slices=3, potential=Potential.custom(counted)
         )
         for kwargs in (
-            {"mass": 0.0}, {"mass": -1.0}, {"mass": math.nan},
-            {"mass": math.inf},
+            {"rtol": 0.0}, {"rtol": -1.0}, {"rtol": math.nan},
+            {"rtol": math.inf},
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -955,8 +936,8 @@ class TestPerturbation:
     def test_levels_match_scalar_build(self, xi_prime, xi, tau, pot, m, window):
         q = PropagatorQuery(xi_prime, 0.1, xi, 0.1 + tau, potential=pot)
         u = xi - xi_prime
-        got = _chi_levels(q, m, mass=1.0, window=window)
-        want = _reference_chi_levels(q, m, mass=1.0, window=window)
+        got = _chi_levels(q, m, window=window)
+        want = _reference_chi_levels(q, m, window=window)
         # the top order is built at tau alone: the last row of the full table
         shapes = [level.shape for level in want]
         assert [level.shape for level in got] == shapes[:-1] + [(1, shapes[-1][1])]
@@ -976,7 +957,7 @@ class TestPerturbation:
     )
     def test_batched_fit_matches_a_per_time_build(self, monkeypatch, evaluate):
         q = PropagatorQuery(-0.2, 0.1, 0.6, 1.0, potential=Potential.custom(evaluate))
-        got = _chi_levels(q, 3, mass=1.0, window=8.0)
+        got = _chi_levels(q, 3, window=8.0)
         values = Potential.values
 
         def per_time(self, x, t):
@@ -984,7 +965,7 @@ class TestPerturbation:
             return np.reshape(rows, np.shape(t) + np.shape(x))
 
         monkeypatch.setattr(Potential, "values", per_time)
-        want = _chi_levels(q, 3, mass=1.0, window=8.0)
+        want = _chi_levels(q, 3, window=8.0)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -1008,14 +989,14 @@ class TestPerturbation:
 
         monkeypatch.setattr(errors, "guarded_call", counted)
         q = PropagatorQuery(0.0, 0.0, 0.5, 1.0, potential=Potential.custom(cosine))
-        _chi_levels(q, 2, mass=1.0, window=8.0)
+        _chi_levels(q, 2, window=8.0)
         # one call per Gauss time, all inside one guard
         assert entries == ["potential"]
         assert calls == [np.ndarray] * ((_TIME_NODES - 1) * _GL_NODES)
         entries.clear()
         calls.clear()
         q = PropagatorQuery(0.0, 0.0, 0.5, 1.0, potential=Potential.custom(scalar_sine))
-        _chi_levels(q, 2, mass=1.0, window=8.0)
+        _chi_levels(q, 2, window=8.0)
         # one array probe, then the per-point pass in one more guard
         assert entries == ["potential", "potential"]
         assert calls.count(np.ndarray) == 1
@@ -1041,7 +1022,7 @@ class TestPerturbation:
 
         monkeypatch.setattr(errors, "guarded_call", counted)
         q = PropagatorQuery(0.0, 0.2, 0.5, 1.0, potential=Potential.custom(cosine))
-        _chi_levels(q, 1, mass=1.0, window=8.0)
+        _chi_levels(q, 1, window=8.0)
         # one call per Gauss time of [tau', tau], all inside one guard
         glx = np.polynomial.legendre.leggauss(_GL_NODES)[0]
         assert entries == ["potential"]
@@ -1050,7 +1031,7 @@ class TestPerturbation:
         entries.clear()
         calls.clear()
         q = PropagatorQuery(0.0, 0.2, 0.5, 1.0, potential=Potential.custom(scalar_sine))
-        _chi_levels(q, 1, mass=1.0, window=8.0)
+        _chi_levels(q, 1, window=8.0)
         assert entries == ["potential", "potential"]
         kinds = [kind for kind, _ in calls]
         assert kinds.count(np.ndarray) == 1
@@ -1388,7 +1369,7 @@ def test_cached_fit_matrix_matches_chebfit():
 )
 def test_rmax_zero_builds_the_unit_level_alone(pot):
     q = PropagatorQuery(0.2, 0.1, 1.0, 1.4, potential=pot)
-    levels = _chi_levels(q, 0, mass=1.0, window=8.0)
+    levels = _chi_levels(q, 0, window=8.0)
     assert len(levels) == 1
     assert np.array_equal(levels[0], np.ones((_TIME_NODES, 1)))
     assert perturbation_terms(0, q) == [psi0_closed(q)]
@@ -1396,8 +1377,48 @@ def test_rmax_zero_builds_the_unit_level_alone(pot):
 
 def test_zero_potential_levels_are_width_one_zeros():
     q = PropagatorQuery(0.2, 0.1, 1.0, 1.4, potential=Potential.zero())
-    levels = _chi_levels(q, 4, mass=1.0, window=8.0)
+    levels = _chi_levels(q, 4, window=8.0)
     assert [level.shape for level in levels] == [(_TIME_NODES, 1)] * 4 + [(1, 1)]
     assert np.array_equal(levels[0], np.ones((_TIME_NODES, 1)))
     assert all(not level.any() for level in levels[1:])
     assert perturbation_terms(4, q) == [psi0_closed(q)] + [0j] * 4
+
+
+def _mass_m_kernel(m, tag, xi_prime, xi, duration, strength):
+    """The closed kernel of a mass-m particle, written out: the free kernel
+    sqrt(m / (2 pi i T)) e^{i m u^2 / (2 T)} (times e^{-i c T} for V = c), or
+    for V = omega^2 x^2 / 2 Mehler's kernel at the frequency W = omega / sqrt(m)."""
+    if tag == "harmonic":
+        w = strength / math.sqrt(m)
+        s, c = math.sin(w * duration), math.cos(w * duration)
+        phase = m * w * ((xi**2 + xi_prime**2) * c - 2.0 * xi * xi_prime) / (2.0 * s)
+        return cmath.sqrt(m * w / (2j * math.pi * s)) * cmath.exp(1j * phase)
+    free = cmath.sqrt(m / (2j * math.pi * duration)) * cmath.exp(
+        0.5j * m * (xi - xi_prime) ** 2 / duration
+    )
+    return free * cmath.exp(-1j * strength * duration)
+
+
+@pytest.mark.parametrize("tag", ["zero", "constant", "harmonic"])
+@pytest.mark.parametrize("m", [0.5, 2.0])
+def test_a_mass_m_query_is_a_unit_mass_query_on_a_rescaled_clock(m, tag):
+    # mass m on [tau', tau] in V is unit mass on [tau', tau' + (tau - tau') / m]
+    # in m V: a constant c becomes m c and a harmonic omega becomes sqrt(m) omega
+    xi_prime, xi, tau_prime, tau, strength = 0.1, 0.4, 0.2, 0.8, 0.8
+    potential = {
+        "zero": Potential.zero(),
+        "constant": Potential.constant_potential(m * strength),
+        "harmonic": Potential.harmonic(math.sqrt(m) * strength),
+    }[tag]
+    q = PropagatorQuery(
+        xi_prime, tau_prime, xi, tau_prime + (tau - tau_prime) / m,
+        slices=8, potential=potential,
+    )
+    want = _mass_m_kernel(
+        m, tag, xi_prime, xi, tau - tau_prime, 0.0 if tag == "zero" else strength
+    )
+    assert abs(closed_kernel(q) - want) <= 1e-13 * abs(want)
+    assert abs(perturbation_partial_sum(20, q) - want) <= 1e-13 * abs(want)
+    # the left-point slicing error of the harmonic query is 1.8e-3
+    bound = 5e-3 if tag == "harmonic" else 1e-12
+    assert abs(psi_sliced(q, GRID) - want) <= bound * abs(want)
